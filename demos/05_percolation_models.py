@@ -1,9 +1,9 @@
 """The three percolation models at desk scale.
 
-Boolean disks (exact union-find connectivity), confetti coloring (raster,
-self-dual at p = 1/2), and the planar model with Pareto radii where big
-grains are sampled exactly and then truncated with a computable error
-bound.
+Boolean disks (exact connectivity from csgraph connected components),
+confetti coloring (raster, self-dual at p = 1/2), and the planar model
+with Pareto radii where big grains are sampled exactly and then truncated
+with a computable error bound.
 """
 
 import numpy as np

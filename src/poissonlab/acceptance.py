@@ -22,6 +22,7 @@ from .chaos import (
     chaos_weights_mehler,
     cond_moment_audit,
 )
+from .fixtures import empty_space_setup
 from .percolation import (
     BooleanModel,
     BooleanWorld,
@@ -76,29 +77,12 @@ class CriterionResult:
         return f"[{status}] {self.name} ({self.elapsed:.1f}s)"
 
 
-def _empty_space(area: float, pad: float = 0.15):
-    """Window, process, disk region and functional for the empty-space
-    problem with lambda(W) = area (planar Lebesgue intensity)."""
-    r_w = math.sqrt(area / math.pi)
-    half = r_w + pad
-    window = BoxWindow((-half, -half), (half, half))
-    process = ProcessSpec(HomogeneousIntensity(1.0), window)
-
-    def region(p):
-        return np.linalg.norm(np.atleast_2d(p), axis=1) <= r_w
-
-    def f(cfg):
-        return 1.0 if cfg.count_in(region) == 0 else 0.0
-
-    return window, process, region, f
-
-
 def criterion_1_empty_space_sharpness(samples: int = 100_000) -> CriterionResult:
     """Unit-disk empty-space functional: variance and the per-location OSSS
     integral both equal exp(-pi)(1 - exp(-pi)); the bound is sharp."""
     t0 = time.perf_counter()
     target = math.exp(-math.pi) * (1.0 - math.exp(-math.pi))
-    window, process, region, f = _empty_space(math.pi)
+    window, process, region, f = empty_space_setup(math.pi)
     ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
     rep = chaos.osss_audit(
         f, ctdt, process, samples, stream(SEED, 1), binary=True,
@@ -137,7 +121,7 @@ def criterion_2_poincare_suboptimal(samples: int = 60_000) -> CriterionResult:
     """lambda(W) = 4: Poincare right side 4 exp(-4), exact variance
     exp(-4)(1-exp(-4)); the OSSS integral is significantly smaller."""
     t0 = time.perf_counter()
-    window, process, region, f = _empty_space(4.0)
+    window, process, region, f = empty_space_setup(4.0)
     var_target = math.exp(-4.0) * (1.0 - math.exp(-4.0))
     rhs_target = 4.0 * math.exp(-4.0)
     poin = chaos.poincare_audit(f, process, samples, stream(SEED, 2))
@@ -429,7 +413,7 @@ def criterion_8_markov_property(samples: int = 2_500) -> CriterionResult:
     """KS two-sample tests (Bonferroni over 5 functionals) for the
     ball-growth terminal set and the line-exploration set."""
     t0 = time.perf_counter()
-    window, process, region, _ = _empty_space(1.0)
+    window, process, region, _ = empty_space_setup(1.0)
     ball = ball_growth_ctdt(region, (0.0, 0.0), support=window).terminal()
     rep_ball = markov_property_check(
         ball, process, _markov_functionals(region), samples, stream(SEED, 9)
@@ -593,7 +577,7 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
     details: dict = {}
     ok = True
 
-    window, process, region, _ = _empty_space(1.0)
+    window, process, region, _ = empty_space_setup(1.0)
     const = ConstantRegionSet(
         lambda p: np.atleast_2d(p)[:, 0] > 0.0, support=window
     )

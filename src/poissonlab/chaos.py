@@ -708,11 +708,9 @@ def cond_moment_audit(
     if k > 3:
         raise ValueError("exact audit supports k <= 3")
     u = np.asarray(u, dtype=float)
-    sym = u
     for perm in itertools.permutations(range(k)):
         if not np.allclose(np.transpose(u, perm), u, atol=1e-12):
             raise ValueError("kernel must be symmetric")
-    del sym
     masses = np.asarray(space.masses)
     m = space.num_cells
     grid = space.grid

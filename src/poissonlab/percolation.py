@@ -4,12 +4,12 @@
 Connectivity conventions
 ------------------------
 * k = 1 with ball/box grains: exact via the grain intersection graph
-  (union-find).  For convex grains, connectivity of the occupied union
-  equals connectivity of the intersection graph.  Crossing events inside a
-  rectangle use the grains meeting the rectangle; chains may overlap
-  slightly outside it (within one grain diameter).  Sphere-reaching events
-  (one-arm) are exact.  A raster layer is available as an independent
-  cross-check.
+  (``scipy.sparse.csgraph`` connected components).  For convex grains,
+  connectivity of the occupied union equals connectivity of the
+  intersection graph.  Crossing events inside a rectangle use the grains
+  meeting the rectangle; chains may overlap slightly outside it (within
+  one grain diameter).  Sphere-reaching events (one-arm) are exact.  A
+  raster layer is available as an independent cross-check.
 * k >= 2 and confetti: rasterized occupancy at resolution ``h`` (reported
   with every result).  Raster components are labeled with
   ``scipy.ndimage.label``.  Confetti rasters use the self-matching
@@ -33,6 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .process import (
@@ -45,7 +47,6 @@ from .process import (
 )
 
 __all__ = [
-    "UnionFind",
     "GrainSpec",
     "BooleanModel",
     "ConfettiModel",
@@ -75,37 +76,6 @@ __all__ = [
     "component_volume_proxy",
     "raster_to_text",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Union-find over grain indices
-
-
-class UnionFind:
-    """Disjoint sets with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-    def roots(self, idx) -> np.ndarray:
-        return np.array([self.find(int(i)) for i in np.atleast_1d(idx)], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +286,11 @@ def truncate_radii(
     radii = config.marks["radius"]
     kept = config.take(radii <= r_n)
     if law.bound is not None:
-        return kept, 0.0 if law.bound <= r_n else _bounded_tail_bound()
+        if law.bound > r_n:
+            raise ValueError(
+                "truncation radius below the bounded support is not a no-op"
+            )
+        return kept, 0.0
     lo = np.asarray(config.window.lo)
     hi = np.asarray(config.window.hi)
     a, b = hi - lo
@@ -328,10 +302,6 @@ def truncate_radii(
     return kept, float(bound)
 
 
-def _bounded_tail_bound() -> float:
-    raise ValueError("truncation radius below the bounded support is not a no-op")
-
-
 # ---------------------------------------------------------------------------
 # Boolean worlds (grain graph + optional raster layer)
 
@@ -339,8 +309,8 @@ def _bounded_tail_bound() -> float:
 class BooleanWorld:
     """Occupancy structure for one Boolean-model realization.
 
-    Grains meeting ``rect`` are indexed; k=1 components live in a
-    union-find over the grain intersection graph.
+    Grains meeting ``rect`` are indexed; k=1 components are the connected
+    components of the grain intersection graph (``labels``).
     """
 
     def __init__(self, config: PointConfig, model: BooleanModel, rect: BoxWindow):
@@ -361,7 +331,8 @@ class BooleanWorld:
         self.points = pts[keep]
         self.radii = np.asarray(radii)[keep]
         self.n = len(self.points)
-        self._uf: Optional[UnionFind] = None
+        self._adjacency: Optional[csr_matrix] = None
+        self._labels: Optional[np.ndarray] = None
         self._raster_cache: dict[float, np.ndarray] = {}
 
     # -- intersection graph ------------------------------------------------
@@ -369,16 +340,20 @@ class BooleanWorld:
     def _pairs(self) -> np.ndarray:
         if self.n < 2:
             return np.empty((0, 2), dtype=int)
+        # candidates by circumradius: a box of half-side r reaches r*sqrt(2)
+        reach = self.radii
+        if self.model.grain.kind == "box":
+            reach = reach * math.sqrt(2.0)
         bound = self.model.grain.max_radius
-        r_ref = bound if bound is not None else float(np.quantile(self.radii, 0.99))
+        r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
         tree = cKDTree(self.points)
         cand = tree.query_pairs(2.0 * r_ref, output_type="ndarray")
-        big = np.flatnonzero(self.radii > r_ref)
+        big = np.flatnonzero(reach > r_ref)
         if len(big):
-            r_max = float(self.radii.max())
+            r_max = float(reach.max())
             extra = []
             for i in big:
-                for j in tree.query_ball_point(self.points[i], self.radii[i] + r_max):
+                for j in tree.query_ball_point(self.points[i], reach[i] + r_max):
                     if j != i:
                         extra.append((min(i, j), max(i, j)))
             if extra:
@@ -396,13 +371,39 @@ class BooleanWorld:
         return cand[hit]
 
     @property
-    def uf(self) -> UnionFind:
-        if self._uf is None:
-            uf = UnionFind(self.n)
-            for i, j in self._pairs():
-                uf.union(int(i), int(j))
-            self._uf = uf
-        return self._uf
+    def adjacency(self) -> csr_matrix:
+        """Symmetric CSR adjacency of the grain intersection graph."""
+        if self._adjacency is None:
+            pairs = self._pairs()
+            rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+            cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+            order = np.argsort(rows, kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            self._adjacency = csr_matrix(
+                (np.ones(len(rows)), cols[order].astype(np.int32), indptr),
+                shape=(self.n, self.n),
+            )
+        return self._adjacency
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Connected-component label of every grain."""
+        if self._labels is None:
+            # The adjacency is symmetric, so its strong components are its
+            # connected components; directed=False would add the transpose
+            # on every call (about 100 us against 11-15 us at 22 grains).
+            _, self._labels = connected_components(
+                self.adjacency, directed=True, connection="strong"
+            )
+        return self._labels
+
+    def component_mask(self, idx: np.ndarray) -> np.ndarray:
+        """Boolean mask of the grains in the components of the grains ``idx``."""
+        labels = self.labels
+        hit = np.zeros(self.n, dtype=bool)
+        hit[labels[idx]] = True
+        return hit[labels]
 
     # -- point queries -------------------------------------------------------
 
@@ -488,9 +489,7 @@ class BooleanWorld:
     def connected(self, idx_a: np.ndarray, idx_b: np.ndarray) -> bool:
         if len(idx_a) == 0 or len(idx_b) == 0:
             return False
-        ra = np.unique(self.uf.roots(idx_a))
-        rb = np.unique(self.uf.roots(idx_b))
-        return bool(len(np.intersect1d(ra, rb, assume_unique=True)) > 0)
+        return bool(self.component_mask(idx_a)[idx_b].any())
 
     # -- raster layer --------------------------------------------------------
 
@@ -597,9 +596,8 @@ def required_confetti_horizon(
     betas = []
     for spec in (model.black, model.white):
         law = spec.law
-        scale = 1.0 if spec.kind == "ball" else 1.0  # box half-side >= guard too
-        if isinstance(law, FixedRadius):
-            beta = 1.0 if law.r * scale >= guard else 0.0
+        if isinstance(law, FixedRadius):  # box half-side >= guard too
+            beta = 1.0 if law.r >= guard else 0.0
         elif isinstance(law, UniformRadius):
             beta = max(0.0, min(1.0, (law.hi - max(law.lo, guard)) / (law.hi - law.lo)))
         elif isinstance(law, ParetoRadius):
@@ -1119,6 +1117,8 @@ def threshold_scan(
     param_grid = np.asarray(param_grid, dtype=float)
     if np.any(np.diff(param_grid) <= 0):
         raise ValueError("parameter grid must be strictly increasing")
+    if event == "one_arm" and isinstance(model, ConfettiModel):
+        raise ValueError("one_arm scans need a Boolean model, not confetti")
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
     est = np.empty(len(param_grid))
     ses = np.empty(len(param_grid))
@@ -1160,8 +1160,7 @@ def one_arm_decay_fit(
         origin = world.grains_covering(np.zeros(world.model.dim))
         if len(origin) == 0:
             continue
-        comp_roots = np.unique(world.uf.roots(origin))
-        member = np.isin(world.uf.roots(np.arange(world.n)), comp_roots)
+        member = world.component_mask(origin)
         dist = np.linalg.norm(world.points[member], axis=1) + world.radii[member]
         reach[i] = dist.max() if len(dist) else 0.0
     theta = np.array([(reach >= s).mean() for s in s_values])
@@ -1247,7 +1246,6 @@ def component_volume_proxy(
         mask = world.occupancy_raster(h)
         rect = world.rect
     xs, ys = _cell_centers(rect, h)
-    i0 = int(np.clip(np.searchsorted(xs, origin[0]) - 0, 0, len(xs) - 1))
     i0 = int(np.argmin(np.abs(xs - origin[0])))
     j0 = int(np.argmin(np.abs(ys - origin[1])))
     if not mask[i0, j0]:

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import stats
+from scipy.sparse.csgraph import dijkstra
 
 from .percolation import BooleanModel, BooleanWorld
 from .process import (
@@ -200,38 +201,20 @@ Seed = LineSeed | SphereSeed
 
 
 def _explore_levels(world: BooleanWorld, seed: Seed) -> list[np.ndarray]:
-    """Grain index sets S_1 c S_2 c ... grown round by round from the seed.
+    """Grain index sets S_0 c S_1 c ... grown round by round from the seed.
 
-    Each round adds the grains intersecting the current revealed set; a
-    fixed point must occur within (number of grains + 2) rounds.
+    S_m holds the grains within m hops of a grain meeting the seed in the
+    intersection graph (multi-source breadth-first depths); the last level
+    is the union of the components meeting the seed.
     """
     seed_grains = seed.touching(world)
-    levels: list[np.ndarray] = []
-    if world.n == 0 or len(seed_grains) == 0:
-        return levels
-    adj: list[list[int]] = [[] for _ in range(world.n)]
-    for i, j in world._pairs():
-        adj[int(i)].append(int(j))
-        adj[int(j)].append(int(i))
-    member = np.zeros(world.n, dtype=bool)
-    frontier = list(np.unique(seed_grains))
-    for g in frontier:
-        member[g] = True
-    cap = world.n + 2
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > cap:
-            raise RuntimeError("exploration failed to reach a fixed point")
-        levels.append(np.flatnonzero(member).copy())
-        nxt = []
-        for g in frontier:
-            for h in adj[g]:
-                if not member[h]:
-                    member[h] = True
-                    nxt.append(h)
-        frontier = nxt
-    return levels
+    if len(seed_grains) == 0:
+        return []
+    depth = dijkstra(
+        world.adjacency, indices=seed_grains, unweighted=True, min_only=True
+    )
+    rounds = int(depth[np.isfinite(depth)].max()) + 1
+    return [np.flatnonzero(depth <= m) for m in range(rounds)]
 
 
 class ExplorationOracle(StoppingSetOracle):
@@ -257,8 +240,7 @@ class ExplorationOracle(StoppingSetOracle):
         self.support_hint = rect.pad(self.dilation)
 
     def _component(self, world: BooleanWorld) -> np.ndarray:
-        levels = _explore_levels(world, self.seed)
-        return levels[-1] if levels else np.empty(0, dtype=int)
+        return np.flatnonzero(world.component_mask(self.seed.touching(world)))
 
     def contains(self, xs, config):
         xs = np.atleast_2d(xs)

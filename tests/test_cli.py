@@ -91,6 +91,22 @@ def test_perc_duality_cli(tmp_path):
     assert rep["xor_violations"] == 0
 
 
+def test_perc_scan_bad_event_and_runtime_errors(tmp_path, monkeypatch, capsys):
+    assert run(
+        tmp_path, "perc", "scan", "--model", "confetti-symmetric", "--event",
+        "one_arm", "--grid", "0.4:0.6:2", "--n", "4", "--samples", "2",
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+    def horizon_exhausted(*args, **kwargs):
+        raise RuntimeError("horizon 1 left uncolored cells; need >= 2")
+
+    monkeypatch.setattr("poissonlab.cli.threshold_scan", horizon_exhausted)
+    assert run(tmp_path, "perc", "scan", "--grid", "0.4:0.6:2") == 2
+    assert capsys.readouterr().err.startswith("error: horizon")
+
+
 def test_run_config_and_schema_errors(tmp_path):
     cfg = {
         "version": 1,

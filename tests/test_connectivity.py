@@ -1,0 +1,124 @@
+"""Differential tests of the grain-graph connectivity against dense
+references: every pair of grains tested for overlap, and a plain
+breadth-first search over the resulting matrix."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonlab.percolation import (
+    BooleanModel,
+    BooleanWorld,
+    FixedRadius,
+    GrainSpec,
+    ParetoRadius,
+    UniformRadius,
+)
+from poissonlab.process import BoxWindow, PointConfig
+from poissonlab.stopping import LineSeed, SphereSeed, _explore_levels
+
+SPAN = 8.0
+RECT = BoxWindow((1.0, 1.0), (SPAN - 1.0, SPAN - 1.0))
+coord = st.floats(0.0, SPAN, allow_nan=False)
+
+
+def dense_adjacency(world):
+    """Overlap of every grain pair, with the strict conventions of the
+    grain graph: balls meet when |d|^2 < (r_i + r_j)^2, boxes when every
+    axis gap is below r_i + r_j."""
+    d = world.points[:, None, :] - world.points[None, :, :]
+    rsum = world.radii[:, None] + world.radii[None, :]
+    if world.model.grain.kind == "ball":
+        adj = np.einsum("ijk,ijk->ij", d, d) < rsum**2
+    else:
+        adj = np.all(np.abs(d) < rsum[:, :, None], axis=2)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def reference_depths(adj, sources):
+    """Hop count from the nearest source grain, -1 where unreachable."""
+    depth = np.full(len(adj), -1)
+    frontier = sorted({int(g) for g in sources})
+    for g in frontier:
+        depth[g] = 0
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for g in frontier:
+            for h in np.flatnonzero(adj[g]):
+                if depth[h] < 0:
+                    depth[h] = hops
+                    nxt.append(int(h))
+        frontier = nxt
+    return depth
+
+
+def reference_partition(adj):
+    comp = np.full(len(adj), -1)
+    for g in range(len(adj)):
+        if comp[g] < 0:
+            comp[reference_depths(adj, [g]) >= 0] = g
+    return comp
+
+
+@st.composite
+def worlds(draw):
+    kind = draw(st.sampled_from(["ball", "box"]))
+    law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
+    n = draw(st.integers(0, 40))
+    points = np.array(
+        draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)), dtype=float
+    ).reshape(n, 2)
+    if law_kind == "fixed":
+        law = FixedRadius(draw(st.floats(0.2, 1.5)))
+        radii = np.full(n, law.r)
+    else:
+        lo = draw(st.floats(0.1, 1.0))
+        hi = lo * draw(st.floats(1.0, 5.0))
+        law = UniformRadius(lo, hi) if law_kind == "uniform" else ParetoRadius(lo, 3.5)
+        radii = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    window = BoxWindow((0.0, 0.0), (SPAN, SPAN))
+    world = BooleanWorld(PointConfig(window, points, {"radius": radii}), model, RECT)
+    seed = draw(
+        st.one_of(
+            st.builds(LineSeed, st.integers(0, 1), coord),
+            st.builds(SphereSeed, st.floats(0.0, 1.5 * SPAN)),
+        )
+    )
+    return world, seed
+
+
+def subset(draw, n):
+    return np.array(
+        draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else [], dtype=int
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(worlds(), st.data())
+def test_connectivity_matches_dense_references(case, data):
+    world, seed = case
+    adj = dense_adjacency(world)
+    labels = world.labels
+    assert labels.shape == (world.n,)
+    comp = reference_partition(adj)
+    assert np.array_equal(labels[:, None] == labels, comp[:, None] == comp)
+
+    seeds = seed.touching(world)
+    depth = reference_depths(adj, seeds)
+    expected = [np.flatnonzero((depth >= 0) & (depth <= m)) for m in range(depth.max(initial=-1) + 1)]
+    levels = _explore_levels(world, seed)
+    assert len(levels) == len(expected)
+    for got, want in zip(levels, expected):
+        assert np.array_equal(got, want)
+
+    a = subset(data.draw, world.n)
+    b = subset(data.draw, world.n)
+    reach = reference_depths(adj, a) >= 0
+    assert np.array_equal(world.component_mask(a), reach)
+    assert np.array_equal(world.component_mask(seeds), depth >= 0)
+    assert world.connected(a, b) == bool(reach[b].any())
+    assert world.connected(a, b) == bool(np.intersect1d(comp[a], comp[b]).size)

@@ -13,7 +13,6 @@ from poissonlab.percolation import (
     GrainSpec,
     ParetoRadius,
     UniformRadius,
-    UnionFind,
     arm_event,
     arm_probability,
     component_volume_proxy,
@@ -50,17 +49,27 @@ def world_from(points, radii, model, rect):
     return BooleanWorld(cfg, model, rect)
 
 
-# -- union-find ------------------------------------------------------------------
+# -- grain-graph components -----------------------------------------------------
 
 
-def test_union_find_basics():
-    uf = UnionFind(5)
-    uf.union(0, 1)
-    uf.union(3, 4)
-    assert uf.find(0) == uf.find(1)
-    assert uf.find(0) != uf.find(3)
-    uf.union(1, 3)
-    assert uf.find(4) == uf.find(0)
+def test_component_labels_basics():
+    model = BooleanModel(1.0, DISK1, k=1)
+    rect = BoxWindow((0.0, 0.0), (20.0, 2.0))
+    # pairs (0, 1) and (3, 4) overlap; grain 2 touches neither
+    pts = [[1.0, 1.0], [2.5, 1.0], [9.0, 1.0], [12.0, 1.0], [13.5, 1.0]]
+    w = world_from(pts, [1.0] * 5, model, rect)
+    lab = w.labels
+    assert lab[0] == lab[1] and lab[3] == lab[4]
+    assert len({lab[0], lab[2], lab[3]}) == 3
+    assert w.component_mask(np.array([1])).tolist() == [1, 1, 0, 0, 0]
+    assert w.component_mask(np.array([2, 4])).tolist() == [0, 0, 1, 1, 1]
+    assert not w.component_mask(np.array([], dtype=int)).any()
+    assert w.connected(np.array([0]), np.array([1]))
+    assert not w.connected(np.array([0, 2]), np.array([3]))
+    # a grain at x = 10.5 overlaps grains 2 and 3 and joins their components
+    joined = world_from(pts + [[10.5, 1.0]], [1.0] * 6, model, rect)
+    assert joined.connected(np.array([2]), np.array([4]))
+    assert not joined.connected(np.array([0]), np.array([4]))
 
 
 # -- world construction ------------------------------------------------------------
@@ -70,9 +79,9 @@ def test_two_overlapping_balls_one_component():
     model = BooleanModel(1.0, DISK1, k=1)
     rect = BoxWindow((0.0, 0.0), (3.0, 1.0))
     w = world_from([[0.5, 0.5], [2.0, 0.5]], [1.0, 1.0], model, rect)
-    assert w.uf.find(0) == w.uf.find(1)
+    assert w.labels[0] == w.labels[1]
     far = world_from([[0.0, 0.5], [2.5, 0.5]], [1.0, 1.0], model, rect)
-    assert far.uf.find(0) != far.uf.find(1)
+    assert far.labels[0] != far.labels[1]
 
 
 def test_k2_lens_raster_single_component():
@@ -163,9 +172,9 @@ def _matched_routes(world, model, pad_rect, h):
     la, lb = set(), set()
     for y in ys:
         for g in w.grains_covering(np.array([xs[0], y])):
-            la.add(w.uf.find(int(g)))
+            la.add(w.labels[g])
         for g in w.grains_covering(np.array([xs[-1], y])):
-            lb.add(w.uf.find(int(g)))
+            lb.add(w.labels[g])
     exact = len(la & lb) > 0
     occ = w.occupancy_raster(h)
     labels, _ = ndimage.label(occ, structure=np.ones((3, 3)))
@@ -177,7 +186,7 @@ def _matched_routes(world, model, pad_rect, h):
 
 
 def test_k1_graph_matches_fine_raster_on_500_worlds():
-    # Union-find over the grain intersection graph vs fine-raster labeling
+    # Components of the grain intersection graph vs fine-raster labeling
     # (h = r/20).  Residual disagreements must be raster-resolution
     # artifacts: a sub-resolution gap between distinct graph components,
     # and refining the raster must resolve at least half of them.
@@ -194,12 +203,11 @@ def test_k1_graph_matches_fine_raster_on_500_worlds():
     assert len(mismatched) <= 10  # >= 98% agreement
     still = 0
     for i, w in mismatched:
-        roots = np.array([w.uf.find(j) for j in range(w.n)])
         gaps = [
             np.linalg.norm(w.points[a] - w.points[b]) - w.radii[a] - w.radii[b]
             for a in range(w.n)
             for b in range(a + 1, w.n)
-            if roots[a] != roots[b]
+            if w.labels[a] != w.labels[b]
         ]
         assert min(gaps) < 1.5 * h  # attributable to raster resolution
         world = sample_boolean_world(model, rect, stream(402, i))
