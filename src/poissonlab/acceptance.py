@@ -22,7 +22,7 @@ from .chaos import (
     chaos_weights_mehler,
     cond_moment_audit,
 )
-from .fixtures import empty_space_setup
+from .fixtures import crossing_setup, empty_space_setup
 from .percolation import (
     BooleanModel,
     BooleanWorld,
@@ -45,7 +45,6 @@ from .process import (
     DiscreteWindow,
     HomogeneousIntensity,
     ProcessSpec,
-    RadiusMarks,
 )
 from .rng import stream
 from .stopping import (
@@ -235,20 +234,6 @@ def _boolean_model(gamma: float) -> BooleanModel:
     return BooleanModel(gamma, GrainSpec("ball", FixedRadius(_RADIUS)), k=1)
 
 
-def _crossing_setup(n: int, gamma: float):
-    model = _boolean_model(gamma)
-    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-    padded = rect.pad(_RADIUS)
-    process = ProcessSpec(
-        HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(_RADIUS))), padded
-    )
-
-    def f(cfg):
-        return 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
-
-    return model, rect, padded, process, f
-
-
 @lru_cache(maxsize=None)
 def critical_gamma(seed: int = SEED, n: int = 12) -> tuple[float, float]:
     """Bisection estimate of the crossing-probability-1/2 intensity."""
@@ -264,7 +249,7 @@ def critical_gamma(seed: int = SEED, n: int = 12) -> tuple[float, float]:
 
 def _line_revealment(n: int, gamma: float, samples: int, seed_path: tuple,
                      spacing: float = 0.5):
-    model, rect, padded, process, _ = _crossing_setup(n, gamma)
+    model, rect, padded, process, _ = crossing_setup(n, gamma)
     family = lambda s: component_exploration(model, rect, LineSeed(0, s))
     rz = randomize(family, lambda rng: float(rng.uniform(0.0, float(n))))
     grid = probe_grid(rect, spacing)
@@ -285,7 +270,7 @@ def criterion_5_schramm_steif(
     details: dict = {"gamma": gamma, "per_n": []}
     ok = True
     for idx, n in enumerate(sizes):
-        _, _, _, process, f = _crossing_setup(n, gamma)
+        _, _, _, process, f = crossing_setup(n, gamma)
         times = np.geomspace(0.08, 2.5, 9)
         spec = chaos_weights_mehler(
             f, process, times, mehler_samples[idx], stream(SEED, 6, idx), k_max=4
@@ -421,7 +406,7 @@ def criterion_8_markov_property(samples: int = 2_500) -> CriterionResult:
 
     n = 6
     gamma = 0.36
-    model, rect, padded, process2, _ = _crossing_setup(n, gamma)
+    model, rect, padded, process2, _ = crossing_setup(n, gamma)
     expl = component_exploration(model, rect, LineSeed(0, n / 2))
     mid = np.array([n / 2, n / 2])
     region2 = lambda p: np.linalg.norm(np.atleast_2d(p) - mid, axis=1) <= 1.5
@@ -503,7 +488,7 @@ def criterion_10_noise_sensitivity(
     rows = []
     for s_idx in range(seeds):
         for idx, n in enumerate(sizes):
-            _, _, _, process, f = _crossing_setup(n, gamma)
+            _, _, _, process, f = crossing_setup(n, gamma)
             rng = stream(SEED, 13, s_idx, idx)
             base = np.empty(samples)
             shifted = np.empty(samples)
@@ -595,7 +580,7 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
         ok &= rep.passed
 
     n = 6
-    model, rect, padded, process2, _ = _crossing_setup(n, 0.36)
+    model, rect, padded, process2, _ = crossing_setup(n, 0.36)
     for sub, (name, seed_obj) in enumerate(
         (
             ("line_exploration", LineSeed(0, n / 2)),
@@ -607,7 +592,7 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
             if isinstance(seed_obj, LineSeed)
             else BoxWindow((-3.0, -3.0), (3.0, 3.0))
         )
-        model_s, _, _, proc_s, _ = _crossing_setup(n, 0.36)
+        model_s, _, _, proc_s, _ = crossing_setup(n, 0.36)
         if isinstance(seed_obj, SphereSeed):
             proc_s = ProcessSpec(process2.intensity, rect_s.pad(_RADIUS))
         expl = component_exploration(model_s, rect_s, seed_obj)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__, acceptance, chaos, dynamics, fixtures, svgplot
 from .percolation import (
-    BooleanWorld,
     BoxWindow,
     confetti_duality_check,
     crossing,
@@ -98,16 +97,8 @@ def cmd_stopping_audit(args) -> int:
         report["axiom"] = axiom.to_dict()
         report["revealment"] = {"delta": rev.delta, "delta_se": rev.delta_se}
     elif args.fixture == "line-exploration":
-        n, gamma = fx["n"], fx["gamma"]
-        model = fixtures.boolean_model({"radius": 1.0}, gamma)
-        rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-        from .process import HomogeneousIntensity, RadiusMarks
-        from .percolation import FixedRadius
-
-        process = ProcessSpec(
-            HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(1.0))),
-            rect.pad(1.0),
-        )
+        n = fx["n"]
+        model, rect, _, process, _ = fixtures.crossing_setup(n, fx["gamma"])
         oracle = component_exploration(model, rect, LineSeed(0, n / 2))
         axiom = verify_stopping_axiom(
             oracle, process, args.trials, args.probes, stream(seed, 0)
@@ -213,17 +204,7 @@ def cmd_dynamics_run(args) -> int:
 def cmd_dynamics_exceptional(args) -> int:
     fx = fixtures.get(args.fixture)
     if args.fixture == "crossing-exceptional":
-        n = fx["n"]
-        model = fixtures.boolean_model({"radius": 1.0}, fx["gamma"])
-        rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-        from .process import HomogeneousIntensity, RadiusMarks
-        from .percolation import FixedRadius
-
-        process = ProcessSpec(
-            HomogeneousIntensity(fx["gamma"], RadiusMarks(FixedRadius(1.0))),
-            rect.pad(1.0),
-        )
-        f = lambda cfg: 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
+        _, _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
     else:
         process = fixtures.sample_process(fx)
         f = lambda cfg: float(cfg.size % 2)
@@ -375,16 +356,24 @@ def cmd_acceptance(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config schema violation: the config must be an object")
     required = {"version", "experiment", "params"}
     missing = required - set(cfg)
     if missing:
         raise SystemExit(f"config schema violation: missing keys {sorted(missing)}")
     if cfg["version"] != 1:
         raise SystemExit(f"unsupported config version {cfg['version']!r}")
-    experiment = cfg["experiment"]
-    params = dict(cfg["params"])
+    experiment, params = cfg["experiment"], cfg["params"]
+    if not isinstance(experiment, str) or not isinstance(params, dict):
+        raise ValueError(
+            "config schema violation: 'experiment' must be a string and "
+            "'params' an object"
+        )
+    params = dict(params)
     params.setdefault("seed", cfg.get("seed", 0))
-    argv = [experiment]
+    # two-level commands are written with a space, as in "stopping audit"
+    argv = experiment.split()
     for key, val in params.items():
         argv += [f"--{key.replace('_', '-')}", str(val)]
     return main(argv)

@@ -12,11 +12,13 @@ import numpy as np
 
 from .percolation import (
     BooleanModel,
+    BooleanWorld,
     ConfettiModel,
     FixedRadius,
     GrainSpec,
     ParetoRadius,
     UniformRadius,
+    crossing,
 )
 from .process import (
     BoxWindow,
@@ -26,6 +28,8 @@ from .process import (
     ProcessSpec,
     RadiusMarks,
 )
+
+CROSSING_RADIUS = 1.0
 
 REGISTRY: dict[str, dict] = {
     # sampling
@@ -132,3 +136,21 @@ def empty_space_setup(area: float):
         return 1.0 if cfg.count_in(region) == 0 else 0.0
 
     return window, process, region, f
+
+
+def crossing_setup(n: float, gamma: float):
+    """Unit-disk Boolean model on the n x n square: the model, the square,
+    the square padded by the radius (the sampling window), the process and
+    the left-right crossing indicator."""
+    model = boolean_model({"radius": CROSSING_RADIUS}, gamma)
+    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
+    padded = rect.pad(CROSSING_RADIUS)
+    process = ProcessSpec(
+        HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(CROSSING_RADIUS))),
+        padded,
+    )
+
+    def f(cfg):
+        return 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
+
+    return model, rect, padded, process, f

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import stats
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from .percolation import BooleanModel, BooleanWorld
 from .process import (
@@ -217,9 +218,52 @@ def _explore_levels(world: BooleanWorld, seed: Seed) -> list[np.ndarray]:
     return [np.flatnonzero(depth <= m) for m in range(rounds)]
 
 
+class _GrainIndex:
+    """Centres and radii of a grain set, with a kd-tree over the centres."""
+
+    def __init__(self, centers: np.ndarray, radii: np.ndarray):
+        self.centers = centers
+        self.radii = radii
+        self.tree = cKDTree(centers) if len(centers) else None
+        self.r_max = float(radii.max()) if len(radii) else 0.0
+
+    def near(self, xs: np.ndarray, thr: float) -> np.ndarray:
+        """Mask of the rows x of ``xs`` with |x - c| - r <= thr for some grain.
+
+        The tree proposes every (grain, probe) pair closer than thr + r_max,
+        widened by a relative 1e-9 so that its own rounding drops no pair;
+        the exact test on the candidates is the one a dense probes x grains
+        norm would apply, so the answer is the same bit for bit.
+        """
+        out = np.zeros(len(xs), dtype=bool)
+        if self.tree is None or len(xs) == 0:
+            return out
+        reach = (thr + self.r_max) * (1.0 + 1e-9)
+        pairs = self.tree.sparse_distance_matrix(
+            cKDTree(xs), reach, output_type="ndarray"
+        )
+        g, p = pairs["i"], pairs["j"]
+        hit = np.linalg.norm(xs[p] - self.centers[g], axis=1) - self.radii[g] <= thr
+        out[p[hit]] = True
+        return out
+
+
+_NO_GRAINS = _GrainIndex(np.empty((0, 1)), np.empty(0))
+
+
+def _index(world: BooleanWorld, grains: np.ndarray) -> _GrainIndex:
+    return _GrainIndex(world.points[grains], world.radii[grains])
+
+
 class ExplorationOracle(StoppingSetOracle):
     """(S u seed) dilated by ``dilation``, with S the union of occupied
-    components meeting the seed, rebuilt from the configuration on demand."""
+    components meeting the seed.
+
+    S is built once per configuration: the oracle keeps the last
+    configuration it saw (by identity; ``PointConfig`` is immutable) with
+    S's centres, radii and kd-tree, and answers membership by a tree query
+    followed by the exact distance test.
+    """
 
     def __init__(
         self,
@@ -238,26 +282,29 @@ class ExplorationOracle(StoppingSetOracle):
             dilation = r
         self.dilation = float(dilation)
         self.support_hint = rect.pad(self.dilation)
+        self._cache: Optional[tuple[PointConfig, _GrainIndex]] = None
 
-    def _component(self, world: BooleanWorld) -> np.ndarray:
-        return np.flatnonzero(world.component_mask(self.seed.touching(world)))
+    def _revealed(self, config: PointConfig) -> _GrainIndex:
+        if self._cache is None or self._cache[0] is not config:
+            world = BooleanWorld(config, self.model, self.rect)
+            comp = world.component_mask(self.seed.touching(world))
+            self._cache = (config, _index(world, comp))
+        return self._cache[1]
 
     def contains(self, xs, config):
         xs = np.atleast_2d(xs)
-        world = BooleanWorld(config, self.model, self.rect)
         out = self.seed.distance(xs) <= self.dilation
-        comp = self._component(world)
-        if len(comp):
-            d = np.linalg.norm(
-                xs[:, None, :] - world.points[None, comp, :], axis=2
-            ) - world.radii[comp][None, :]
-            out |= d.min(axis=1) <= self.dilation
+        out |= self._revealed(config).near(xs, self.dilation)
         return out
 
 
 class ExplorationCTDT:
     """Round-interpolated exploration: during round m the revealed set grows
-    from (S_{m-1} u seed) + 2r to (S_m u seed) + 2r(t - m), cumulatively."""
+    from (S_{m-1} u seed) + 2r to (S_m u seed) + 2r(t - m), cumulatively.
+
+    The levels S_m of the last configuration seen are kept, each with its
+    kd-tree, as :class:`ExplorationOracle` keeps its component.
+    """
 
     def __init__(self, model: BooleanModel, rect: BoxWindow, seed: Seed):
         r = model.grain.max_radius
@@ -268,30 +315,29 @@ class ExplorationCTDT:
         self.seed = seed
         self.step = 2.0 * r
         self.support_hint = rect.pad(self.step)
+        self._cache: Optional[tuple[PointConfig, list[_GrainIndex]]] = None
 
-    def _dist_to(self, xs, world, grains) -> np.ndarray:
-        d = self.seed.distance(xs)
-        if len(grains):
-            dg = np.linalg.norm(
-                xs[:, None, :] - world.points[None, grains, :], axis=2
-            ) - world.radii[grains][None, :]
-            d = np.minimum(d, dg.min(axis=1))
-        return d
+    def _levels(self, config: PointConfig) -> list[_GrainIndex]:
+        if self._cache is None or self._cache[0] is not config:
+            world = BooleanWorld(config, self.model, self.rect)
+            levels = [_index(world, g) for g in _explore_levels(world, self.seed)]
+            self._cache = (config, levels)
+        return self._cache[1]
 
     def membership_at(self, t: float, xs: np.ndarray, config: PointConfig):
         xs = np.atleast_2d(xs)
-        world = BooleanWorld(config, self.model, self.rect)
-        levels = _explore_levels(world, self.seed)
-        n_rounds = len(levels)
+        levels = self._levels(config)
+        seed_d = self.seed.distance(xs)
+
+        def near(level: _GrainIndex, thr: float) -> np.ndarray:
+            return (seed_d <= thr) | level.near(xs, thr)
+
         m = int(math.floor(t))
-        if m >= n_rounds:
-            grains = levels[-1] if levels else np.empty(0, dtype=int)
-            return self._dist_to(xs, world, grains) <= self.step
-        prev = levels[m - 1] if m >= 1 else None
-        out = np.zeros(len(xs), dtype=bool)
-        if prev is not None:
-            out |= self._dist_to(xs, world, prev) <= self.step
-        out |= self._dist_to(xs, world, levels[m]) <= self.step * (t - m)
+        if m >= len(levels):
+            return near(levels[-1] if levels else _NO_GRAINS, self.step)
+        out = near(levels[m], self.step * (t - m))
+        if m >= 1:
+            out |= near(levels[m - 1], self.step)
         return out
 
     def terminal(self) -> ExplorationOracle:

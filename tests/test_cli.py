@@ -122,6 +122,27 @@ def test_run_config_and_schema_errors(tmp_path):
         run(tmp_path, "run", "--config", str(tmp_path / "bad.json"))
 
 
+def test_run_config_params_not_an_object(tmp_path, capsys):
+    cfg = {"version": 1, "experiment": "sample", "params": 5}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "run", "--config", str(tmp_path / "cfg.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config schema violation") and err.count("\n") == 1
+
+
+def test_run_config_two_level_experiment(tmp_path):
+    cfg = {
+        "version": 1,
+        "experiment": "stopping audit",
+        "seed": 2,
+        "params": {"fixture": "nonattainable", "trials": 100, "output": "na.json"},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "run", "--config", str(tmp_path / "cfg.json")) == 0
+    rep = json.loads((tmp_path / "na.json").read_text())
+    assert rep["axiom"]["passed"] and rep["seed"] == 2
+
+
 def test_acceptance_single_criterion(tmp_path):
     assert run(tmp_path, "acceptance", "3", "-o", "acc.json") == 0
     rep = json.loads((tmp_path / "acc.json").read_text())
