@@ -22,7 +22,12 @@ from .chaos import (
     chaos_weights_mehler,
     cond_moment_audit,
 )
-from .fixtures import crossing_setup, empty_space_setup
+from .fixtures import (
+    CROSSING_RADIUS,
+    boolean_model,
+    crossing_setup,
+    empty_space_setup,
+)
 from .percolation import (
     BooleanModel,
     BooleanWorld,
@@ -227,11 +232,8 @@ def criterion_4_mehler_regression(samples: int = 25_000) -> CriterionResult:
 
 # -- percolation helpers ------------------------------------------------------
 
-_RADIUS = 1.0
-
-
 def _boolean_model(gamma: float) -> BooleanModel:
-    return BooleanModel(gamma, GrainSpec("ball", FixedRadius(_RADIUS)), k=1)
+    return boolean_model({"radius": CROSSING_RADIUS}, gamma)
 
 
 @lru_cache(maxsize=None)
@@ -344,11 +346,11 @@ def criterion_7_confetti_duality(samples: int = 10_000) -> CriterionResult:
     t0 = time.perf_counter()
     model = ConfettiModel(
         0.5,
-        GrainSpec("ball", FixedRadius(_RADIUS)),
-        GrainSpec("ball", FixedRadius(_RADIUS)),
+        GrainSpec("ball", FixedRadius(CROSSING_RADIUS)),
+        GrainSpec("ball", FixedRadius(CROSSING_RADIUS)),
     )
     rect = BoxWindow((0.0, 0.0), (10.0, 10.0))
-    h = _RADIUS / 10.0
+    h = CROSSING_RADIUS / 10.0
     hits = 0
     xor_ok = True
     for i in range(samples):
@@ -594,7 +596,7 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
         )
         model_s, _, _, proc_s, _ = crossing_setup(n, 0.36)
         if isinstance(seed_obj, SphereSeed):
-            proc_s = ProcessSpec(process2.intensity, rect_s.pad(_RADIUS))
+            proc_s = ProcessSpec(process2.intensity, rect_s.pad(CROSSING_RADIUS))
         expl = component_exploration(model_s, rect_s, seed_obj)
         rep = verify_stopping_axiom(
             expl, proc_s, trials, probes, stream(SEED, 16, sub)

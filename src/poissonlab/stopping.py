@@ -300,11 +300,7 @@ class ExplorationOracle(StoppingSetOracle):
 
 class ExplorationCTDT:
     """Round-interpolated exploration: during round m the revealed set grows
-    from (S_{m-1} u seed) + 2r to (S_m u seed) + 2r(t - m), cumulatively.
-
-    The levels S_m of the last configuration seen are kept, each with its
-    kd-tree, as :class:`ExplorationOracle` keeps its component.
-    """
+    from (S_{m-1} u seed) + 2r to (S_m u seed) + 2r(t - m), cumulatively."""
 
     def __init__(self, model: BooleanModel, rect: BoxWindow, seed: Seed):
         r = model.grain.max_radius
@@ -315,29 +311,23 @@ class ExplorationCTDT:
         self.seed = seed
         self.step = 2.0 * r
         self.support_hint = rect.pad(self.step)
-        self._cache: Optional[tuple[PointConfig, list[_GrainIndex]]] = None
-
-    def _levels(self, config: PointConfig) -> list[_GrainIndex]:
-        if self._cache is None or self._cache[0] is not config:
-            world = BooleanWorld(config, self.model, self.rect)
-            levels = [_index(world, g) for g in _explore_levels(world, self.seed)]
-            self._cache = (config, levels)
-        return self._cache[1]
 
     def membership_at(self, t: float, xs: np.ndarray, config: PointConfig):
         xs = np.atleast_2d(xs)
-        levels = self._levels(config)
+        world = BooleanWorld(config, self.model, self.rect)
+        levels = _explore_levels(world, self.seed)
         seed_d = self.seed.distance(xs)
 
-        def near(level: _GrainIndex, thr: float) -> np.ndarray:
-            return (seed_d <= thr) | level.near(xs, thr)
+        def near(m: int, thr: float) -> np.ndarray:
+            grains = _index(world, levels[m]) if levels else _NO_GRAINS
+            return (seed_d <= thr) | grains.near(xs, thr)
 
         m = int(math.floor(t))
         if m >= len(levels):
-            return near(levels[-1] if levels else _NO_GRAINS, self.step)
-        out = near(levels[m], self.step * (t - m))
+            return near(-1, self.step)
+        out = near(m, self.step * (t - m))
         if m >= 1:
-            out |= near(levels[m - 1], self.step)
+            out |= near(m - 1, self.step)
         return out
 
     def terminal(self) -> ExplorationOracle:

@@ -1,9 +1,9 @@
 """Differential tests of the exploration oracle and CTDT against the dense
 probes x grains distance formulas they replace.
 
-The library answers membership from a cached kd-tree over the revealed
-grains; the references here rebuild the world on every call and take the
-minimum of the full distance matrix, as the oracle once did. Agreement must
+The library answers membership from a kd-tree over the revealed grains;
+the references here rebuild the world on every call and take the minimum of
+the full distance matrix, as the oracle once did. Agreement must
 be exact, including on probes planted at exactly ``dilation + r`` from a
 centre and on the edge of the seed band.
 """
