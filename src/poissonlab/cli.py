@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, acceptance, chaos, dynamics, fixtures, svgplot
 from .percolation import (
@@ -51,10 +52,16 @@ def _outpath(path: str) -> Path:
     return p
 
 
+def _provenance() -> dict:
+    """Versions of the package and of the numerical libraries behind a result."""
+    return {
+        "poissonlab": __version__, "numpy": np.__version__, "scipy": scipy.__version__
+    }
+
+
 def _header(args: dict) -> str:
-    payload = json.dumps(
-        {k: v for k, v in sorted(args.items()) if v is not None}, sort_keys=True
-    )
+    fields = {k: v for k, v in args.items() if v is not None}
+    payload = json.dumps({**fields, "provenance": _provenance()}, sort_keys=True)
     return f"# poissonlab {__version__} {payload}\n"
 
 
@@ -81,7 +88,7 @@ def cmd_sample(args) -> int:
 def cmd_stopping_audit(args) -> int:
     fx = fixtures.get(args.fixture)
     seed = args.seed
-    report: dict = {"fixture": args.fixture, "seed": seed}
+    report: dict = {"fixture": args.fixture, "seed": seed, "provenance": _provenance()}
     if args.fixture in ("ball-growth", "broken-nearest"):
         window, process, region, _ = fixtures.empty_space_setup(fx["area"])
         oracle = (
@@ -180,6 +187,7 @@ def cmd_chaos_audit(args) -> int:
         payload = chaos.cond_moment_audit(u1, 1, fxo.cells_mask, space)
     else:
         raise SystemExit(f"fixture {name!r} is not a chaos fixture")
+    payload = {**payload, "provenance": _provenance()}
     _write(
         args.output,
         json.dumps(payload, indent=2, sort_keys=True, default=float),
@@ -269,7 +277,7 @@ def cmd_perc_critical(args) -> int:
     )
     payload = {
         "model": args.model, "n": args.n, "estimate": est, "ci": ci,
-        "seed": args.seed,
+        "seed": args.seed, "provenance": _provenance(),
     }
     _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
     print(f"critical estimate {est:.4f} +- {ci:.4f}")
@@ -292,7 +300,7 @@ def cmd_perc_duality(args) -> int:
     payload = {
         "model": args.model, "p": args.p, "n": args.n, "samples": args.samples,
         "crossing_rate": hits / args.samples, "xor_violations": bad,
-        "seed": args.seed,
+        "seed": args.seed, "provenance": _provenance(),
     }
     _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
     print(f"duality XOR violations: {bad}/{args.samples}")
@@ -361,9 +369,11 @@ def cmd_run(args) -> int:
     required = {"version", "experiment", "params"}
     missing = required - set(cfg)
     if missing:
-        raise SystemExit(f"config schema violation: missing keys {sorted(missing)}")
+        raise ValueError(f"config schema violation: missing keys {sorted(missing)}")
     if cfg["version"] != 1:
-        raise SystemExit(f"unsupported config version {cfg['version']!r}")
+        raise ValueError(
+            f"config schema violation: unsupported version {cfg['version']!r}"
+        )
     experiment, params = cfg["experiment"], cfg["params"]
     if not isinstance(experiment, str) or not isinstance(params, dict):
         raise ValueError(

@@ -39,6 +39,7 @@ from scipy.spatial import cKDTree
 
 from .process import (
     BoxWindow,
+    ConfettiMarks,
     FixedRadius,
     ParetoRadius,
     PointConfig,
@@ -640,80 +641,76 @@ def _confetti_paint(
     h: float,
     kinds: tuple[str, str],
 ) -> None:
-    """Fold a batch of grains into the per-cell first-arrival table."""
-    if len(pts) == 0:
-        return
+    """Fold a batch of grains into the per-cell first-arrival table.
+
+    A grain covers a cell when ``dx*dx + dy*dy <= r*r`` (ball) or
+    ``|dx|, |dy| <= r`` (box or raster kind), where ``(dx, dy) = sub + o*h``
+    is the offset ``sub`` (``|sub| <= h/2``) of the grain's center from
+    its cell's center plus ``o`` whole cells.  Per batch, a stencil offset
+    that no grain reaches even at ``r_max*(1 + 1e-9)`` is skipped, one that
+    every grain covers even at ``r_min*(1 - 1e-9)`` is painted without a
+    test, and only the ring between runs the exact test; the margins absorb
+    rounding, so coverage is the exact test's.
+
+    Grains are ranked by birth time with a stable sort, so among equal
+    times the lower index wins, and ``np.minimum.at`` keeps the smallest
+    covering rank per cell on a raster padded by ``2k`` cells (no bounds
+    mask); grains whose cell lies outside ``[-k, n + k)`` cannot reach the
+    window and are dropped.  A cell takes the winner's time and color if it
+    is earlier than the time already in the table.
+    """
     xs, ys = _cell_centers(rect, h)
     nx, ny = len(xs), len(ys)
     lo = np.asarray(rect.lo)
-    reach = radii * (1.0 if kinds == ("ball", "ball") else math.sqrt(2.0))
-    k_max = int(np.ceil((reach.max() if len(reach) else 0.0) / h)) + 1
-    ix = np.floor((pts[:, 0] - lo[0]) / h).astype(np.int32)
-    iy = np.floor((pts[:, 1] - lo[1]) / h).astype(np.int32)
-    offs = np.arange(-k_max, k_max + 1, dtype=np.int32)
-    oi, oj = np.meshgrid(offs, offs, indexing="ij")
-    oi = oi.ravel()
-    oj = oj.ravel()
-    # offset of the grain center from its cell's center, per grain
-    sub_x = lo[0] + (ix + 0.5) * h - pts[:, 0]
-    sub_y = lo[1] + (iy + 0.5) * h - pts[:, 1]
-    dx = sub_x[:, None] + (oi * h)[None, :]
-    dy = sub_y[:, None] + (oj * h)[None, :]
-    if kinds[0] == "ball" and kinds[1] == "ball":
-        covered = dx * dx + dy * dy <= (radii**2)[:, None]
-    else:
-        half = radii[:, None]
-        ball_like = np.array([kinds[0] == "ball", kinds[1] == "ball"])
-        is_ball = ball_like[colors][:, None]
-        covered = np.where(
-            is_ball,
-            dx * dx + dy * dy <= (radii**2)[:, None],
-            (np.abs(dx) <= half) & (np.abs(dy) <= half),
-        )
-    ci = ix[:, None] + oi[None, :]
-    cj = iy[:, None] + oj[None, :]
-    covered &= (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-    g_idx, o_idx = np.nonzero(covered)
-    flat = ci[g_idx, o_idx].astype(np.int64) * ny + cj[g_idx, o_idx]
-    t = times[g_idx]
-    np.minimum.at(best_time, flat, t)
-    winner = t == best_time[flat]
-    best_black[flat[winner]] = colors[g_idx[winner]] == 0
-
-
-def _confetti_paint_cells(
-    best_time: np.ndarray,
-    best_black: np.ndarray,
-    cell_ids: np.ndarray,
-    cell_xy: np.ndarray,
-    pts: np.ndarray,
-    times: np.ndarray,
-    colors: np.ndarray,
-    radii: np.ndarray,
-    kinds: tuple[str, str],
-) -> None:
-    """Cell-centric variant for a handful of still-uncolored cells."""
-    if len(pts) == 0 or len(cell_ids) == 0:
+    ball_like = np.array([kinds[0] == "ball", kinds[1] == "ball"])
+    reach = radii * (1.0 if ball_like.all() else math.sqrt(2.0))
+    k = int(np.ceil(reach.max(initial=0.0) / h)) + 1
+    cell = np.floor((pts - lo) / h)
+    keep = np.flatnonzero(np.all((cell >= -k) & (cell < (nx + k, ny + k)), axis=1))
+    order = keep[np.argsort(times[keep], kind="stable")]
+    if len(order) == 0:
         return
-    dx = cell_xy[:, 0][:, None] - pts[None, :, 0]
-    dy = cell_xy[:, 1][:, None] - pts[None, :, 1]
-    if kinds[0] == "ball" and kinds[1] == "ball":
-        covered = dx * dx + dy * dy <= (radii**2)[None, :]
+    cell, radii, colors = cell[order], radii[order], colors[order]
+    sub = lo + (cell + 0.5) * h - pts[order]
+    is_ball = ball_like[colors]
+
+    o = np.indices((2 * k + 1, 2 * k + 1)).reshape(2, -1) - k
+    near = np.maximum(np.abs(o) * h - 0.5 * h, 0.0)
+    far = np.abs(o) * h + 0.5 * h
+    r_hi, r_lo = radii.max() * (1.0 + 1e-9), radii.min() * (1.0 - 1e-9)
+    if is_ball.all():
+        reachable = (near * near).sum(axis=0) <= r_hi * r_hi
     else:
-        ball_like = np.array([kinds[0] == "ball", kinds[1] == "ball"])
-        is_ball = ball_like[colors][None, :]
-        covered = np.where(
-            is_ball,
-            dx * dx + dy * dy <= (radii**2)[None, :],
-            (np.abs(dx) <= radii[None, :]) & (np.abs(dy) <= radii[None, :]),
-        )
-    t_mat = np.where(covered, times[None, :], np.inf)
-    arg = np.argmin(t_mat, axis=1)
-    t_best = t_mat[np.arange(len(cell_ids)), arg]
-    better = t_best < best_time[cell_ids]
-    ids = cell_ids[better]
-    best_time[ids] = t_best[better]
-    best_black[ids] = colors[arg[better]] == 0
+        reachable = near.max(axis=0) <= r_hi
+    if is_ball.any():
+        sure = (far * far).sum(axis=0) <= r_lo * r_lo
+    else:
+        sure = far.max(axis=0) <= r_lo
+    ring = reachable & ~sure
+
+    stride = np.array([ny + 4 * k, 1])
+    base = (cell.astype(np.int64) + 2 * k) @ stride
+    delta = stride @ o
+    first = np.full((nx + 4 * k) * stride[0], len(order))
+    sure_cells = (base[:, None] + delta[sure]).ravel()
+    np.minimum.at(first, sure_cells, np.repeat(np.arange(len(order)), sure.sum()))
+    dx = sub[:, :1] + o[0, ring] * h
+    dy = sub[:, 1:] + o[1, ring] * h
+    covered = dx * dx + dy * dy <= (radii**2)[:, None]
+    if not is_ball.all():
+        half = radii[:, None]
+        in_box = (np.abs(dx) <= half) & (np.abs(dy) <= half)
+        covered = np.where(is_ball[:, None], covered, in_box)
+    g, j = np.nonzero(covered)
+    np.minimum.at(first, base[g] + delta[ring][j], g)
+
+    win = first.reshape(-1, stride[0])[2 * k : 2 * k + nx, 2 * k : 2 * k + ny].ravel()
+    cells = np.flatnonzero(win < len(order))
+    t = times[order[win[cells]]]
+    better = t < best_time[cells]
+    cells = cells[better]
+    best_time[cells] = t[better]
+    best_black[cells] = colors[win[cells]] == 0
 
 
 def confetti_world_from_config(
@@ -722,7 +719,14 @@ def confetti_world_from_config(
     rect: BoxWindow,
     resolution: float,
 ) -> ConfettiWorld:
-    """Deterministic repaint from an explicit grain record."""
+    """Deterministic repaint from an explicit grain record.
+
+    One batch through the same first-arrival painter as
+    ``sample_confetti_world``: each cell takes the color of the earliest
+    grain covering its center, and among exactly equal birth times the
+    grain with the lower index in the record wins.  Grains anywhere in the
+    plane are accepted; those that cannot reach the window are dropped.
+    """
     xs, ys = _cell_centers(rect, resolution)
     ncell = len(xs) * len(ys)
     best_time = np.full(ncell, np.inf)
@@ -733,7 +737,7 @@ def confetti_world_from_config(
         best_black,
         np.atleast_2d(config.points) if config.size else np.empty((0, 2)),
         config.marks.get("birth_time", np.empty(0)),
-        config.marks.get("color", np.empty(0, dtype=np.uint8)).astype(int),
+        config.marks.get("color", np.empty(0, dtype=np.uint8)),
         config.marks.get("radius", np.empty(0)),
         rect,
         resolution,
@@ -756,9 +760,16 @@ def sample_confetti_world(
 ) -> ConfettiWorld:
     """Sample a confetti raster by first-arrival painting.
 
-    Grains arrive in time order; painting stops once every cell is colored
-    (later arrivals cannot change a first-arrival color), or fails with the
-    required horizon if the declared horizon is exhausted first.
+    Grains arrive in chunks of time, each drawn on the window padded by the
+    largest grain with ``ConfettiMarks``; every chunk goes through the one
+    painter, which ranks the chunk by birth time (among exactly equal times
+    the lower index wins), runs the exact cell-center test only on the
+    boundary ring of each stencil and keeps the first arrival per cell.
+    Later chunks have strictly later times, so colored cells keep their
+    color.  Painting stops once every cell is colored, or fails with the
+    required horizon if the declared horizon is exhausted first.  The
+    record of all chunks repaints to the same raster with
+    ``confetti_world_from_config``.
     """
     horizon = model.horizon
     if horizon is None:
@@ -778,49 +789,21 @@ def sample_confetti_world(
     t_first = (math.log(ncell) - 2.0) / rate_pt if rate_pt > 0 else horizon
     t_first = min(horizon, max(t_first, 1.0 / max(rate_pt, 1e-9)))
     t_chunk = 4.0 / rate_pt if rate_pt > 0 else horizon
-    lo = np.asarray(rect.lo)
     t_lo = 0.0
-    first = True
     chunks: list[PointConfig] = []
     while t_lo < horizon:
-        t_hi = min(horizon, t_lo + (t_first if first else t_chunk))
+        t_hi = min(horizon, t_lo + (t_chunk if chunks else t_first))
         n = rng.poisson(padded.volume * (t_hi - t_lo))
         pts = padded.sample_uniform(rng, n)
-        times = rng.uniform(t_lo, t_hi, size=n)
-        colors = (rng.random(n) >= model.p).astype(int)  # 0 = black
-        r_black = model.black.law.sample(rng, n)
-        r_white = model.white.law.sample(rng, n)
-        radii = np.where(colors == 0, r_black, r_white)
-        chunks.append(
-            PointConfig(
-                padded,
-                pts,
-                {
-                    "birth_time": times,
-                    "color": colors.astype(np.uint8),
-                    "radius": radii,
-                },
-            )
+        marks = ConfettiMarks(
+            model.p, t_hi - t_lo, model.black.law, model.white.law
+        ).sample(rng, n)
+        marks["birth_time"] += t_lo
+        chunks.append(PointConfig(padded, pts, marks))
+        _confetti_paint(
+            best_time, best_black, pts, marks["birth_time"], marks["color"],
+            marks["radius"], rect, resolution, kinds,
         )
-        if first:
-            _confetti_paint(
-                best_time, best_black, pts, times, colors, radii,
-                rect, resolution, kinds,
-            )
-        else:
-            # only a few cells remain: match grains against them directly
-            remaining = np.flatnonzero(np.isinf(best_time))
-            cell_xy = np.column_stack(
-                [
-                    lo[0] + (remaining // len(ys) + 0.5) * resolution,
-                    lo[1] + (remaining % len(ys) + 0.5) * resolution,
-                ]
-            )
-            _confetti_paint_cells(
-                best_time, best_black, remaining, cell_xy,
-                pts, times, colors, radii, kinds,
-            )
-        first = False
         t_lo = t_hi
         if not np.any(np.isinf(best_time)):
             break

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+import scipy
 
-from poissonlab import svgplot
+from poissonlab import __version__, svgplot
 from poissonlab.cli import main
+
+PROVENANCE = {
+    "poissonlab": __version__, "numpy": np.__version__, "scipy": scipy.__version__
+}
 
 
 def run(tmp_path, *argv):
@@ -61,6 +67,7 @@ def test_stopping_audit_cli(tmp_path):
     ) == 0
     rep = json.loads((tmp_path / "na.json").read_text())
     assert rep["axiom"]["passed"]
+    assert rep["provenance"] == PROVENANCE
 
 
 def test_chaos_audit_cli(tmp_path):
@@ -89,6 +96,7 @@ def test_perc_duality_cli(tmp_path):
                "--seed", "4", "-o", "d.json") == 0
     rep = json.loads((tmp_path / "d.json").read_text())
     assert rep["xor_violations"] == 0
+    assert rep["provenance"] == PROVENANCE
 
 
 def test_perc_scan_bad_event_and_runtime_errors(tmp_path, monkeypatch, capsys):
@@ -107,7 +115,7 @@ def test_perc_scan_bad_event_and_runtime_errors(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: horizon")
 
 
-def test_run_config_and_schema_errors(tmp_path):
+def test_run_config_and_schema_errors(tmp_path, capsys):
     cfg = {
         "version": 1,
         "experiment": "sample",
@@ -117,9 +125,13 @@ def test_run_config_and_schema_errors(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run(tmp_path, "run", "--config", str(tmp_path / "cfg.json")) == 0
     assert (tmp_path / "out.csv").exists()
+    capsys.readouterr()
     (tmp_path / "bad.json").write_text(json.dumps({"experiment": "sample"}))
-    with pytest.raises(SystemExit):
-        run(tmp_path, "run", "--config", str(tmp_path / "bad.json"))
+    (tmp_path / "v2.json").write_text(json.dumps({**cfg, "version": 2}))
+    for bad in ("bad.json", "v2.json"):
+        assert run(tmp_path, "run", "--config", str(tmp_path / bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config schema violation") and err.count("\n") == 1
 
 
 def test_run_config_params_not_an_object(tmp_path, capsys):
