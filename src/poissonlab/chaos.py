@@ -26,7 +26,7 @@ from scipy.optimize import nnls
 from scipy.stats import poisson as poisson_dist
 
 from .dynamics import resample
-from .process import DiscreteWindow, PointConfig, ProcessSpec
+from .process import DiscreteWindow, PointConfig, ProcessSpec, _mean_se
 from .stopping import RandomizedStoppingSet, StoppingSetOracle, restrict_to
 
 __all__ = [
@@ -124,14 +124,6 @@ def kernel_mc(
         eta = process.sample(rng)
         vals[i] = iterated_difference(f, eta, pts, marks) / math.factorial(k)
     return _mean_se(vals)
-
-
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    vals = np.asarray(vals, dtype=float)
-    n = len(vals)
-    if n < 2:
-        return float(vals.mean()), math.inf
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
 
 def _var_se(vals: np.ndarray) -> tuple[float, float]:
@@ -318,6 +310,20 @@ def _multisets(m: int, k: int):
             yield (first,) + rest
 
 
+def _resampled_cov(base: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Unbiased covariance of ``base[idx]`` with every row of ``vals[:, idx]``.
+
+    Each row keeps its own 1-D ``np.mean``, the summation order of the
+    per-row formula it replaced: a 2-D ``mean(axis=1)`` over the F-ordered
+    ``vals[:, idx]`` sums rows in another order and changes the last bits.
+    """
+    m = len(idx)
+    b = base[idx]
+    b = b - b.mean()
+    return np.array([np.mean((row - row.mean()) * b) * m / (m - 1)
+                     for row in vals.take(idx, axis=1)])
+
+
 def chaos_weights_mehler(
     f: Callable[[PointConfig], float],
     process: ProcessSpec,
@@ -349,12 +355,7 @@ def chaos_weights_mehler(
     cond = float(np.linalg.cond(design))
 
     def fit(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = base[idx]
-        cov = np.array(
-            [np.mean((vals[j, idx] - vals[j, idx].mean()) * (b - b.mean()))
-             * len(idx) / (len(idx) - 1)
-             for j in range(len(times))]
-        )
+        cov = _resampled_cov(base, vals, idx)
         w, _ = nnls(design, cov)
         return w, cov
 

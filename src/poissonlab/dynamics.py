@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
-from .process import PointConfig, ProcessSpec, superpose, thin
+from .process import PointConfig, ProcessSpec, _mean_se, superpose, thin
 
 __all__ = [
     "resample",
@@ -179,11 +179,6 @@ def simulate_path(
 
 # ---------------------------------------------------------------------------
 # Covariance curves
-
-
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    vals = np.asarray(vals, dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

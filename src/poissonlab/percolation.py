@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -310,8 +310,13 @@ def truncate_radii(
 class BooleanWorld:
     """Occupancy structure for one Boolean-model realization.
 
-    Grains meeting ``rect`` are indexed; k=1 components are the connected
-    components of the grain intersection graph (``labels``).
+    Construction only keeps the grains meeting ``rect``. The grain
+    intersection graph is built on first use: candidate pairs come from a
+    kd-tree query at twice the reference reach (grains above it are
+    queried one by one), the exact strict-overlap test keeps the
+    intersecting pairs, and ``adjacency`` stores both directions of every
+    pair as a symmetric CSR matrix. k=1 components are its connected
+    components (``labels``); both are cached for the world's lifetime.
     """
 
     def __init__(self, config: PointConfig, model: BooleanModel, rect: BoxWindow):
@@ -347,7 +352,9 @@ class BooleanWorld:
             reach = reach * math.sqrt(2.0)
         bound = self.model.grain.max_radius
         r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
-        tree = cKDTree(self.points)
+        # Neither tree option changes the pairs found; both make the build
+        # cheaper at a few hundred grains.
+        tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         cand = tree.query_pairs(2.0 * r_ref, output_type="ndarray")
         big = np.flatnonzero(reach > r_ref)
         if len(big):
@@ -363,13 +370,15 @@ class BooleanWorld:
                 )
         if len(cand) == 0:
             return cand
-        d = self.points[cand[:, 0]] - self.points[cand[:, 1]]
-        rsum = self.radii[cand[:, 0]] + self.radii[cand[:, 1]]
+        # take/compress gather rows several times faster than fancy indexing
+        i, j = cand[:, 0], cand[:, 1]
+        d = self.points.take(i, axis=0) - self.points.take(j, axis=0)
+        rsum = self.radii.take(i) + self.radii.take(j)
         if self.model.grain.kind == "ball":
             hit = np.einsum("ij,ij->i", d, d) < rsum**2
         else:  # axis-aligned boxes: strict overlap in every axis
             hit = np.all(np.abs(d) < rsum[:, None], axis=1)
-        return cand[hit]
+        return cand.compress(hit, axis=0)
 
     @property
     def adjacency(self) -> csr_matrix:
@@ -378,11 +387,15 @@ class BooleanWorld:
             pairs = self._pairs()
             rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
             cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.argsort(rows, kind="stable")
+            # Row keys in the smallest unsigned type holding n: numpy sorts
+            # 16-bit keys by radix, in the same stable order as int64 keys
+            # and several times faster.
+            keys = rows.astype(np.min_scalar_type(self.n))
+            order = np.argsort(keys, kind="stable")
             indptr = np.zeros(self.n + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
             self._adjacency = csr_matrix(
-                (np.ones(len(rows)), cols[order].astype(np.int32), indptr),
+                (np.ones(len(rows)), cols.take(order).astype(np.int32), indptr),
                 shape=(self.n, self.n),
             )
         return self._adjacency
@@ -433,24 +446,29 @@ class BooleanWorld:
     def grains_meeting_face(self, axis: int, coord: float) -> np.ndarray:
         """Grains intersecting the closed boundary face {x_axis = coord},
         clipped to the rect's extent in the other axes."""
+        return self.grains_meeting_faces(axis, (coord,))[0]
+
+    def grains_meeting_faces(
+        self, axis: int, coords: Sequence[float]
+    ) -> list[np.ndarray]:
+        """``grains_meeting_face(axis, c)`` for every ``c`` in ``coords``,
+        sharing one clipped gap array."""
         if self.n == 0:
-            return np.empty(0, dtype=int)
+            return [np.empty(0, dtype=int) for _ in coords]
         lo = np.asarray(self.rect.lo)
         hi = np.asarray(self.rect.hi)
-        gap = np.zeros((self.n, self.model.dim))
-        for ax in range(self.model.dim):
-            if ax == axis:
-                gap[:, ax] = np.abs(self.points[:, ax] - coord)
+        gap = np.maximum(0.0, np.maximum(lo - self.points, self.points - hi))
+        ball = self.model.grain.kind == "ball"
+        bound = self.radii**2 if ball else self.radii[:, None]
+        out = []
+        for coord in coords:
+            gap[:, axis] = np.abs(self.points[:, axis] - coord)
+            if ball:
+                hit = np.einsum("ij,ij->i", gap, gap) <= bound
             else:
-                gap[:, ax] = np.maximum(
-                    0.0,
-                    np.maximum(lo[ax] - self.points[:, ax], self.points[:, ax] - hi[ax]),
-                )
-        if self.model.grain.kind == "ball":
-            hit = np.einsum("ij,ij->i", gap, gap) <= self.radii**2
-        else:
-            hit = np.all(gap <= self.radii[:, None], axis=1)
-        return np.flatnonzero(hit)
+                hit = np.all(gap <= bound, axis=1)
+            out.append(np.flatnonzero(hit))
+        return out
 
     def grains_meeting_sphere(self, s: float, center=None) -> np.ndarray:
         """Grains intersecting the Euclidean sphere of radius s."""
@@ -910,8 +928,7 @@ def crossing(
         return _raster_crossing(world.black, axis, "tri")
     if world.model.k == 1 and world.model.grain.kind in ("ball", "box"):
         rect = world.rect
-        a = world.grains_meeting_face(axis, rect.lo[axis])
-        b = world.grains_meeting_face(axis, rect.hi[axis])
+        a, b = world.grains_meeting_faces(axis, (rect.lo[axis], rect.hi[axis]))
         return world.connected(a, b)
     if resolution is None:
         resolution = _default_resolution(world.model)

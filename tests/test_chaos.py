@@ -6,6 +6,7 @@ import pytest
 
 from poissonlab.chaos import (
     DiscreteOracleSpace,
+    _resampled_cov,
     add_one_cost,
     binary_l1_distance,
     chaos_weights_exact,
@@ -191,6 +192,30 @@ def test_mehler_covariance_vanishes_at_large_t():
     cov = spec.extras["cov"]
     se = spec.extras["cov_se"]
     assert abs(cov[-1]) <= 3 * se[-1] + 1e-3
+
+
+def per_row_cov(base, vals, idx):
+    """The Mehler fit's covariance as first written: every row indexed and
+    centred inside the loop, with its own 1-D mean."""
+    b = base[idx]
+    return np.array(
+        [np.mean((vals[j, idx] - vals[j, idx].mean()) * (b - b.mean()))
+         * len(idx) / (len(idx) - 1)
+         for j in range(len(vals))]
+    )
+
+
+@pytest.mark.parametrize("m", [8, 129, 2600])
+def test_resampled_cov_is_bit_identical_to_per_row_formula(m):
+    rng = np.random.default_rng(m)
+    cases = [
+        (rng.normal(size=m) / 3.0, rng.lognormal(size=(9, m)) / 7.0),
+        (rng.integers(0, 2, m) / 3.0, rng.integers(0, 2, (9, m)) * 0.1),
+    ]
+    for base, vals in cases:
+        for idx in (np.arange(m), *(rng.integers(0, m, size=m) for _ in range(4))):
+            got = _resampled_cov(base, vals, idx)
+            assert got.tobytes() == per_row_cov(base, vals, idx).tobytes()
 
 
 def test_mehler_requires_enough_times():

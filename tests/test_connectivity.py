@@ -1,5 +1,6 @@
-"""Differential tests of the grain-graph connectivity against dense
-references: every pair of grains tested for overlap, and a plain
+"""Differential tests of the grain-graph connectivity and the k = 1
+crossing against dense references: every pair of grains tested for
+overlap, every grain tested against the rect's faces, and a plain
 breadth-first search over the resulting matrix."""
 
 import numpy as np
@@ -13,6 +14,7 @@ from poissonlab.percolation import (
     GrainSpec,
     ParetoRadius,
     UniformRadius,
+    crossing,
 )
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.stopping import LineSeed, SphereSeed, _explore_levels
@@ -122,3 +124,74 @@ def test_connectivity_matches_dense_references(case, data):
     assert np.array_equal(world.component_mask(seeds), depth >= 0)
     assert world.connected(a, b) == bool(reach[b].any())
     assert world.connected(a, b) == bool(np.intersect1d(comp[a], comp[b]).size)
+
+
+def dense_face(world, axis, coord):
+    """Grains whose closed grain meets the face {x_axis = coord} of the
+    rect: the face point nearest to each centre, found by clipping."""
+    near = np.clip(world.points, world.rect.lo, world.rect.hi)
+    near[:, axis] = coord
+    d = world.points - near
+    if world.model.grain.kind == "ball":
+        return np.flatnonzero((d**2).sum(axis=1) <= world.radii**2)
+    return np.flatnonzero(np.all(np.abs(d) <= world.radii[:, None], axis=1))
+
+
+@st.composite
+def crossing_worlds(draw):
+    """Random grains plus chains that start exactly tangent to a face of
+    RECT (gap to the face equal to the radius) and run across it with each
+    centre step at r_i + r_j or one ulp either side."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
+    if law_kind == "fixed":
+        law = FixedRadius(draw(st.floats(0.2, 1.5)))
+        radius = st.just(law.r)
+    else:
+        lo = draw(st.floats(0.1, 1.0))
+        hi = lo * draw(st.floats(1.0, 5.0))
+        law = UniformRadius(lo, hi) if law_kind == "uniform" else ParetoRadius(lo, 3.5)
+        radius = st.floats(lo, hi)
+    pts, radii = [], []
+    for _ in range(draw(st.integers(0, 20))):
+        pts.append((draw(coord), draw(coord)))
+        radii.append(draw(radius))
+    for _ in range(draw(st.integers(0, 3))):
+        axis = draw(st.integers(0, 1))
+        start, heading = draw(st.sampled_from(
+            [(RECT.lo[axis], 1.0), (RECT.hi[axis], -1.0)]))
+        r = draw(radius)
+        c = start + draw(st.sampled_from([-1.0, 1.0])) * r
+        if law_kind != "fixed":
+            r = abs(c - start)
+        if abs(c - start) != r:
+            continue
+        other = draw(st.floats(RECT.lo[1 - axis] - 0.5, RECT.hi[1 - axis] + 0.5))
+        while True:
+            pts.append((c, other) if axis == 0 else (other, c))
+            radii.append(r)
+            if heading * (c - start) > RECT.hi[axis] - RECT.lo[axis] + r:
+                break
+            r_next = draw(radius)
+            step = r + r_next  # moved one ulp down, kept, or moved one ulp up
+            step = np.nextafter(step, step + draw(st.sampled_from([-1.0, 0.0, 1.0])))
+            c += heading * float(step)
+            r = r_next
+    points = np.array(pts, dtype=float).reshape(len(pts), 2)
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    window = BoxWindow((-SPAN, -SPAN), (2 * SPAN, 2 * SPAN))
+    return BooleanWorld(PointConfig(window, points, {"radius": np.array(radii)}), model, RECT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_worlds())
+def test_crossing_matches_dense_reference(world):
+    adj = dense_adjacency(world)
+    for axis in (0, 1):
+        faces = [dense_face(world, axis, c) for c in (RECT.lo[axis], RECT.hi[axis])]
+        got = world.grains_meeting_faces(axis, (RECT.lo[axis], RECT.hi[axis]))
+        for g, want, c in zip(got, faces, (RECT.lo[axis], RECT.hi[axis])):
+            assert np.array_equal(g, want)
+            assert np.array_equal(world.grains_meeting_face(axis, c), want)
+        reached = reference_depths(adj, faces[0]) >= 0
+        assert crossing(world, axis) == bool(reached[faces[1]].any())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from poissonlab.process import (
     ProcessSpec,
     RadiusMarks,
     UniformRadius,
+    _mean_se,
     config_from_csv,
     config_to_csv,
     mecke_check,
@@ -273,3 +275,13 @@ def test_duplicate_location_rate_zero():
         if cfg.size > 1:
             dupes += len(np.unique(cfg.points, axis=0)) < cfg.size
     assert dupes == 0
+
+
+def test_mean_se_small_samples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = _mean_se([])
+        assert math.isnan(mean) and se == math.inf
+        assert _mean_se([0.3]) == (0.3, math.inf)
+        vals = np.array([0.1, 0.7])
+        assert _mean_se(vals) == (vals.mean(), vals.std(ddof=1) / math.sqrt(2))
