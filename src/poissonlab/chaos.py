@@ -313,15 +313,17 @@ def _multisets(m: int, k: int):
 def _resampled_cov(base: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Unbiased covariance of ``base[idx]`` with every row of ``vals[:, idx]``.
 
-    Each row keeps its own 1-D ``np.mean``, the summation order of the
-    per-row formula it replaced: a 2-D ``mean(axis=1)`` over the F-ordered
-    ``vals[:, idx]`` sums rows in another order and changes the last bits.
+    ``vals.take(idx, axis=1)`` of a C-ordered ``vals`` is C-ordered, so the
+    2-D ``mean(axis=1)`` reduces each row along the contiguous axis with the
+    same pairwise summation as a 1-D ``np.mean`` of that row, and the result
+    equals the per-row formula bit for bit.  (Fancy indexing ``vals[:, idx]``
+    gives an F-ordered array, whose rows are summed in another order.)
     """
     m = len(idx)
     b = base[idx]
     b = b - b.mean()
-    return np.array([np.mean((row - row.mean()) * b) * m / (m - 1)
-                     for row in vals.take(idx, axis=1)])
+    rows = vals.take(idx, axis=1)
+    return ((rows - rows.mean(axis=1)[:, None]) * b).mean(axis=1) * m / (m - 1)
 
 
 def chaos_weights_mehler(

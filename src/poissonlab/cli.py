@@ -485,10 +485,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# replica counts; every command that takes one divides or loops by it
+_POSITIVE = ("samples", "trials", "probes")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _POSITIVE:
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,13 @@ Connectivity conventions
   crossings by several percent at raster scale h = r/10.)
   Plain k >= 2 occupancy rasters use 8-adjacency; no duality is claimed
   for them.
+* Confetti: one first-arrival painter (``_confetti_paint``) folds each
+  batch of grains into a per-cell (time, color) table.  The first time
+  chunk, or a repaint from a record, is tested on each grain's stencil; a
+  later chunk only against the few cells still uncolored.  Both use one
+  exact test and one tie rule (the lower index wins among equal birth
+  times).  A world labels its black raster once; crossings and the duality
+  check share those labels.
 * Windows are padded by the maximal grain radius; residual boundary
   effects are documented, not corrected.
 """
@@ -631,7 +638,11 @@ def required_confetti_horizon(
 
 
 class ConfettiWorld:
-    """First-arrival coloring of a planar raster; records the grains used."""
+    """First-arrival coloring of a planar raster; records the grains used.
+
+    The triangular-adjacency components of the black raster (``labels``)
+    are labeled once and cached for the world's lifetime.
+    """
 
     def __init__(
         self,
@@ -646,6 +657,14 @@ class ConfettiWorld:
         self.resolution = resolution
         self.black = black  # bool (nx, ny)
         self.config = config
+        self._labels: Optional[np.ndarray] = None
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Component label of every black cell (0 on white cells)."""
+        if self._labels is None:
+            self._labels, _ = _raster_label(self.black, "tri")
+        return self._labels
 
 
 def _confetti_paint(
@@ -664,17 +683,21 @@ def _confetti_paint(
     A grain covers a cell when ``dx*dx + dy*dy <= r*r`` (ball) or
     ``|dx|, |dy| <= r`` (box or raster kind), where ``(dx, dy) = sub + o*h``
     is the offset ``sub`` (``|sub| <= h/2``) of the grain's center from
-    its cell's center plus ``o`` whole cells.  Per batch, a stencil offset
-    that no grain reaches even at ``r_max*(1 + 1e-9)`` is skipped, one that
-    every grain covers even at ``r_min*(1 - 1e-9)`` is painted without a
-    test, and only the ring between runs the exact test; the margins absorb
-    rounding, so coverage is the exact test's.
+    its cell's center plus ``o = cell - grain_cell`` whole cells.  Grains
+    are ranked by birth time with a stable sort (among equal times the
+    lower index wins); grains whose cell lies outside ``[-k, n + k)`` cannot
+    reach the window and are dropped.
 
-    Grains are ranked by birth time with a stable sort, so among equal
-    times the lower index wins, and ``np.minimum.at`` keeps the smallest
-    covering rank per cell on a raster padded by ``2k`` cells (no bounds
-    mask); grains whose cell lies outside ``[-k, n + k)`` cannot reach the
-    window and are dropped.  A cell takes the winner's time and color if it
+    Only cells whose time is later than the batch's earliest grain can
+    change (after a sampled world's first chunk: the uncolored cells).
+    When they are fewer than the ``(2k+1)^2`` stencil offsets, every grain
+    is tested against each of them and a cell's winner is its first
+    covering grain in rank order.  Otherwise a stencil offset that no grain
+    reaches even at ``r_max*(1 + 1e-9)`` is skipped, one that every grain
+    covers even at ``r_min*(1 - 1e-9)`` is painted without a test, and only
+    the ring between runs the exact test (the margins absorb rounding);
+    ``np.minimum.at`` keeps the smallest covering rank per cell on a raster
+    padded by ``2k`` cells.  A cell takes the winner's time and color if it
     is earlier than the time already in the table.
     """
     xs, ys = _cell_centers(rect, h)
@@ -692,43 +715,57 @@ def _confetti_paint(
     sub = lo + (cell + 0.5) * h - pts[order]
     is_ball = ball_like[colors]
 
-    o = np.indices((2 * k + 1, 2 * k + 1)).reshape(2, -1) - k
-    near = np.maximum(np.abs(o) * h - 0.5 * h, 0.0)
-    far = np.abs(o) * h + 0.5 * h
-    r_hi, r_lo = radii.max() * (1.0 + 1e-9), radii.min() * (1.0 - 1e-9)
-    if is_ball.all():
-        reachable = (near * near).sum(axis=0) <= r_hi * r_hi
-    else:
-        reachable = near.max(axis=0) <= r_hi
-    if is_ball.any():
-        sure = (far * far).sum(axis=0) <= r_lo * r_lo
-    else:
-        sure = far.max(axis=0) <= r_lo
-    ring = reachable & ~sure
+    def covers(ox, oy):
+        """Exact test of every ranked grain at the offsets ``(ox, oy)`` in
+        whole cells (one row of offsets per grain, or one row for all)."""
+        dx = sub[:, :1] + ox * h
+        dy = sub[:, 1:] + oy * h
+        covered = dx * dx + dy * dy <= (radii**2)[:, None]
+        if not is_ball.all():
+            half = radii[:, None]
+            in_box = (np.abs(dx) <= half) & (np.abs(dy) <= half)
+            covered = np.where(is_ball[:, None], covered, in_box)
+        return covered
 
-    stride = np.array([ny + 4 * k, 1])
-    base = (cell.astype(np.int64) + 2 * k) @ stride
-    delta = stride @ o
-    first = np.full((nx + 4 * k) * stride[0], len(order))
-    sure_cells = (base[:, None] + delta[sure]).ravel()
-    np.minimum.at(first, sure_cells, np.repeat(np.arange(len(order)), sure.sum()))
-    dx = sub[:, :1] + o[0, ring] * h
-    dy = sub[:, 1:] + o[1, ring] * h
-    covered = dx * dx + dy * dy <= (radii**2)[:, None]
-    if not is_ball.all():
-        half = radii[:, None]
-        in_box = (np.abs(dx) <= half) & (np.abs(dy) <= half)
-        covered = np.where(is_ball[:, None], covered, in_box)
-    g, j = np.nonzero(covered)
-    np.minimum.at(first, base[g] + delta[ring][j], g)
+    open_cells = np.flatnonzero(best_time > times[order[0]])
+    if len(open_cells) < (2 * k + 1) ** 2:
+        ci, cj = np.divmod(open_cells, ny)
+        covered = covers(ci - cell[:, :1], cj - cell[:, 1:])
+        hit = covered.any(axis=0)
+        cells = open_cells[hit]
+        win = covered.argmax(axis=0)[hit]
+    else:
+        o = np.indices((2 * k + 1, 2 * k + 1)).reshape(2, -1) - k
+        near = np.maximum(np.abs(o) * h - 0.5 * h, 0.0)
+        far = np.abs(o) * h + 0.5 * h
+        r_hi, r_lo = radii.max() * (1.0 + 1e-9), radii.min() * (1.0 - 1e-9)
+        if is_ball.all():
+            reachable = (near * near).sum(axis=0) <= r_hi * r_hi
+        else:
+            reachable = near.max(axis=0) <= r_hi
+        if is_ball.any():
+            sure = (far * far).sum(axis=0) <= r_lo * r_lo
+        else:
+            sure = far.max(axis=0) <= r_lo
+        ring = reachable & ~sure
 
-    win = first.reshape(-1, stride[0])[2 * k : 2 * k + nx, 2 * k : 2 * k + ny].ravel()
-    cells = np.flatnonzero(win < len(order))
-    t = times[order[win[cells]]]
+        stride = np.array([ny + 4 * k, 1])
+        base = (cell.astype(np.int64) + 2 * k) @ stride
+        delta = stride @ o
+        first = np.full((nx + 4 * k) * stride[0], len(order))
+        sure_cells = (base[:, None] + delta[sure]).ravel()
+        np.minimum.at(first, sure_cells, np.repeat(np.arange(len(order)), sure.sum()))
+        g, j = np.nonzero(covers(o[0, ring], o[1, ring]))
+        np.minimum.at(first, base[g] + delta[ring][j], g)
+        win = first.reshape(-1, stride[0])[2 * k : 2 * k + nx, 2 * k : 2 * k + ny].ravel()
+        cells = np.flatnonzero(win < len(order))
+        win = win[cells]
+
+    t = times[order[win]]
     better = t < best_time[cells]
-    cells = cells[better]
+    cells, win = cells[better], win[better]
     best_time[cells] = t[better]
-    best_black[cells] = colors[win[cells]] == 0
+    best_black[cells] = colors[win] == 0
 
 
 def confetti_world_from_config(
@@ -781,10 +818,9 @@ def sample_confetti_world(
     Grains arrive in chunks of time, each drawn on the window padded by the
     largest grain with ``ConfettiMarks``; every chunk goes through the one
     painter, which ranks the chunk by birth time (among exactly equal times
-    the lower index wins), runs the exact cell-center test only on the
-    boundary ring of each stencil and keeps the first arrival per cell.
-    Later chunks have strictly later times, so colored cells keep their
-    color.  Painting stops once every cell is colored, or fails with the
+    the lower index wins) and keeps the first arrival per cell.  Later
+    chunks have strictly later times, so colored cells keep their color and
+    the painter tests a later chunk only against the cells still open.  Painting stops once every cell is colored, or fails with the
     required horizon if the declared horizon is exhausted first.  The
     record of all chunks repaints to the same raster with
     ``confetti_world_from_config``.
@@ -911,7 +947,11 @@ def _raster_label(mask: np.ndarray, adjacency: str) -> tuple[np.ndarray, int]:
 def _raster_crossing(mask: np.ndarray, axis: int, adjacency: str) -> bool:
     if mask.shape[axis] == 0 or not mask.any():
         return False
-    labels, _ = _raster_label(mask, adjacency)
+    return _labels_cross(_raster_label(mask, adjacency)[0], axis)
+
+
+def _labels_cross(labels: np.ndarray, axis: int) -> bool:
+    """Whether one component label appears on both faces normal to ``axis``."""
     first = labels.take(0, axis=axis)
     last = labels.take(-1, axis=axis)
     shared = np.intersect1d(first[first > 0], last[last > 0])
@@ -925,7 +965,7 @@ def crossing(
 ) -> bool:
     """Side-to-side crossing of the world's rectangle along ``axis``."""
     if isinstance(world, ConfettiWorld):
-        return _raster_crossing(world.black, axis, "tri")
+        return _labels_cross(world.labels, axis)
     if world.model.k == 1 and world.model.grain.kind in ("ball", "box"):
         rect = world.rect
         a, b = world.grains_meeting_faces(axis, (rect.lo[axis], rect.hi[axis]))
@@ -1225,9 +1265,10 @@ def confetti_duality_check(world: ConfettiWorld) -> bool:
 
     Both colors use the self-matching triangular adjacency, so exactly one
     of the two crossings exists on every planar sample and the two colors
-    remain exchangeable at p = 1/2.
+    remain exchangeable at p = 1/2.  The black labels are the world's
+    cached ones; the white raster is labeled here.
     """
-    black_lr = _raster_crossing(world.black, axis=0, adjacency="tri")
+    black_lr = _labels_cross(world.labels, axis=0)
     white_td = _raster_crossing(~world.black, axis=1, adjacency="tri")
     return black_lr != white_td
 

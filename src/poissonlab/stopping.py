@@ -239,9 +239,10 @@ class _GrainIndex:
         if self.tree is None or len(xs) == 0:
             return out
         reach = (thr + self.r_max) * (1.0 + 1e-9)
-        pairs = self.tree.sparse_distance_matrix(
-            cKDTree(xs), reach, output_type="ndarray"
-        )
+        # the mask does not depend on the order of the pairs, so the probe
+        # tree skips the balancing and compaction passes
+        probes = cKDTree(xs, balanced_tree=False, compact_nodes=False)
+        pairs = self.tree.sparse_distance_matrix(probes, reach, output_type="ndarray")
         g, p = pairs["i"], pairs["j"]
         hit = np.linalg.norm(xs[p] - self.centers[g], axis=1) - self.radii[g] <= thr
         out[p[hit]] = True

@@ -115,6 +115,23 @@ def test_perc_scan_bad_event_and_runtime_errors(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: horizon")
 
 
+@pytest.mark.parametrize("argv", [
+    ("chaos", "audit", "--samples", "0"),
+    ("perc", "scan", "--samples", "0"),
+    ("perc", "critical", "--samples", "0"),
+    ("perc", "duality", "--samples", "0"),
+    ("perc", "duality", "--samples", "-1"),
+    ("stopping", "audit", "--samples", "0"),
+    ("stopping", "audit", "--trials", "0"),
+    ("stopping", "audit", "--probes", "-3"),
+])
+def test_non_positive_counts_are_rejected(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "-o", "out.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_config_and_schema_errors(tmp_path, capsys):
     cfg = {
         "version": 1,

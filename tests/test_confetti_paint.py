@@ -3,9 +3,12 @@ grains x stencil formula it replaced.
 
 The library classifies stencil offsets per batch (pruned, surely covered, or
 on the boundary ring) and runs the exact coverage test on the ring only; it
-keeps the first arrival per cell by birth-time rank on a padded raster. The
-reference below tests every grain against every offset of its stencil and
-masks cells outside the window. Agreement must be exact, including on
+keeps the first arrival per cell by birth-time rank on a padded raster. When
+fewer cells can still change than the stencil has offsets (a sampled world's
+later chunks), it tests every grain against those cells instead; the
+later-chunk tests paint onto a table with only a few open cells to reach
+that path. The reference below tests every grain against every offset of its
+stencil and masks cells outside the window. Agreement must be exact, including on
 centres and radii that are multiples of 1/16 (so ``dx*dx + dy*dy == r*r``
 and ``|dx| == r`` ties reach the test), on grains sitting on cell edges of a
 window whose corner is not dyadic (so rounding moves a centre's offset past
@@ -44,7 +47,8 @@ FAR = 2.5  # grains reach at most 1.5 * sqrt(2) < FAR beyond their centre
 
 def dense_paint(best_time, best_black, pts, times, colors, radii, rect, h, kinds):
     """Every grain against all (2k+1)^2 stencil offsets, then a bounds mask;
-    ties in birth time go to the lower grain index."""
+    ties in birth time go to the lower grain index, and a cell takes the
+    batch's first arrival only if it is earlier than the table's time."""
     if len(pts) == 0:
         return
     xs, ys = _cell_centers(rect, h)
@@ -79,13 +83,18 @@ def dense_paint(best_time, best_black, pts, times, colors, radii, rect, h, kinds
     g_idx, o_idx = np.nonzero(covered)
     flat = ci[g_idx, o_idx].astype(np.int64) * ny + cj[g_idx, o_idx]
     t = times[g_idx]
-    np.minimum.at(best_time, flat, t)
-    win = np.flatnonzero(t == best_time[flat])
+    batch_time = np.full(len(best_time), np.inf)
+    np.minimum.at(batch_time, flat, t)
+    win = np.flatnonzero(t == batch_time[flat])
     order = np.lexsort((g_idx[win], flat[win]))  # by cell, then grain index
     cell, grain = flat[win][order], g_idx[win][order]
     first = np.ones(len(cell), dtype=bool)
     first[1:] = cell[1:] != cell[:-1]
-    best_black[cell[first]] = colors[grain[first]] == 0
+    cell, grain = cell[first], grain[first]
+    earlier = times[grain] < best_time[cell]
+    cell, grain = cell[earlier], grain[earlier]
+    best_time[cell] = times[grain]
+    best_black[cell] = colors[grain] == 0
 
 
 @st.composite
@@ -93,8 +102,14 @@ def batches(draw):
     kinds = draw(st.sampled_from(KINDS))
     h = draw(st.sampled_from([1 / 8, 1 / 16]))
     rect = draw(st.sampled_from(WINDOWS))
+    return (kinds, h, rect, *draw(grains(rect, h)))
+
+
+@st.composite
+def grains(draw, rect, h, min_size=0):
+    """(pts, times, colors, radii) of up to 60 grains around ``rect``."""
     lo, hi = np.asarray(rect.lo), np.asarray(rect.hi)
-    n = draw(st.integers(0, 60))
+    n = draw(st.integers(min_size, 60))
     # lattice radii, and box half-sides that end exactly on a cell edge
     radius = st.one_of(
         st.integers(2, 24).map(lambda j: j / 16),
@@ -126,7 +141,7 @@ def batches(draw):
     colors = np.array(
         draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8
     )
-    return kinds, h, rect, pts, times, colors, radii
+    return pts, times, colors, radii
 
 
 def paint_both(batches, rect, h, kinds):
@@ -210,3 +225,106 @@ def test_repaint_matches_sampled_over_several_chunks():
             again = confetti_world_from_config(w.config, model, rect, h)
             assert np.array_equal(again.black, w.black)
     assert multi >= 12  # most worlds are painted in two or more chunks
+
+
+@st.composite
+def later_chunks(draw):
+    """A batch painted onto a fresh table, that table with all but a few
+    cells closed, and a second batch: strictly later (a sampled world's
+    later chunk) or overlapping the table's times."""
+    kinds, h, rect, *first = draw(batches())
+    xs, ys = _cell_centers(rect, h)
+    ncell = len(xs) * len(ys)
+    best_time = np.full(ncell, np.inf)
+    best_black = np.zeros(ncell, dtype=bool)
+    _confetti_paint(best_time, best_black, *first, rect, h, kinds)
+    # close every cell but at most 12 (the stencil has at least 25 offsets)
+    still_open = draw(st.lists(st.integers(0, ncell - 1), max_size=12, unique=True))
+    closed = np.ones(ncell, dtype=bool)
+    closed[still_open] = False
+    best_time[closed & np.isinf(best_time)] = 0.0
+    best_time[~closed] = np.inf
+    pts, times, colors, radii = draw(grains(rect, h, min_size=1))
+    if draw(st.booleans()):
+        times = times + (first[1].max(initial=0.0) + 1.0)  # keeps planted ties
+    return kinds, h, rect, best_time, best_black, (pts, times, colors, radii)
+
+
+@settings(max_examples=500, deadline=None)
+@given(later_chunks())
+def test_open_cell_path_matches_dense_formula(chunk):
+    kinds, h, rect, best_time, best_black, later = chunk
+    tables = []
+    for paint in (_confetti_paint, dense_paint):
+        t, b = best_time.copy(), best_black.copy()
+        paint(t, b, *later, rect, h, kinds)
+        tables.append((t, b))
+    (t_lib, b_lib), (t_ref, b_ref) = tables
+    assert np.array_equal(t_lib, t_ref)
+    assert np.array_equal(b_lib, b_ref)
+
+
+def test_open_cell_path_on_every_cell_edge():
+    """The cell-edge sweep above, painted as a later chunk onto a table
+    whose only open cells are those next to the grain's centre on the two
+    cell columns (or rows) whose centres its edge meets: the open-cell path
+    must round exactly like the stencil."""
+    one = (np.ones(1), np.zeros(1, dtype=np.uint8))
+    for rect, h, kinds, j, ax in itertools.product(
+        WINDOWS, (1 / 8, 1 / 16), (("ball", "ball"), ("box", "box")), range(8), (0, 1)
+    ):
+        xs, ys = _cell_centers(rect, h)
+        lo, hi = np.asarray(rect.lo), np.asarray(rect.hi)
+        for m in range(-j - 2, round((hi[ax] - lo[ax]) / h) + j + 3):
+            pts = np.round(8 * (lo + hi)) / 16
+            pts[ax] = lo[ax] + m * h
+            grain = (pts[None, :], *one, np.array([(j + 0.5) * h]))
+            edge = np.zeros((len(xs), len(ys)), dtype=bool)
+            c = int(np.floor((pts[1 - ax] - lo[1 - ax]) / h))
+            across = slice(max(c - 2, 0), c + 3)
+            for e in (m - j - 1, m + j):  # cell centres at distance r
+                if 0 <= e < edge.shape[ax]:
+                    edge[(e, across) if ax == 0 else (across, e)] = True
+            open_cells = np.flatnonzero(edge)
+            tables = []
+            for paint in (_confetti_paint, dense_paint):
+                t = np.zeros(edge.size)
+                t[open_cells] = np.inf
+                paint(t, np.zeros(edge.size, dtype=bool), *grain, rect, h, kinds)
+                tables.append(t)
+            assert np.array_equal(*tables), (rect, h, kinds, j, ax, m)
+
+
+def test_crossings_and_duality_share_one_black_labelling(monkeypatch):
+    """Both crossings and the duality XOR equal their values from freshly
+    labeled rasters, and a crossing-plus-duality replica labels twice: the
+    black raster once and the white raster once."""
+    from scipy import ndimage
+
+    from poissonlab.percolation import (
+        _raster_crossing,
+        confetti_duality_check,
+        crossing,
+    )
+
+    calls = []
+    label = ndimage.label
+
+    def counting_label(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counting_label)
+    model = ConfettiModel(0.5, GrainSpec("ball", FixedRadius(0.5)),
+                          GrainSpec("ball", FixedRadius(0.5)))
+    rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
+    for i in range(40):
+        w = sample_confetti_world(model, rect, 0.05, stream(433, i))
+        calls.clear()
+        hit = crossing(w)
+        xor = confetti_duality_check(w)
+        assert len(calls) == 2
+        assert crossing(w, axis=1) == _raster_crossing(w.black, 1, "tri")
+        assert hit == _raster_crossing(w.black, 0, "tri")
+        assert xor == (hit != _raster_crossing(~w.black, 1, "tri"))
+        assert xor

@@ -1,0 +1,102 @@
+"""Summarise paired benchmark runs of a parent and a changed checkout.
+
+    python3 tools/bench_pairs.py PARENT_RESULTS CHANGE_RESULTS -o BENCH_<n>.json
+
+Each argument is the ``benchmarks/results`` directory of one checkout, after
+``benchmarks/run.py --workload W --seed S --trace 0`` ran there for the same
+(workload, seed) pairs. A pair is one seed of one workload, run once on each
+side. Per workload and end-to-end metric, the output holds both sides'
+medians and quartiles, the pairs the change won (ties count for neither
+side) and the distance between the parent's quartiles; it also lists the
+seeds, whether each seed's output digest matched, and each side's
+``provenance`` block. Metric names, units and directions come from
+``BENCHMARK.json``.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(results: Path) -> dict:
+    """{(workload, seed): results file} of the untraced runs in ``results``."""
+    runs = {}
+    for path in sorted(results.glob("*-trace0.json")):
+        run = json.loads(path.read_text())
+        runs[run["workload"], run["seed"]] = run
+    return runs
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    out = {}
+    for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
+        seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+        if not seeds:
+            continue
+        pairs = [(parent[workload, s], change[workload, s]) for s in seeds]
+        row = {
+            "seeds": seeds,
+            "seconds": sorted({run["seconds"] for pair in pairs for run in pair}),
+            "digests_equal": [p["digest"] == c["digest"] for p, c in pairs],
+            "metrics": {},
+            "provenance": {"parent": pairs[0][0]["provenance"],
+                           "change": pairs[0][1]["provenance"]},
+        }
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = [(p["result"]["metrics"][name]["value"],
+                       c["result"]["metrics"][name]["value"]) for p, c in pairs]
+            par = quartiles([v for v, _ in values])
+            chg = quartiles([v for _, v in values])
+            row["metrics"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": par,
+                "change": chg,
+                "ratio_of_medians": chg["median"] / par["median"] if par["median"] else None,
+                "pairs_won": sum(sign * (c - p) > 0 for p, c in values),
+                "pairs_lost": sum(sign * (c - p) < 0 for p, c in values),
+                "parent_iqr": par["q3"] - par["q1"],
+                "values": [{"seed": s, "parent": p, "change": c}
+                           for s, (p, c) in zip(seeds, values)],
+            }
+        out[workload] = row
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", type=Path, help="parent checkout's benchmarks/results")
+    ap.add_argument("change", type=Path, help="changed checkout's benchmarks/results")
+    ap.add_argument("--output", "-o", type=Path, required=True)
+    args = ap.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    workloads = summarise(load(args.parent), load(args.change), metrics)
+    if not workloads:
+        print("error: no (workload, seed) pair was run on both sides", file=sys.stderr)
+        return 2
+    args.output.write_text(json.dumps({"workloads": workloads}, indent=1, sort_keys=True)
+                           + "\n")
+    for workload, row in workloads.items():
+        rate = row["metrics"]["replicas_per_s"]
+        print(f"{workload}: replicas_per_s {rate['parent']['median']:.4g} -> "
+              f"{rate['change']['median']:.4g} ({rate['ratio_of_medians']:.3f}x), "
+              f"won {rate['pairs_won']}/{len(row['seeds'])}, "
+              f"digests equal {all(row['digests_equal'])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
