@@ -552,13 +552,18 @@ def _grains_meeting_rect(
     return np.all(gap <= radii[:, None], axis=1)
 
 
-def _cell_centers(rect: BoxWindow, h: float) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(rect.lo)
-    hi = np.asarray(rect.hi)
+def _cell_shape(rect: BoxWindow, h: float) -> tuple[int, int]:
+    """(nx, ny): the raster of cells of side ``h`` over ``rect``."""
+    lo, hi = rect.lo, rect.hi
     nx = max(1, int(round((hi[0] - lo[0]) / h)))
     ny = max(1, int(round((hi[1] - lo[1]) / h)))
-    xs = lo[0] + (np.arange(nx) + 0.5) * h
-    ys = lo[1] + (np.arange(ny) + 0.5) * h
+    return nx, ny
+
+
+def _cell_centers(rect: BoxWindow, h: float) -> tuple[np.ndarray, np.ndarray]:
+    nx, ny = _cell_shape(rect, h)
+    xs = rect.lo[0] + (np.arange(nx) + 0.5) * h
+    ys = rect.lo[1] + (np.arange(ny) + 0.5) * h
     return xs, ys
 
 
@@ -700,8 +705,7 @@ def _confetti_paint(
     padded by ``2k`` cells.  A cell takes the winner's time and color if it
     is earlier than the time already in the table.
     """
-    xs, ys = _cell_centers(rect, h)
-    nx, ny = len(xs), len(ys)
+    nx, ny = _cell_shape(rect, h)
     lo = np.asarray(rect.lo)
     ball_like = np.array([kinds[0] == "ball", kinds[1] == "ball"])
     reach = radii * (1.0 if ball_like.all() else math.sqrt(2.0))
@@ -782,10 +786,9 @@ def confetti_world_from_config(
     grain with the lower index in the record wins.  Grains anywhere in the
     plane are accepted; those that cannot reach the window are dropped.
     """
-    xs, ys = _cell_centers(rect, resolution)
-    ncell = len(xs) * len(ys)
-    best_time = np.full(ncell, np.inf)
-    best_black = np.zeros(ncell, dtype=bool)
+    shape = _cell_shape(rect, resolution)
+    best_time = np.full(shape[0] * shape[1], np.inf)
+    best_black = np.zeros(len(best_time), dtype=bool)
     kinds = (model.black.kind, model.white.kind)
     _confetti_paint(
         best_time,
@@ -803,7 +806,7 @@ def confetti_world_from_config(
         raise RuntimeError(
             f"uncolored cells remain; increase horizon to >= {needed:.3g}"
         )
-    black = best_black.reshape(len(xs), len(ys))
+    black = best_black.reshape(shape)
     return ConfettiWorld(model, rect, resolution, black, config)
 
 
@@ -833,8 +836,8 @@ def sample_confetti_world(
         raise ValueError("confetti grains must be bounded")
     pad = max(bounds)
     padded = rect.pad(pad)
-    xs, ys = _cell_centers(rect, resolution)
-    ncell = len(xs) * len(ys)
+    shape = _cell_shape(rect, resolution)
+    ncell = shape[0] * shape[1]
     best_time = np.full(ncell, np.inf)
     best_black = np.zeros(ncell, dtype=bool)
     kinds = (model.black.kind, model.white.kind)
@@ -873,7 +876,7 @@ def sample_confetti_world(
             np.concatenate([config.points, extra.points]),
             {k: np.concatenate([config.marks[k], extra.marks[k]]) for k in config.marks},
         )
-    black = best_black.reshape(len(xs), len(ys))
+    black = best_black.reshape(shape)
     return ConfettiWorld(model, rect, resolution, black, config)
 
 
@@ -954,8 +957,10 @@ def _labels_cross(labels: np.ndarray, axis: int) -> bool:
     """Whether one component label appears on both faces normal to ``axis``."""
     first = labels.take(0, axis=axis)
     last = labels.take(-1, axis=axis)
-    shared = np.intersect1d(first[first > 0], last[last > 0])
-    return bool(len(shared) > 0)
+    on_first = np.zeros(max(first.max(initial=0), last.max(initial=0)) + 1, dtype=bool)
+    on_first[first] = True
+    on_first[0] = False
+    return bool(on_first[last].any())
 
 
 def crossing(

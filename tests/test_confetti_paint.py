@@ -297,15 +297,19 @@ def test_open_cell_path_on_every_cell_edge():
 
 def test_crossings_and_duality_share_one_black_labelling(monkeypatch):
     """Both crossings and the duality XOR equal their values from freshly
-    labeled rasters, and a crossing-plus-duality replica labels twice: the
-    black raster once and the white raster once."""
+    labeled rasters, whose face labels are compared as sets, and a
+    crossing-plus-duality replica labels twice: the black raster once and
+    the white raster once.  Besides sampled worlds, planted rasters put
+    labels on the last face that exceed every label on the first face, with
+    and without a crossing, and leave a raster all white."""
     from scipy import ndimage
 
     from poissonlab.percolation import (
-        _raster_crossing,
+        ConfettiWorld,
         confetti_duality_check,
         crossing,
     )
+    from poissonlab.process import PointConfig
 
     calls = []
     label = ndimage.label
@@ -314,17 +318,33 @@ def test_crossings_and_duality_share_one_black_labelling(monkeypatch):
         calls.append(1)
         return label(*args, **kwargs)
 
+    def faces_share_label(mask, axis):
+        tri = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        labels, _ = label(mask, structure=tri)
+        first = set(labels.take(0, axis=axis).ravel().tolist()) - {0}
+        return bool(first & set(labels.take(-1, axis=axis).ravel().tolist()))
+
     monkeypatch.setattr(ndimage, "label", counting_label)
     model = ConfettiModel(0.5, GrainSpec("ball", FixedRadius(0.5)),
                           GrainSpec("ball", FixedRadius(0.5)))
     rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
-    for i in range(40):
-        w = sample_confetti_world(model, rect, 0.05, stream(433, i))
+    worlds = [
+        sample_confetti_world(model, rect, 0.05, stream(433, i)) for i in range(40)
+    ]
+    apart = np.zeros((6, 5), dtype=bool)
+    apart[0, 0] = apart[5, 2] = apart[5, 4] = True  # labels 1 | 2, 3
+    joined = apart.copy()
+    joined[:, 4] = True  # labels 1, 2 | 3, 2
+    for black in (apart, joined, np.zeros((6, 5), dtype=bool)):
+        empty = PointConfig(rect, np.empty((0, 2)))
+        worlds.append(ConfettiWorld(model, rect, 0.05, black, empty))
+    for w in worlds:
         calls.clear()
         hit = crossing(w)
         xor = confetti_duality_check(w)
         assert len(calls) == 2
-        assert crossing(w, axis=1) == _raster_crossing(w.black, 1, "tri")
-        assert hit == _raster_crossing(w.black, 0, "tri")
-        assert xor == (hit != _raster_crossing(~w.black, 1, "tri"))
+        assert crossing(w, axis=1) == faces_share_label(w.black, 1)
+        assert hit == faces_share_label(w.black, 0)
+        assert xor == (hit != faces_share_label(~w.black, 1))
         assert xor
+    assert [crossing(w) for w in worlds[-3:]] == [False, True, False]

@@ -1,17 +1,22 @@
-"""Differential tests of the exploration oracle and CTDT against the dense
-probes x grains distance formulas they replace.
+"""Differential tests of the exploration oracle and CTDT, and of the grain
+index behind them, against the dense probes x grains distance formulas they
+replace.
 
-The library answers membership from a kd-tree over the revealed grains;
-the references here rebuild the world on every call and take the minimum of
-the full distance matrix, as the oracle once did. Agreement must
-be exact, including on probes planted at exactly ``dilation + r`` from a
-centre and on the edge of the seed band.
+The library answers membership through ``_GrainIndex.near``: one broadcast
+test of every pair for small probe sets, and a sweep over probes sorted by
+(x-strip, y) for large ones. The references here rebuild the world on every
+call and take the minimum of the full distance matrix, as the oracle once
+did. Agreement must be exact, including on probes planted at exactly
+``dilation + r`` from a centre and on the edge of the seed band. The oracle
+cases use 8 x 8 windows and so reach only the dense test; the grain-index
+case below also covers the sweep, on strip edges, on windows of span 1e4 and
+with a wide spread of radii.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from poissonlab.percolation import (
@@ -23,10 +28,12 @@ from poissonlab.percolation import (
 )
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.stopping import (
+    _DENSE_MAX,
     ExplorationCTDT,
     LineSeed,
     SphereSeed,
     _explore_levels,
+    _GrainIndex,
     component_exploration,
 )
 
@@ -172,3 +179,115 @@ def test_ctdt_membership_matches_dense_formula(data):
     for t in ts:
         got = ctdt.membership_at(t, xs, cfg)
         assert np.array_equal(got, dense_membership_at(ctdt, t, xs, cfg))
+
+
+def dense_near(xs, centers, radii, thr):
+    """Rows x of ``xs`` with |x - c| - r <= thr for some grain, every pair
+    tested by ``np.linalg.norm``."""
+    if len(xs) == 0 or len(radii) == 0:
+        return np.zeros(len(xs), dtype=bool)
+    d = np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
+    return (d - radii[None, :] <= thr).any(axis=1)
+
+
+@st.composite
+def grain_index_cases(draw):
+    """(xs, centers, radii, thr): up to 200 grains in a square of side 8 or
+    1e4 with dyadic or arbitrary coordinates, and up to about 1,700 probes
+    (grid or uniform) plus probes planted at exactly ``thr + r`` from a
+    centre, on the edges of the sweep's x-strips, duplicated and far outside."""
+    span = draw(st.sampled_from([8.0, 1e4]))
+    corner = draw(st.sampled_from([0.0, -0.5 * span, 0.3 * span]))
+    dyadic_coords = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def place(shape):
+        pts = corner + rng.uniform(0.0, span, shape)
+        return np.round(pts * 16.0) / 16.0 if dyadic_coords else pts
+
+    # about half the cases have more pairs than the dense test takes
+    sweep = draw(st.booleans())
+    n = draw(st.integers(30, 200) if sweep else st.sampled_from([0, 1, 2, 12]))
+    centers = place((n, 2))
+    law = draw(st.sampled_from(["fixed", "uniform", "spread"]))
+    if law == "fixed":
+        radii = np.full(n, draw(st.sampled_from([0.0625, 0.25, 1.0, 1.25])))
+    elif law == "uniform":
+        radii = rng.uniform(0.25, 1.0, n)
+        if dyadic_coords:
+            radii = np.round(radii * 16.0) / 16.0
+    else:  # r_max far above the typical radius
+        radii = np.full(n, 0.0625)
+        radii[: draw(st.integers(0, 2))] = draw(st.sampled_from([4.0, 16.0]))
+    # arbitrary reaches thr + r, so that the sort key's rounding can cut a
+    # window short of an exact hit at thr + r
+    if dyadic_coords:
+        thr = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    else:
+        thr = rng.uniform(0.0, 2.0)
+
+    m = 1600 if sweep else draw(st.sampled_from([0, 1, 40, 400]))
+    if draw(st.booleans()):
+        side = max(1, int(round(math.sqrt(m))))
+        step = span / side
+        g = corner + (np.arange(side) + 0.5) * step
+        xs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    else:
+        xs = place((m, 2))
+    extra = []
+    for i in rng.integers(0, n, draw(st.integers(0, 2 * n))) if n else []:
+        x = centers[i].copy()
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        x[draw(st.integers(0, 1))] += sign * (thr + radii[i])
+        extra.append(x)
+    if len(xs) and draw(st.booleans()):
+        extra.extend(xs[rng.integers(0, len(xs), 10)])  # duplicates
+    if draw(st.booleans()):
+        extra.extend([(corner - 10.0 * span, corner),
+                      (corner + 3.0 * span, corner + 3.0 * span)])
+    if extra:
+        xs = np.vstack([xs, np.array(extra, dtype=float)])
+    if len(xs) and n and draw(st.booleans()):
+        # probes on and next to the x-strip edges: those of the sweep's
+        # width and those of the bare reach thr + r_max
+        reach = thr + radii.max()
+        scale = np.abs(xs).max() + thr + radii.max()
+        x0 = xs[:, 0].min()
+        edges = []
+        for width in (reach * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * scale, reach):
+            for k in range(min(12, int(span / max(width, 1e-3)))):
+                edge = x0 + k * width
+                edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        ys = xs[rng.integers(0, len(xs), len(edges)), 1]
+        xs = np.vstack([xs, np.column_stack([edges, ys])])
+    return xs, centers, radii, thr
+
+
+@settings(max_examples=300, deadline=None)
+@given(grain_index_cases())
+def test_grain_index_near_matches_dense_norm(case):
+    xs, centers, radii, thr = case
+    event("sweep" if len(xs) * len(radii) > _DENSE_MAX else "dense")
+    got = _GrainIndex(centers, radii).near(xs, thr)
+    assert got.shape == (len(xs),) and got.dtype == bool
+    assert np.array_equal(got, dense_near(xs, centers, radii, thr))
+
+
+def test_grain_index_near_on_a_wide_window():
+    """A 1e4 window of unit-scale grains puts the sweep's sort keys near 1e8,
+    where one rounding (about 1.5e-8) is far above a relative 1e-9 of the
+    reach; probes planted at thr + r from every centre, along both axes,
+    must still be found."""
+    rng = np.random.default_rng(41)
+    for thr in rng.uniform(0.0, 2.0, 12):
+        centers = rng.uniform(0.0, 1e4, (200, 2))
+        radii = np.full(200, 0.25)
+        planted = []
+        for axis in (0, 1):
+            for sign in (-1.0, 1.0):
+                x = centers.copy()
+                x[:, axis] += sign * (thr + radii)
+                planted.append(x)
+        xs = np.vstack([rng.uniform(0.0, 1e4, (1600, 2)), *planted])
+        got = _GrainIndex(centers, radii).near(xs, thr)
+        assert np.array_equal(got, dense_near(xs, centers, radii, thr)), thr
