@@ -50,6 +50,8 @@ from .process import (
     DiscreteWindow,
     HomogeneousIntensity,
     ProcessSpec,
+    _bernoulli_se,
+    _cov_se,
 )
 from .rng import stream
 from .stopping import (
@@ -358,7 +360,7 @@ def criterion_7_confetti_duality(samples: int = 10_000) -> CriterionResult:
         hits += crossing(world)
         xor_ok &= confetti_duality_check(world)
     p_hat = hits / samples
-    se = math.sqrt(p_hat * (1 - p_hat) / samples)
+    se = _bernoulli_se(p_hat, samples)
     checks = {
         "crossing_prob_half": abs(p_hat - 0.5) <= 3.0 * se,
         "duality_xor_all": bool(xor_ok),
@@ -498,9 +500,7 @@ def criterion_10_noise_sensitivity(
                 eta = process.sample(rng)
                 base[i] = f(eta)
                 shifted[i] = f(dynamics.resample(eta, t, process, rng))
-            prods = (base - base.mean()) * (shifted - shifted.mean())
-            cov = float(prods.sum() / (samples - 1))
-            cov_se = float(prods.std(ddof=1) / math.sqrt(samples))
+            cov, cov_se = _cov_se(base, shifted)
             delta, delta_se = deltas[n]
             c_bound = 1.0  # valid sup of E[f_n^2] for indicator functionals
             bound = dynamics.mehler_noise_bound(c_bound, delta, t)
@@ -540,7 +540,7 @@ def criterion_11_truncation_bound(samples: int = 4_000) -> CriterionResult:
         f_trunc = crossing(BooleanWorld(trunc, model, rect))
         flips += f_full != f_trunc
     p_hat = flips / samples
-    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
+    se = _bernoulli_se(p_hat, samples)
     passed = p_hat <= bound + 3.0 * se
     return CriterionResult(
         "11 truncation bound",

@@ -16,7 +16,6 @@ errors and report a verdict at the 3-sigma margin.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -26,22 +25,25 @@ from scipy.optimize import nnls
 from scipy.stats import poisson as poisson_dist
 
 from .dynamics import resample
-from .process import DiscreteWindow, PointConfig, ProcessSpec, _mean_se
-from .stopping import RandomizedStoppingSet, StoppingSetOracle, restrict_to
+from .process import (
+    DiscreteWindow,
+    PointConfig,
+    ProcessSpec,
+    _bernoulli_se,
+    _cov_se,
+    _mean_se,
+    _var_se,
+)
+from .stopping import StoppingSetOracle, restrict_to
 
 __all__ = [
-    "Functional",
     "ChaosSpectrum",
     "DiscreteOracleSpace",
-    "add_one_cost",
-    "iterated_difference",
-    "kernel_mc",
     "chaos_weights_exact",
     "chaos_weights_mehler",
     "AuditReport",
     "poincare_audit",
     "osss_audit",
-    "osss_cov_audit",
     "schramm_steif_audit",
     "cond_moment_audit",
     "sqrt_osss_audit",
@@ -51,29 +53,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Functionals and difference operators
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Named functional with an optional a-priori range bound."""
-
-    name: str
-    fn: Callable[[PointConfig], float]
-    range_bound: Optional[float] = None
-
-    def __call__(self, config: PointConfig) -> float:
-        return self.fn(config)
-
-
-def add_one_cost(
-    f: Callable[[PointConfig], float],
-    config: PointConfig,
-    x,
-    marks: Optional[dict] = None,
-) -> float:
-    """D_x f = f(mu + delta_x) - f(mu)."""
-    return f(config.add_points(_as_points(config, x), marks)) - f(config)
+# Shared helpers
 
 
 def _as_points(config: PointConfig, x) -> np.ndarray:
@@ -82,66 +62,10 @@ def _as_points(config: PointConfig, x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def iterated_difference(
-    f: Callable[[PointConfig], float],
-    config: PointConfig,
-    points,
-    marks: Optional[dict] = None,
-) -> float:
-    """k-fold difference via inclusion-exclusion over the 2^k subsets."""
-    pts = _as_points(config, points)
-    k = len(pts)
-    if k < 1:
-        raise ValueError("need at least one point")
-    if k > 20:
-        raise ValueError("k > 20 rejected (2^k evaluations)")
-    total = 0.0
-    for bits in range(1 << k):
-        idx = [j for j in range(k) if bits >> j & 1]
-        sub_marks = (
-            {key: np.asarray(col)[idx] for key, col in marks.items()}
-            if marks
-            else None
-        )
-        val = f(config.add_points(pts[idx], sub_marks)) if idx else f(config)
-        total += (-1) ** (k - len(idx)) * val
-    return total
-
-
-def kernel_mc(
-    f: Callable[[PointConfig], float],
-    process: ProcessSpec,
-    points,
-    samples: int,
-    rng: np.random.Generator,
-    marks: Optional[dict] = None,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the chaos kernel u_k(points) = E[D^k f]/k!."""
-    pts = _as_points(PointConfig.empty(process.window), points)
-    k = len(pts)
-    vals = np.empty(samples)
-    for i in range(samples):
-        eta = process.sample(rng)
-        vals[i] = iterated_difference(f, eta, pts, marks) / math.factorial(k)
-    return _mean_se(vals)
-
-
-def _var_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample variance with a delta-method standard error."""
-    vals = np.asarray(vals, dtype=float)
-    n = len(vals)
-    c = vals - vals.mean()
-    m2 = float(np.mean(c**2))
-    m4 = float(np.mean(c**4))
-    var = m2 * n / (n - 1)
-    se = math.sqrt(max(m4 - m2**2, 0.0) / n)
-    return var, se
-
-
 def binary_l1_distance(p_hat: float, n: int) -> tuple[float, float]:
     """E|f - f'| = 2 p (1-p) for {0,1}-valued f, from the estimated p."""
-    se_p = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n)
-    return 2.0 * p_hat * (1.0 - p_hat), abs(2.0 - 4.0 * p_hat) * se_p
+    se = abs(2.0 - 4.0 * p_hat) * _bernoulli_se(p_hat, n)
+    return 2.0 * p_hat * (1.0 - p_hat), se
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +287,7 @@ def chaos_weights_mehler(
 
     all_idx = np.arange(samples)
     w_hat, cov_hat = fit(all_idx)
-    cov_se = np.array(
-        [
-            np.std((vals[j] - vals[j].mean()) * (base - base.mean()), ddof=1)
-            / math.sqrt(samples)
-            for j in range(len(times))
-        ]
-    )
+    cov_se = np.array([_cov_se(vals[j], base)[1] for j in range(len(times))])
     boots = np.empty((bootstrap, k_max))
     for b in range(bootstrap):
         idx = rng.integers(0, samples, size=samples)
@@ -424,9 +342,6 @@ class AuditReport:
                 for k, v in self.extras.items()
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _lambda_draw(process: ProcessSpec, rng) -> tuple[np.ndarray, Optional[dict]]:
@@ -523,57 +438,6 @@ def osss_audit(
         samples,
         passed=bool(lhs <= rhs + 3.0 * (lhs_se + rhs_se)),
         extras={"pair_lhs": _mean_se(pair_vals)[0], "binary_mode": binary},
-    )
-
-
-def osss_cov_audit(
-    f: Callable[[PointConfig], float],
-    g: Callable[[PointConfig], float],
-    oracle,
-    process: ProcessSpec,
-    samples: int,
-    rng: np.random.Generator,
-) -> AuditReport:
-    """|Cov(f, g)| <= 2 integral P(x in Z) E|D_x g| lambda(dx), |f| <= 1.
-
-    ``oracle`` may be a plain or randomized stopping set (the randomization
-    is redrawn each sample).
-    """
-    mass = process.mass
-    randomized = isinstance(oracle, RandomizedStoppingSet)
-    f_vals = np.empty(samples)
-    g_vals = np.empty(samples)
-    rhs_vals = np.empty(samples)
-    for i in range(samples):
-        eta1 = process.sample(rng)
-        fv = f(eta1)
-        if abs(fv) > 1.0 + 1e-12:
-            raise ValueError("f must map into [-1, 1]")
-        f_vals[i] = fv
-        g_vals[i] = g(eta1)
-        x, marks = _lambda_draw(process, rng)
-        if randomized:
-            y = oracle.draw(rng)
-            member = bool(oracle.contains(_as_points(eta1, x), eta1, y)[0])
-        else:
-            member = bool(oracle.contains(_as_points(eta1, x), eta1)[0])
-        if member:
-            eta2 = process.sample(rng)
-            rhs_vals[i] = 2.0 * mass * abs(g(eta2.add_points(x, marks)) - g(eta2))
-        else:
-            rhs_vals[i] = 0.0
-    prods = (f_vals - f_vals.mean()) * (g_vals - g_vals.mean())
-    cov = float(prods.sum() / (samples - 1))
-    cov_se = float(prods.std(ddof=1) / math.sqrt(samples))
-    rhs, rhs_se = _mean_se(rhs_vals)
-    return AuditReport(
-        "osss_cov",
-        abs(cov),
-        cov_se,
-        rhs,
-        rhs_se,
-        samples,
-        passed=bool(abs(cov) <= rhs + 3.0 * (cov_se + rhs_se)),
     )
 
 

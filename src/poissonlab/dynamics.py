@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
-from .process import PointConfig, ProcessSpec, _mean_se, superpose, thin
+from .process import PointConfig, ProcessSpec, _cov_se, superpose, thin
 
 __all__ = [
     "resample",
@@ -25,10 +24,7 @@ __all__ = [
     "simulate_path",
     "CovCurve",
     "covariance_curve",
-    "noise_sensitivity_report",
-    "noise_stability_bound",
     "exceptional_times",
-    "critical_window_probe",
     "mehler_noise_bound",
 ]
 
@@ -181,16 +177,6 @@ def simulate_path(
 # Covariance curves
 
 
-def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    prods = (a - a.mean()) * (b - b.mean())
-    n = len(a)
-    cov = float(prods.sum() / (n - 1))
-    se = float(prods.std(ddof=1) / math.sqrt(n))
-    return cov, se
-
-
 @dataclass
 class CovCurve:
     times: np.ndarray
@@ -246,95 +232,6 @@ def mehler_noise_bound(c_bound: float, delta: float, t: float) -> float:
     return c_bound * delta * q / (1.0 - q) ** 2
 
 
-def noise_sensitivity_report(
-    entries: Sequence[dict],
-    t: float,
-    samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
-) -> dict:
-    """Covariance decay table over a functional family.
-
-    Each entry: {"n", "process", "f"} plus optionally {"delta",
-    "delta_se"} (a revealment estimate) to activate the Mehler-based
-    noise bound at fixed t.  Returns rows plus a Kendall tau trend over n.
-    """
-    rows = []
-    for idx, entry in enumerate(entries):
-        rng = rng_factory(idx)
-        process = entry["process"]
-        f = entry["f"]
-        base = np.empty(samples)
-        vals_t = np.empty(samples)
-        for i in range(samples):
-            eta = process.sample(rng)
-            base[i] = f(eta)
-            vals_t[i] = f(resample(eta, t, process, rng))
-        cov, cov_se = _cov_se(base, vals_t)
-        ef2, ef2_se = _mean_se(base**2)
-        row = {
-            "n": entry["n"],
-            "cov": cov,
-            "cov_se": cov_se,
-            "ef2": ef2,
-            "ef2_se": ef2_se,
-        }
-        if "delta" in entry:
-            bound = mehler_noise_bound(ef2 + 3 * ef2_se, entry["delta"], t)
-            bound_slack = mehler_noise_bound(1.0, entry.get("delta_se", 0.0), t)
-            row["bound"] = bound
-            row["bound_ok"] = cov <= bound + 3.0 * (cov_se + bound_slack)
-        rows.append(row)
-    ns = [r["n"] for r in rows]
-    covs = [r["cov"] for r in rows]
-    tau = stats.kendalltau(ns, covs).statistic if len(rows) > 1 else float("nan")
-    return {"t": t, "rows": rows, "kendall_tau": float(tau)}
-
-
-def noise_stability_bound(
-    f: Callable[[PointConfig], float],
-    t: float,
-    process: ProcessSpec,
-    samples: int,
-    rng: np.random.Generator,
-) -> dict:
-    """For plus-minus-one valued f: E[f f^t] >= exp(-t * sum E|D_x f|^2).
-
-    Returns the paired estimate, the bound, and P(f != f^t).
-    """
-    mass = process.mass
-    prod_vals = np.empty(samples)
-    d2_vals = np.empty(samples)
-    for i in range(samples):
-        eta = process.sample(rng)
-        v = f(eta)
-        if v not in (-1.0, 1.0):
-            raise ValueError("functional must take values in {-1, +1}")
-        prod_vals[i] = v * f(resample(eta, t, process, rng))
-        x = process.sample_locations(rng, 1)
-        marks = (
-            process.intensity.marks.sample(rng, 1)
-            if process.intensity.marks is not None
-            else None
-        )
-        eta2 = process.sample(rng)
-        d2_vals[i] = mass * (f(eta2.add_points(x, marks)) - f(eta2)) ** 2
-    corr, corr_se = _mean_se(prod_vals)
-    energy, energy_se = _mean_se(d2_vals)
-    bound = math.exp(-t * energy)
-    bound_hi = math.exp(-t * max(0.0, energy - 3 * energy_se))
-    return {
-        "t": t,
-        "corr": corr,
-        "corr_se": corr_se,
-        "p_flip": 0.5 * (1.0 - corr),
-        "p_flip_se": 0.5 * corr_se,
-        "energy": energy,
-        "energy_se": energy_se,
-        "bound": bound,
-        "passed": corr >= bound - 3.0 * (corr_se + (bound_hi - bound)),
-    }
-
-
 def exceptional_times(
     path: BirthDeathPath, f: Callable[[PointConfig], float]
 ) -> list[float]:
@@ -347,42 +244,3 @@ def exceptional_times(
             out.append(time)
         prev = val
     return out
-
-
-def critical_window_probe(
-    entries: Sequence[dict],
-    samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
-    monotone_checks: int = 25,
-) -> list[dict]:
-    """Means of increasing Boolean functionals at shifted intensities.
-
-    Each entry: {"n", "process", "f", "c"}; the probe evaluates E[f] under
-    the (1+c)- and (1-c)-scaled intensities.  Monotonicity of f is spot
-    checked on sampled add-one pairs.
-    """
-    rows = []
-    for idx, entry in enumerate(entries):
-        rng = rng_factory(idx)
-        process: ProcessSpec = entry["process"]
-        f = entry["f"]
-        c = float(entry["c"])
-        for _ in range(monotone_checks):
-            eta = process.sample(rng)
-            x = process.sample_locations(rng, 1)
-            marks = (
-                process.intensity.marks.sample(rng, 1)
-                if process.intensity.marks is not None
-                else None
-            )
-            if f(eta.add_points(x, marks)) < f(eta):
-                raise ValueError("functional is not increasing")
-        row = {"n": entry["n"], "c": c}
-        for label, factor in (("low", 1.0 - c), ("high", 1.0 + c)):
-            scaled = process.scaled(factor)
-            vals = np.empty(samples)
-            for i in range(samples):
-                vals[i] = f(scaled.sample(rng))
-            row[label], row[f"{label}_se"] = _mean_se(vals)
-        rows.append(row)
-    return rows

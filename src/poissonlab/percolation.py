@@ -52,6 +52,7 @@ from .process import (
     PointConfig,
     RadiusLaw,
     UniformRadius,
+    _bernoulli_se,
 )
 
 __all__ = [
@@ -60,19 +61,15 @@ __all__ = [
     "ConfettiModel",
     "BooleanWorld",
     "ConfettiWorld",
-    "EventQuery",
     "ThresholdScan",
     "sample_boolean_config",
-    "build_world",
     "sample_boolean_world",
     "sample_confetti_world",
     "confetti_world_from_config",
     "required_confetti_horizon",
-    "is_k_covered",
     "crossing",
     "one_arm_event",
     "arm_event",
-    "evaluate_event",
     "one_arm",
     "arm_probability",
     "crossing_probability",
@@ -81,8 +78,6 @@ __all__ = [
     "estimate_critical",
     "confetti_duality_check",
     "truncate_radii",
-    "component_volume_proxy",
-    "raster_to_text",
 ]
 
 
@@ -170,10 +165,6 @@ class ConfettiModel:
 
 # ---------------------------------------------------------------------------
 # Sampling Boolean configurations (with exact handling of unbounded tails)
-
-
-def _rounded_rect_area(a: float, b: float, r: float) -> float:
-    return a * b + 2.0 * r * (a + b) + math.pi * r * r
 
 
 def _sample_rounded_rect(
@@ -883,42 +874,7 @@ def sample_confetti_world(
 # ---------------------------------------------------------------------------
 # Events and queries
 
-
-@dataclass(frozen=True)
-class EventQuery:
-    """Finite-window percolation event.
-
-    kinds: "cross" (left-right crossing of the rect), "arm" (l_inf annulus
-    crossing, needs r < s), "one_arm" (origin to the Euclidean sphere of
-    radius s), "origin_to_infinity_proxy" (alias for one_arm at the largest
-    s fitting the window; 0 <-> infinity itself is never evaluated).
-    """
-
-    kind: str
-    r: float = 0.0
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("cross", "arm", "one_arm", "origin_to_infinity_proxy"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == "arm" and not self.r < self.s:
-            raise ValueError("arm event needs r < s")
-
-
 PercWorld = BooleanWorld | ConfettiWorld
-
-
-def build_world(
-    config: PointConfig,
-    model: BooleanModel | ConfettiModel,
-    rect: BoxWindow,
-    resolution: Optional[float] = None,
-) -> PercWorld:
-    if isinstance(model, ConfettiModel):
-        if resolution is None:
-            raise ValueError("confetti worlds need a raster resolution")
-        return confetti_world_from_config(config, model, rect, resolution)
-    return BooleanWorld(config, model, rect)
 
 
 def sample_boolean_world(
@@ -928,10 +884,6 @@ def sample_boolean_world(
     r_split: Optional[float] = None,
 ) -> BooleanWorld:
     return BooleanWorld(sample_boolean_config(model, rect, rng, r_split), model, rect)
-
-
-def is_k_covered(world: BooleanWorld, x: np.ndarray) -> bool:
-    return world.cover_count(x) >= world.model.k
 
 
 _ADJACENCY = {
@@ -1046,29 +998,8 @@ def arm_event(world: BooleanWorld, r: float, s: float) -> bool:
     return bool(len(np.intersect1d(la, lb)) > 0)
 
 
-def evaluate_event(world: PercWorld, query: EventQuery) -> bool:
-    """Dispatch a finite-window event query on a built world."""
-    if query.kind == "cross":
-        return crossing(world)
-    if isinstance(world, ConfettiWorld):
-        raise NotImplementedError("arm queries on confetti use crossing proxies")
-    if query.kind == "arm":
-        return arm_event(world, query.r, query.s)
-    if query.kind == "one_arm":
-        return one_arm_event(world, query.s)
-    # origin_to_infinity_proxy: one-arm at the largest radius fitting the rect
-    lo = np.asarray(world.rect.lo)
-    hi = np.asarray(world.rect.hi)
-    s = float(min(np.min(-lo), np.min(hi)))
-    return one_arm_event(world, s)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
-
-
-def _bernoulli_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
 
 
 def one_arm(
@@ -1276,33 +1207,3 @@ def confetti_duality_check(world: ConfettiWorld) -> bool:
     black_lr = _labels_cross(world.labels, axis=0)
     white_td = _raster_crossing(~world.black, axis=1, adjacency="tri")
     return black_lr != white_td
-
-
-def component_volume_proxy(
-    world: PercWorld, origin: np.ndarray, resolution: Optional[float] = None
-) -> float:
-    """Raster area of the origin's occupied component, window-clipped."""
-    origin = np.asarray(origin, dtype=float)
-    if isinstance(world, ConfettiWorld):
-        mask = world.black
-        h = world.resolution
-        rect = world.rect
-    else:
-        h = resolution or _default_resolution(world.model)
-        mask = world.occupancy_raster(h)
-        rect = world.rect
-    xs, ys = _cell_centers(rect, h)
-    i0 = int(np.argmin(np.abs(xs - origin[0])))
-    j0 = int(np.argmin(np.abs(ys - origin[1])))
-    if not mask[i0, j0]:
-        return 0.0
-    labels, _ = _raster_label(mask, "eight")
-    return float(np.count_nonzero(labels == labels[i0, j0])) * h * h
-
-
-def raster_to_text(mask: np.ndarray) -> str:
-    """Plain text matrix dump (rows = y from top, '#' occupied)."""
-    rows = []
-    for j in range(mask.shape[1] - 1, -1, -1):
-        rows.append("".join("#" if mask[i, j] else "." for i in range(mask.shape[0])))
-    return "\n".join(rows) + "\n"

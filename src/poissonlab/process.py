@@ -9,6 +9,7 @@ all sampling routines are pure functions of ``(inputs, rng)``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -337,7 +338,8 @@ class PointConfig:
     def add_points(
         self, pts: np.ndarray, marks: Optional[dict[str, np.ndarray]] = None
     ) -> "PointConfig":
-        """New config with extra points appended (used by add-one costs)."""
+        """New config with extra points appended: eta + delta_x in the Mecke
+        check and the chaos audits."""
         pts = np.atleast_2d(pts) if not self.is_discrete else np.atleast_1d(pts)
         marks = marks or {}
         if set(marks) != set(self.marks) and self.size > 0:
@@ -357,11 +359,6 @@ class PointConfig:
         else:
             pts = np.empty((0, window.dim))
         return PointConfig(window, pts, {k: np.empty(0) for k in mark_names})
-
-    @staticmethod
-    def from_counts(window: DiscreteWindow, counts: np.ndarray) -> "PointConfig":
-        counts = np.asarray(counts, dtype=np.int64)
-        return PointConfig(window, np.repeat(np.arange(len(counts)), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +476,35 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean()) if n else float("nan")
     se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
     return mean, se
+
+
+def _var_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample variance with a delta-method standard error."""
+    vals = np.asarray(vals, dtype=float)
+    n = len(vals)
+    c = vals - vals.mean()
+    m2 = float(np.mean(c**2))
+    m4 = float(np.mean(c**4))
+    var = m2 * n / (n - 1)
+    se = math.sqrt(max(m4 - m2**2, 0.0) / n)
+    return var, se
+
+
+def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Paired sample covariance and the standard error of its mean product."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    prods = (a - a.mean()) * (b - b.mean())
+    n = len(a)
+    cov = float(prods.sum() / (n - 1))
+    se = float(prods.std(ddof=1) / math.sqrt(n))
+    return cov, se
+
+
+def _bernoulli_se(p_hat: float, n: int) -> float:
+    """Standard error of a frequency from n trials; p(1-p) is floored at
+    1e-12 so that p_hat in {0, 1} keeps a positive error."""
+    return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
 
 
 def mecke_check(

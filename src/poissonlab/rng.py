@@ -30,7 +30,3 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         key = (key * _MIX + int(idx) + 1) & _MASK
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def substreams(seed: int, n: int, *prefix: int) -> list[np.random.Generator]:
-    """Streams for replicas ``0..n-1`` under a common path prefix."""
-    return [stream(seed, *prefix, i) for i in range(n)]

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import stats
-from scipy.sparse.csgraph import dijkstra
 
 from .percolation import BooleanModel, BooleanWorld
 from .process import (
@@ -26,6 +25,7 @@ from .process import (
     DiscreteWindow,
     PointConfig,
     ProcessSpec,
+    _mean_se,
     superpose,
 )
 
@@ -35,7 +35,6 @@ __all__ = [
     "BallGrowthCTDT",
     "ball_growth_ctdt",
     "ExplorationOracle",
-    "ExplorationCTDT",
     "component_exploration",
     "LineSeed",
     "SphereSeed",
@@ -45,7 +44,6 @@ __all__ = [
     "nonattainable_fixture",
     "BrokenNearestPointOracle",
     "entry_time",
-    "entry_time_table",
     "verify_stopping_axiom",
     "AxiomReport",
     "revealment",
@@ -69,10 +67,6 @@ class StoppingSetOracle:
 
     def contains(self, xs: np.ndarray, config: PointConfig) -> np.ndarray:
         raise NotImplementedError
-
-    def lam_fraction(self, config: PointConfig, grid: np.ndarray) -> float:
-        """Fraction of probe-grid points inside Z(config) (raster quadrature)."""
-        return float(np.mean(self.contains(grid, config)))
 
 
 def restrict_to(oracle: StoppingSetOracle, config: PointConfig) -> PointConfig:
@@ -200,23 +194,6 @@ class SphereSeed:
 Seed = LineSeed | SphereSeed
 
 
-def _explore_levels(world: BooleanWorld, seed: Seed) -> list[np.ndarray]:
-    """Grain index sets S_0 c S_1 c ... grown round by round from the seed.
-
-    S_m holds the grains within m hops of a grain meeting the seed in the
-    intersection graph (multi-source breadth-first depths); the last level
-    is the union of the components meeting the seed.
-    """
-    seed_grains = seed.touching(world)
-    if len(seed_grains) == 0:
-        return []
-    depth = dijkstra(
-        world.adjacency, indices=seed_grains, unweighted=True, min_only=True
-    )
-    rounds = int(depth[np.isfinite(depth)].max()) + 1
-    return [np.flatnonzero(depth <= m) for m in range(rounds)]
-
-
 # Products len(probes) * len(grains) up to this size take the dense test,
 # larger ones the strip sweep.  Measured crossover (unit disks, probe grids
 # and uniform probes, 2-core x86 VM, numpy 2.4): at about 8,000 pairs the
@@ -298,13 +275,6 @@ class _GrainIndex:
         return out
 
 
-_NO_GRAINS = _GrainIndex(np.empty((0, 1)), np.empty(0))
-
-
-def _index(world: BooleanWorld, grains: np.ndarray) -> _GrainIndex:
-    return _GrainIndex(world.points[grains], world.radii[grains])
-
-
 class ExplorationOracle(StoppingSetOracle):
     """(S u seed) dilated by ``dilation``, with S the union of occupied
     components meeting the seed.
@@ -338,7 +308,8 @@ class ExplorationOracle(StoppingSetOracle):
         if self._cache is None or self._cache[0] is not config:
             world = BooleanWorld(config, self.model, self.rect)
             comp = world.component_mask(self.seed.touching(world))
-            self._cache = (config, _index(world, comp))
+            grains = _GrainIndex(world.points[comp], world.radii[comp])
+            self._cache = (config, grains)
         return self._cache[1]
 
     def contains(self, xs, config):
@@ -346,42 +317,6 @@ class ExplorationOracle(StoppingSetOracle):
         out = self.seed.distance(xs) <= self.dilation
         out |= self._revealed(config).near(xs, self.dilation)
         return out
-
-
-class ExplorationCTDT:
-    """Round-interpolated exploration: during round m the revealed set grows
-    from (S_{m-1} u seed) + 2r to (S_m u seed) + 2r(t - m), cumulatively."""
-
-    def __init__(self, model: BooleanModel, rect: BoxWindow, seed: Seed):
-        r = model.grain.max_radius
-        if r is None:
-            raise ValueError("exploration CTDT needs bounded grains")
-        self.model = model
-        self.rect = rect
-        self.seed = seed
-        self.step = 2.0 * r
-        self.support_hint = rect.pad(self.step)
-
-    def membership_at(self, t: float, xs: np.ndarray, config: PointConfig):
-        xs = np.atleast_2d(xs)
-        world = BooleanWorld(config, self.model, self.rect)
-        levels = _explore_levels(world, self.seed)
-        seed_d = self.seed.distance(xs)
-
-        def near(m: int, thr: float) -> np.ndarray:
-            grains = _index(world, levels[m]) if levels else _NO_GRAINS
-            return (seed_d <= thr) | grains.near(xs, thr)
-
-        m = int(math.floor(t))
-        if m >= len(levels):
-            return near(-1, self.step)
-        out = near(m, self.step * (t - m))
-        if m >= 1:
-            out |= near(m - 1, self.step)
-        return out
-
-    def terminal(self) -> ExplorationOracle:
-        return ExplorationOracle(self.model, self.rect, self.seed, self.step)
 
 
 def component_exploration(
@@ -515,24 +450,6 @@ def entry_time(
         else:
             lo = mid
     return hi
-
-
-def entry_time_table(
-    ctdt,
-    probes: np.ndarray,
-    config: PointConfig,
-    resolution: Optional[float] = None,
-    t_max: float = 1.0,
-) -> np.ndarray:
-    """Entry times at each probe location (math.inf where never entered).
-
-    Consistency contract: membership_at(t, x, mu) iff the tabulated time is
-    <= t, up to the bisection resolution.
-    """
-    probes = np.atleast_2d(probes)
-    return np.array(
-        [entry_time(ctdt, x, config, resolution, t_max) for x in probes]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +634,8 @@ def expected_revealed_points(
             lam_vals[i] = float(
                 np.count_nonzero(oracle.contains(quad_grid, eta)) * cell_mass
             )
-    e_eta, se_eta = float(eta_counts.mean()), float(
-        eta_counts.std(ddof=1) / math.sqrt(samples)
-    )
-    e_lam, se_lam = float(lam_vals.mean()), float(
-        lam_vals.std(ddof=1) / math.sqrt(samples)
-    )
+    e_eta, se_eta = _mean_se(eta_counts)
+    e_lam, se_lam = _mean_se(lam_vals)
     return {
         "e_eta": e_eta,
         "e_eta_se": se_eta,

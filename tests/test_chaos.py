@@ -7,15 +7,11 @@ import pytest
 from poissonlab.chaos import (
     DiscreteOracleSpace,
     _resampled_cov,
-    add_one_cost,
     binary_l1_distance,
     chaos_weights_exact,
     chaos_weights_mehler,
     cond_moment_audit,
-    iterated_difference,
-    kernel_mc,
     osss_audit,
-    osss_cov_audit,
     pathwise_multiple_integral,
     poincare_audit,
     schramm_steif_audit,
@@ -26,12 +22,10 @@ from poissonlab.process import (
     CellIntensity,
     DiscreteWindow,
     HomogeneousIntensity,
-    PointConfig,
     ProcessSpec,
 )
 from poissonlab.rng import stream
 from poissonlab.stopping import (
-    ConstantRegionSet,
     ball_growth_ctdt,
     nonattainable_fixture,
     probe_grid,
@@ -49,71 +43,6 @@ def disk_region(p):
 
 def empty_indicator(cfg):
     return 1.0 if cfg.count_in(disk_region) == 0 else 0.0
-
-
-# -- difference operators --------------------------------------------------------
-
-
-def test_add_one_cost_basics():
-    cfg = SPEC.sample(stream(201))
-    assert add_one_cost(lambda c: float(c.size), cfg, [0.3, 0.3]) == 1.0
-    assert add_one_cost(lambda c: 7.0, cfg, [0.3, 0.3]) == 0.0
-    empty = PointConfig.empty(WINDOW)
-    assert add_one_cost(empty_indicator, empty, [0.1, 0.0]) == -1.0  # x in W
-    assert add_one_cost(empty_indicator, empty, [0.9, 0.9]) == 0.0  # x outside W
-
-
-def test_iterated_difference_reductions():
-    cfg = SPEC.sample(stream(202))
-    x = np.array([[0.2, 0.1]])
-    assert iterated_difference(lambda c: float(c.size), cfg, x) == add_one_cost(
-        lambda c: float(c.size), cfg, x
-    )
-    two = np.array([[0.2, 0.1], [-0.1, 0.3]])
-    assert iterated_difference(lambda c: float(c.size), cfg, two) == 0.0
-    empty = PointConfig.empty(WINDOW)
-    both_in_w = np.array([[0.1, 0.0], [0.0, 0.1]])
-    # 4-term oracle: f(mu+2) - f(mu+1) - f(mu+1) + f(mu) = 0 - 0 - 0 + 1
-    assert iterated_difference(empty_indicator, empty, both_in_w) == 1.0
-
-
-def test_iterated_difference_symmetry():
-    rng = stream(203)
-    cfg = SPEC.sample(rng)
-    for k in range(2, 7):
-        pts = WINDOW.sample_uniform(rng, k)
-        base = iterated_difference(empty_indicator, cfg, pts)
-        for perm in itertools.islice(itertools.permutations(range(k)), 6):
-            assert iterated_difference(empty_indicator, cfg, pts[list(perm)]) == base
-
-
-def test_iterated_difference_k_cap():
-    with pytest.raises(ValueError):
-        iterated_difference(
-            lambda c: 0.0, PointConfig.empty(WINDOW), np.zeros((21, 2))
-        )
-
-
-def test_kernel_mc_closed_forms():
-    est, se = kernel_mc(empty_indicator, SPEC, np.array([[0.1, 0.0]]), 4000, stream(204))
-    assert abs(est - (-math.exp(-1.0))) <= 3 * se
-    est2, se2 = kernel_mc(empty_indicator, SPEC, np.array([[0.9, 0.9]]), 500, stream(205))
-    assert est2 == 0.0
-    est3, se3 = kernel_mc(
-        lambda c: float(c.size), SPEC, np.array([[0.0, 0.0]]), 200, stream(206)
-    )
-    assert est3 == 1.0 and se3 == 0.0  # zero variance
-
-
-def test_kernel_mc_matches_add_one_cost_mean():
-    x = np.array([[0.1, 0.0]])
-    est, _ = kernel_mc(empty_indicator, SPEC, x, 800, stream(207))
-    vals = []
-    rng = stream(207)
-    for _ in range(800):
-        eta = SPEC.sample(rng)
-        vals.append(add_one_cost(empty_indicator, eta, x))
-    assert est == pytest.approx(np.mean(vals), abs=1e-12)
 
 
 # -- exact weights ------------------------------------------------------------------
@@ -263,34 +192,6 @@ def test_osss_audit_rejects_undetermined():
     outside = lambda c: float(c.count_in(lambda p: np.atleast_2d(p)[:, 0] > 0.9))
     with pytest.raises(ValueError):
         osss_audit(outside, ctdt, SPEC, 200, stream(217))
-
-
-def test_osss_cov_audit():
-    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW)
-    term = ctdt.terminal()
-    # g = f recovers the variance bound
-    rep = osss_cov_audit(empty_indicator, empty_indicator, term, SPEC, 20_000, stream(218))
-    assert rep.passed
-    var = math.exp(-1) * (1 - math.exp(-1))
-    assert abs(rep.lhs - var) <= 3 * rep.lhs_se
-    # constant f: zero covariance
-    rep2 = osss_cov_audit(lambda c: 1.0, empty_indicator, term, SPEC, 2000, stream(219))
-    assert abs(rep2.lhs) <= 3 * rep2.lhs_se
-    # functionals of disjoint regions: covariance compatible with zero
-    left = lambda c: min(1.0, c.count_in(lambda p: np.atleast_2d(p)[:, 0] < -0.5))
-    right = lambda c: float(c.count_in(lambda p: np.atleast_2d(p)[:, 0] > 0.5))
-    const_left = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] < -0.5)
-    rep3 = osss_cov_audit(left, right, const_left, SPEC, 8000, stream(220))
-    assert rep3.passed
-    assert abs(rep3.lhs) <= 3 * rep3.lhs_se
-
-
-def test_osss_cov_rejects_out_of_range_f():
-    term = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW).terminal()
-    with pytest.raises(ValueError):
-        osss_cov_audit(
-            lambda c: float(c.size), lambda c: 1.0, term, SPEC, 100, stream(221)
-        )
 
 
 def test_schramm_steif_delta_one_reduces_to_isometry_bound():

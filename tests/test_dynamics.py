@@ -6,11 +6,8 @@ from scipy.stats import chisquare, ks_2samp, poisson
 
 from poissonlab.dynamics import (
     covariance_curve,
-    critical_window_probe,
     exceptional_times,
     mehler_noise_bound,
-    noise_sensitivity_report,
-    noise_stability_bound,
     resample,
     simulate_path,
 )
@@ -177,51 +174,6 @@ def test_covariance_curve_constant_and_t0():
     assert abs(var.cov[0] - 2.0) <= 3 * var.se[0]  # Cov at t=0 is Var = 2
 
 
-# -- noise sensitivity / stability -------------------------------------------------------
-
-
-def _crossing_entry(n, gamma=0.36):
-    model = BooleanModel(gamma, GrainSpec("ball", FixedRadius(1.0)), k=1)
-    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-    process = ProcessSpec(
-        HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(1.0))), rect.pad(1.0)
-    )
-    f = lambda cfg: 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
-    return {"n": n, "process": process, "f": f}
-
-
-def test_noise_sensitivity_report_trend():
-    entries = [_crossing_entry(n) for n in (6, 10, 14)]
-    for e in entries:
-        e["delta"] = 0.9  # generous revealment stub: bound must still hold
-        e["delta_se"] = 0.0
-    rep = noise_sensitivity_report(entries, 0.25, 500, lambda i: stream(316, i))
-    assert rep["kendall_tau"] < 0
-    assert all(r["bound_ok"] for r in rep["rows"])
-
-
-def test_noise_sensitivity_constant_family():
-    spec = ProcessSpec(HomogeneousIntensity(1.0), UNIT)
-    entries = [{"n": n, "process": spec, "f": lambda c: 1.0} for n in (2, 4)]
-    rep = noise_sensitivity_report(entries, 0.3, 300, lambda i: stream(317, i))
-    for row in rep["rows"]:
-        assert abs(row["cov"]) <= 1e-12
-
-
-def test_noise_stability_bound():
-    spec = ProcessSpec(HomogeneousIntensity(0.5), UNIT)
-    sign = lambda c: 1.0 if c.size >= 1 else -1.0
-    rep = noise_stability_bound(sign, 0.4, spec, 6000, stream(318))
-    assert rep["passed"]
-    const = lambda c: 1.0
-    rep2 = noise_stability_bound(const, 0.4, spec, 300, stream(319))
-    assert rep2["p_flip"] == 0.0 and rep2["passed"]
-    rep3 = noise_stability_bound(sign, 0.0, spec, 300, stream(320))
-    assert rep3["p_flip"] == 0.0
-    with pytest.raises(ValueError):
-        noise_stability_bound(lambda c: 0.5, 0.1, spec, 10, stream(321))
-
-
 # -- exceptional times ----------------------------------------------------------------------
 
 
@@ -250,33 +202,7 @@ def test_exceptional_times_crossing_grows_with_window():
     assert medians[0] < medians[-1]
 
 
-# -- critical window -----------------------------------------------------------------------
-
-
-def test_critical_window_probe_extremes():
-    entries = []
-    for n in (6, 8):
-        e = _crossing_entry(n)
-        e["c"] = 0.5  # deeply sub/supercritical shifts around near-critical gamma
-        entries.append(e)
-    rows = critical_window_probe(entries, 400, lambda i: stream(324, i))
-    for row in rows:
-        assert row["low"] < 0.2
-        assert row["high"] > 0.8
-
-
-def test_critical_window_probe_constant_family():
-    spec = ProcessSpec(HomogeneousIntensity(1.0), UNIT)
-    entries = [{"n": 1, "process": spec, "f": lambda c: 1.0, "c": 0.3}]
-    rows = critical_window_probe(entries, 200, lambda i: stream(325, i))
-    assert rows[0]["low"] == 1.0 and rows[0]["high"] == 1.0
-
-
-def test_critical_window_probe_rejects_decreasing():
-    spec = ProcessSpec(HomogeneousIntensity(2.0), UNIT)
-    entries = [{"n": 1, "process": spec, "f": lambda c: float(c.size == 0), "c": 0.2}]
-    with pytest.raises(ValueError):
-        critical_window_probe(entries, 50, lambda i: stream(326, i))
+# -- Mehler noise bound --------------------------------------------------------------------
 
 
 def test_mehler_noise_bound_shape():

@@ -1,5 +1,5 @@
-"""Differential tests of the exploration oracle and CTDT, and of the grain
-index behind them, against the dense probes x grains distance formulas they
+"""Differential tests of the exploration oracle, and of the grain index
+behind it, against the dense probes x grains distance formulas they
 replace.
 
 The library answers membership through ``_GrainIndex.near``: one broadcast
@@ -29,10 +29,8 @@ from poissonlab.percolation import (
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.stopping import (
     _DENSE_MAX,
-    ExplorationCTDT,
     LineSeed,
     SphereSeed,
-    _explore_levels,
     _GrainIndex,
     component_exploration,
 )
@@ -57,32 +55,6 @@ def dense_contains(oracle, xs, config):
             xs[:, None, :] - world.points[None, comp, :], axis=2
         ) - world.radii[comp][None, :]
         out |= d.min(axis=1) <= oracle.dilation
-    return out
-
-
-def dense_dist(xs, seed, world, grains):
-    d = seed.distance(xs)
-    if len(grains):
-        dg = np.linalg.norm(
-            xs[:, None, :] - world.points[None, grains, :], axis=2
-        ) - world.radii[grains][None, :]
-        d = np.minimum(d, dg.min(axis=1))
-    return d
-
-
-def dense_membership_at(ctdt, t, xs, config):
-    """Round-interpolated exploration by the dense formula."""
-    xs = np.atleast_2d(xs)
-    world = BooleanWorld(config, ctdt.model, ctdt.rect)
-    levels = _explore_levels(world, ctdt.seed)
-    m = int(math.floor(t))
-    if m >= len(levels):
-        grains = levels[-1] if levels else np.empty(0, dtype=int)
-        return dense_dist(xs, ctdt.seed, world, grains) <= ctdt.step
-    out = np.zeros(len(xs), dtype=bool)
-    if m >= 1:
-        out |= dense_dist(xs, ctdt.seed, world, levels[m - 1]) <= ctdt.step
-    out |= dense_dist(xs, ctdt.seed, world, levels[m]) <= ctdt.step * (t - m)
     return out
 
 
@@ -165,20 +137,6 @@ def test_contains_matches_dense_formula(data):
         got = oracle.contains(xs, cfg)
         assert got.shape == (len(xs),) and got.dtype == bool
         assert np.array_equal(got, dense_contains(oracle, xs, cfg))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_ctdt_membership_matches_dense_formula(data):
-    model = data.draw(models())
-    seed = data.draw(seeds)
-    ctdt = ExplorationCTDT(model, RECT, seed)
-    cfg = data.draw(configs(model))
-    xs = planted_probes(data.draw, cfg, seed, ctdt.step)
-    ts = np.concatenate([np.linspace(0.0, 6.0, 25), [data.draw(st.floats(0.0, 8.0))]])
-    for t in ts:
-        got = ctdt.membership_at(t, xs, cfg)
-        assert np.array_equal(got, dense_membership_at(ctdt, t, xs, cfg))
 
 
 def dense_near(xs, centers, radii, thr):

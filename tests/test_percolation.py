@@ -8,25 +8,20 @@ from poissonlab.percolation import (
     BooleanModel,
     BooleanWorld,
     ConfettiModel,
-    EventQuery,
     FixedRadius,
     GrainSpec,
     ParetoRadius,
     UniformRadius,
     arm_event,
     arm_probability,
-    component_volume_proxy,
     confetti_duality_check,
     confetti_world_from_config,
     crossing,
     crossing_probability,
     estimate_critical,
-    evaluate_event,
-    is_k_covered,
     one_arm,
     one_arm_decay_fit,
     one_arm_event,
-    raster_to_text,
     required_confetti_horizon,
     sample_boolean_config,
     sample_boolean_world,
@@ -100,10 +95,10 @@ def test_is_k_covered():
     model = BooleanModel(1.0, DISK1, k=2)
     rect = BoxWindow((0.0, 0.0), (3.0, 1.0))
     w = world_from([[1.0, 0.5], [1.8, 0.5]], [1.0, 1.0], model, rect)
-    assert is_k_covered(w, np.array([1.4, 0.5]))
-    assert not is_k_covered(w, np.array([0.05, 0.5]))
+    assert w.cover_count(np.array([1.4, 0.5])) >= model.k
+    assert w.cover_count(np.array([0.05, 0.5])) < model.k
     empty = world_from(np.empty((0, 2)), [], model, rect)
-    assert not is_k_covered(empty, np.array([0.5, 0.5]))
+    assert empty.cover_count(np.array([0.5, 0.5])) < model.k
 
 
 def test_confetti_first_arrival_rule():
@@ -252,10 +247,6 @@ def test_arm_event_validation_and_convention():
         one_arm_event(w, 50.0)  # sphere does not fit the world
     with pytest.raises(ValueError):
         arm_probability(model, 2.0, 1.0, 10, lambda i: stream(408, i))
-    with pytest.raises(ValueError):
-        EventQuery("arm", r=2.0, s=1.0)
-    with pytest.raises(ValueError):
-        EventQuery("nonsense")
 
 
 def test_theta_small_gamma_vanishes():
@@ -288,17 +279,6 @@ def _b_r(model, r, samples):
         hits += covered and one_arm_event(w, 2 * r)
     p = hits / samples
     return p, math.sqrt(max(p * (1 - p), 1e-9) / samples)
-
-
-def test_evaluate_event_dispatch():
-    model = BooleanModel(0.6, DISK1, k=1)
-    rect = BoxWindow((-4.0, -4.0), (4.0, 4.0))
-    w = sample_boolean_world(model, rect, stream(413))
-    assert evaluate_event(w, EventQuery("one_arm", s=3.0)) == one_arm_event(w, 3.0)
-    assert evaluate_event(w, EventQuery("arm", r=1.0, s=3.0)) == arm_event(w, 1.0, 3.0)
-    assert evaluate_event(w, EventQuery("origin_to_infinity_proxy")) == one_arm_event(
-        w, 4.0
-    )
 
 
 # -- scans and critical estimation --------------------------------------------------------
@@ -447,39 +427,3 @@ def test_pareto_tail_sampler_consistency():
     mean = np.mean(counts)
     se = np.std(counts) / math.sqrt(len(counts))
     assert abs(mean - expected) <= 3 * se + 1e-3
-
-
-# -- component volume -------------------------------------------------------------------------
-
-
-def test_component_volume_proxy():
-    model = BooleanModel(1.0, DISK1, k=1)
-    rect = BoxWindow((-2.0, -2.0), (2.0, 2.0))
-    empty = world_from(np.empty((0, 2)), [], model, rect)
-    assert component_volume_proxy(empty, np.zeros(2), resolution=0.05) == 0.0
-    single = world_from([[0.0, 0.0]], [1.0], model, rect)
-    area = component_volume_proxy(single, np.zeros(2), resolution=0.05)
-    assert abs(area - math.pi) <= 2 * 0.05 * 2 * math.pi
-    # sub vs supercritical contrast at matched window
-    sub = BooleanModel(0.15, DISK1, k=1)
-    sup = BooleanModel(0.9, DISK1, k=1)
-    rect2 = BoxWindow((-6.0, -6.0), (6.0, 6.0))
-    vols = {}
-    for name, m, seed in (("sub", sub, 424), ("sup", sup, 425)):
-        v = [
-            component_volume_proxy(
-                sample_boolean_world(m, rect2, stream(seed, i)),
-                np.zeros(2),
-                resolution=0.2,
-            )
-            for i in range(150)
-        ]
-        vols[name] = np.mean(v)
-    assert vols["sub"] * 5 < vols["sup"]
-
-
-def test_raster_to_text():
-    mask = np.zeros((3, 2), dtype=bool)
-    mask[0, 0] = True
-    txt = raster_to_text(mask)
-    assert txt == "...\n#..\n"

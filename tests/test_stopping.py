@@ -24,7 +24,6 @@ from poissonlab.rng import stream
 from poissonlab.stopping import (
     BrokenNearestPointOracle,
     ConstantRegionSet,
-    ExplorationCTDT,
     LineSeed,
     SphereSeed,
     ball_growth_ctdt,
@@ -91,19 +90,6 @@ def test_entry_time_consistency_and_monotone_step():
             assert member[np.searchsorted(grid, t)] == (t_star <= t + 1e-4) or abs(
                 t - t_star
             ) < 2e-4
-
-
-def test_entry_time_table_consistency():
-    from poissonlab.stopping import entry_time_table
-
-    ctdt = make_ctdt()
-    cfg = SPEC.sample(stream(133))
-    probes = WINDOW.sample_uniform(stream(134), 12)
-    table = entry_time_table(ctdt, probes, cfg, 1e-4, 2.0)
-    for t in (0.05, 0.3, 0.9):
-        member = ctdt.membership_at(t, probes, cfg)
-        want = table <= t + 1e-3
-        assert np.array_equal(member, want)
 
 
 def test_entry_time_detects_non_monotone():
@@ -297,25 +283,6 @@ def test_exploration_determines_crossing():
     for i in range(600):
         cfg = process.sample(stream(119, i))
         assert f(cfg) == f(restrict_to(expl, cfg))
-
-
-def test_exploration_ctdt_monotone_and_terminal():
-    model, rect, process = crossing_setup(5)
-    ctdt = ExplorationCTDT(model, rect, LineSeed(0, 2.5))
-    rng = stream(120)
-    for i in range(25):
-        cfg = process.sample(stream(121, i))
-        x = rect.sample_uniform(rng, 1)
-        vals = [bool(ctdt.membership_at(t, x, cfg)[0]) for t in np.linspace(0, 6, 25)]
-        assert np.all(np.diff(np.array(vals, int)) >= 0)
-    # terminal oracle contains the r-dilated exploration set
-    term = ctdt.terminal()
-    base = component_exploration(model, rect, LineSeed(0, 2.5))
-    cfg = process.sample(stream(122))
-    probes = rect.sample_uniform(rng, 200)
-    inside_base = base.contains(probes, cfg)
-    inside_term = term.contains(probes, cfg)
-    assert np.all(inside_term[inside_base])
 
 
 def test_exploration_axiom_sphere_seed():
