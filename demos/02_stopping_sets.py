@@ -30,7 +30,7 @@ r_w = 1.0 / math.sqrt(math.pi)  # disk of area 1
 region = lambda p: np.linalg.norm(np.atleast_2d(p), axis=1) <= r_w
 
 # Grown ball: Z_t = B(0, tau ^ t) where tau is the first hit of the disk.
-ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
+ctdt = ball_growth_ctdt(region, (0.0, 0.0))
 empty = spec.sample(stream(0, 12345)).take(np.zeros(0, dtype=bool))  # empty config
 t = entry_time(ctdt, np.array([0.4, 0.0]), empty, resolution=1e-6, t_max=2.0)
 print(f"entry time of x at distance 0.4 under an empty configuration: {t:.6f}")

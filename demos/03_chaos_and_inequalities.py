@@ -42,12 +42,12 @@ print("Mehler weights    :", np.round(mc.weights, 4), "+-", np.round(mc.ses, 4))
 
 # Audits on the planar empty-space functional (disk of area pi):
 # Poincare gives pi e^-pi, the OSSS route is sharp.
-window, process, region, f = empty_space_setup(math.pi)
+_, process, region, f = empty_space_setup(math.pi)
 poin = poincare_audit(f, process, samples=30_000, rng=stream(8))
 print(f"variance {poin.lhs:.5f} <= Poincare rhs {poin.rhs:.5f} "
       f"(exact variance {math.exp(-math.pi) * (1 - math.exp(-math.pi)):.5f})")
 
-ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
+ctdt = ball_growth_ctdt(region, (0.0, 0.0))
 osss = osss_audit(f, ctdt, process, samples=30_000, rng=stream(9), binary=True)
 print(f"OSSS lhs {osss.lhs:.5f} ~ rhs {osss.rhs:.5f} (sharp: gap "
       f"{abs(osss.rhs - osss.lhs) / osss.lhs:.1%})")

@@ -27,6 +27,7 @@ from .fixtures import (
     boolean_model,
     crossing_setup,
     empty_space_setup,
+    line_revealment,
 )
 from .percolation import (
     BooleanModel,
@@ -35,13 +36,12 @@ from .percolation import (
     FixedRadius,
     GrainSpec,
     ParetoRadius,
-    confetti_duality_check,
+    confetti_duality_counts,
     crossing,
     crossing_probability,
     estimate_critical,
     one_arm_decay_fit,
     sample_boolean_config,
-    sample_confetti_world,
     truncate_radii,
 )
 from .process import (
@@ -62,9 +62,6 @@ from .stopping import (
     component_exploration,
     markov_property_check,
     nonattainable_fixture,
-    probe_grid,
-    randomize,
-    revealment,
     verify_stopping_axiom,
 )
 
@@ -89,7 +86,7 @@ def criterion_1_empty_space_sharpness(samples: int = 100_000) -> CriterionResult
     t0 = time.perf_counter()
     target = math.exp(-math.pi) * (1.0 - math.exp(-math.pi))
     window, process, region, f = empty_space_setup(math.pi)
-    ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
+    ctdt = ball_growth_ctdt(region, (0.0, 0.0))
     rep = chaos.osss_audit(
         f, ctdt, process, samples, stream(SEED, 1), binary=True,
         determination_checks=100,
@@ -131,7 +128,7 @@ def criterion_2_poincare_suboptimal(samples: int = 60_000) -> CriterionResult:
     var_target = math.exp(-4.0) * (1.0 - math.exp(-4.0))
     rhs_target = 4.0 * math.exp(-4.0)
     poin = chaos.poincare_audit(f, process, samples, stream(SEED, 2))
-    ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
+    ctdt = ball_growth_ctdt(region, (0.0, 0.0))
     osss = chaos.osss_audit(
         f, ctdt, process, samples, stream(SEED, 3), binary=True,
         determination_checks=100,
@@ -251,17 +248,6 @@ def critical_gamma(seed: int = SEED, n: int = 12) -> tuple[float, float]:
     return estimate_critical(prob_at, 0.2, 0.6, tolerance=0.02, base_samples=150)
 
 
-def _line_revealment(n: int, gamma: float, samples: int, seed_path: tuple,
-                     spacing: float = 0.5):
-    model, rect, padded, process, _ = crossing_setup(n, gamma)
-    family = lambda s: component_exploration(model, rect, LineSeed(0, s))
-    rz = randomize(family, lambda rng: float(rng.uniform(0.0, float(n))))
-    grid = probe_grid(rect, spacing)
-    return revealment(
-        rz, process, grid, samples, stream(*seed_path), grid_spacing=spacing
-    )
-
-
 def criterion_5_schramm_steif(
     sizes=(10, 20, 40), mehler_samples=(2600, 2000, 1200),
     delta_samples=(600, 450, 320),
@@ -279,7 +265,7 @@ def criterion_5_schramm_steif(
         spec = chaos_weights_mehler(
             f, process, times, mehler_samples[idx], stream(SEED, 6, idx), k_max=4
         )
-        rev = _line_revealment(n, gamma, delta_samples[idx], (SEED, 7, idx))
+        rev = line_revealment(n, gamma, delta_samples[idx], stream(SEED, 7, idx))
         ef2 = spec.mean  # {0,1}-valued: E f^2 = E f
         ef2_se = spec.extras["mean_se"]
         audit = chaos.schramm_steif_audit(
@@ -353,17 +339,14 @@ def criterion_7_confetti_duality(samples: int = 10_000) -> CriterionResult:
     )
     rect = BoxWindow((0.0, 0.0), (10.0, 10.0))
     h = CROSSING_RADIUS / 10.0
-    hits = 0
-    xor_ok = True
-    for i in range(samples):
-        world = sample_confetti_world(model, rect, h, stream(SEED, 8, i))
-        hits += crossing(world)
-        xor_ok &= confetti_duality_check(world)
+    hits, violations = confetti_duality_counts(
+        model, rect, h, samples, lambda i: stream(SEED, 8, i)
+    )
     p_hat = hits / samples
     se = _bernoulli_se(p_hat, samples)
     checks = {
         "crossing_prob_half": abs(p_hat - 0.5) <= 3.0 * se,
-        "duality_xor_all": bool(xor_ok),
+        "duality_xor_all": violations == 0,
     }
     return CriterionResult(
         "7 confetti self-duality",
@@ -403,7 +386,7 @@ def criterion_8_markov_property(samples: int = 2_500) -> CriterionResult:
     ball-growth terminal set and the line-exploration set."""
     t0 = time.perf_counter()
     window, process, region, _ = empty_space_setup(1.0)
-    ball = ball_growth_ctdt(region, (0.0, 0.0), support=window).terminal()
+    ball = ball_growth_ctdt(region, (0.0, 0.0)).terminal()
     rep_ball = markov_property_check(
         ball, process, _markov_functionals(region), samples, stream(SEED, 9)
     )
@@ -485,7 +468,7 @@ def criterion_10_noise_sensitivity(
     gamma, _ = critical_gamma()
     deltas = {}
     for idx, n in enumerate(sizes):
-        rev = _line_revealment(n, gamma, 320, (SEED, 12, idx))
+        rev = line_revealment(n, gamma, 320, stream(SEED, 12, idx))
         deltas[n] = (rev.delta, rev.delta_se)
     pairs = []
     bound_ok = True
@@ -565,10 +548,8 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
     ok = True
 
     window, process, region, _ = empty_space_setup(1.0)
-    const = ConstantRegionSet(
-        lambda p: np.atleast_2d(p)[:, 0] > 0.0, support=window
-    )
-    ball = ball_growth_ctdt(region, (0.0, 0.0), support=window).terminal()
+    const = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] > 0.0)
+    ball = ball_growth_ctdt(region, (0.0, 0.0)).terminal()
     for sub, (name, oracle, proc) in enumerate(
         (
             ("constant", const, process),

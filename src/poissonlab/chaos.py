@@ -7,7 +7,9 @@ Two routes to the weights W_k = E[I_k(u_k)^2]:
   u_k = E[D^k f] / k! and W_k = sum over cell multisets of
   prod(lambda_c^m_c / m_c!) * E[D^k f]^2;
 * a covariance-curve fit: Cov(f(eta), f(eta^t)) = sum_k exp(-k t) W_k,
-  inverted by nonnegative least squares over a time grid.
+  inverted by nonnegative least squares over a time grid.  The paired
+  values come from ``dynamics._ou_values``, the sampler behind
+  ``dynamics.covariance_curve`` too, so the two routes see the same draws.
 
 The audit functions estimate both sides of an inequality with standard
 errors and report a verdict at the 3-sigma margin.
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.stats import poisson as poisson_dist
 
-from .dynamics import resample
+from .dynamics import _ou_values
 from .process import (
     DiscreteWindow,
     PointConfig,
@@ -267,16 +269,7 @@ def chaos_weights_mehler(
     times = np.asarray(sorted(set(float(t) for t in times)))
     if len(times) < k_max:
         raise ValueError("need at least k_max distinct times")
-    base = np.empty(samples)
-    vals = np.empty((len(times), samples))
-    configs = []
-    for i in range(samples):
-        eta = process.sample(rng)
-        configs.append(eta)
-        base[i] = f(eta)
-    for j, t in enumerate(times):
-        for i in range(samples):
-            vals[j, i] = f(resample(configs[i], t, process, rng))
+    base, vals = _ou_values(f, process, times, samples, rng)
     design = np.exp(-np.outer(times, np.arange(1, k_max + 1)))
     cond = float(np.linalg.cond(design))
 
@@ -287,7 +280,7 @@ def chaos_weights_mehler(
 
     all_idx = np.arange(samples)
     w_hat, cov_hat = fit(all_idx)
-    cov_se = np.array([_cov_se(vals[j], base)[1] for j in range(len(times))])
+    cov_se = np.array([_cov_se(base, v)[1] for v in vals])
     boots = np.empty((bootstrap, k_max))
     for b in range(bootstrap):
         idx = rng.integers(0, samples, size=samples)
@@ -495,17 +488,12 @@ def sqrt_osss_audit(
     samples: int,
     rng: np.random.Generator,
 ) -> AuditReport:
-    """Var f <= 3 sqrt(delta) * integral E[(D_x f)^2] lambda(dx)."""
-    mass = process.mass
-    f_vals = np.empty(samples)
-    d_vals = np.empty(samples)
-    for i in range(samples):
-        f_vals[i] = f(process.sample(rng))
-        x, marks = _lambda_draw(process, rng)
-        eta = process.sample(rng)
-        d_vals[i] = mass * (f(eta.add_points(x, marks)) - f(eta)) ** 2
-    var, var_se = _var_se(f_vals)
-    energy, energy_se = _mean_se(d_vals)
+    """Var f <= 3 sqrt(delta) * integral E[(D_x f)^2] lambda(dx).
+
+    Both the variance and the energy integral are the Poincare audit's, from
+    the same draws."""
+    poin = poincare_audit(f, process, samples, rng)
+    var, var_se, energy, energy_se = poin.lhs, poin.lhs_se, poin.rhs, poin.rhs_se
     rhs = 3.0 * math.sqrt(delta) * energy
     d_term = 0.0 if delta <= 0 else 3.0 * energy * delta_se / (2.0 * math.sqrt(delta))
     rhs_se = 3.0 * math.sqrt(delta) * energy_se + d_term

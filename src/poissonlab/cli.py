@@ -21,11 +21,9 @@ import scipy
 from . import __version__, acceptance, chaos, dynamics, fixtures, svgplot
 from .percolation import (
     BoxWindow,
-    confetti_duality_check,
-    crossing,
+    confetti_duality_counts,
     crossing_probability,
     estimate_critical,
-    sample_confetti_world,
     threshold_scan,
 )
 from .process import ProcessSpec, config_to_csv
@@ -37,7 +35,6 @@ from .stopping import (
     component_exploration,
     nonattainable_fixture,
     probe_grid,
-    randomize,
     revealment,
     verify_stopping_axiom,
 )
@@ -92,9 +89,9 @@ def cmd_stopping_audit(args) -> int:
     if args.fixture in ("ball-growth", "broken-nearest"):
         window, process, region, _ = fixtures.empty_space_setup(fx["area"])
         oracle = (
-            ball_growth_ctdt(region, (0.0, 0.0), support=window).terminal()
+            ball_growth_ctdt(region, (0.0, 0.0)).terminal()
             if args.fixture == "ball-growth"
-            else BrokenNearestPointOracle(support=window)
+            else BrokenNearestPointOracle()
         )
         grid = probe_grid(window, 0.1)
         axiom = verify_stopping_axiom(
@@ -110,11 +107,7 @@ def cmd_stopping_audit(args) -> int:
         axiom = verify_stopping_axiom(
             oracle, process, args.trials, args.probes, stream(seed, 0)
         )
-        family = lambda s: component_exploration(model, rect, LineSeed(0, s))
-        rz = randomize(family, lambda rng: float(rng.uniform(0.0, float(n))))
-        rev = revealment(
-            rz, process, probe_grid(rect, 0.5), args.samples, stream(seed, 1), 0.5
-        )
+        rev = fixtures.line_revealment(n, fx["gamma"], args.samples, stream(seed, 1))
         report["axiom"] = axiom.to_dict()
         report["revealment"] = {"delta": rev.delta, "delta_se": rev.delta_se}
     elif args.fixture == "nonattainable":
@@ -139,7 +132,7 @@ def cmd_chaos_audit(args) -> int:
     name = args.fixture
     if name in ("poincare-empty-space", "osss-empty-space", "sqrt-osss-empty-space"):
         window, process, region, f = fixtures.empty_space_setup(fx["area"])
-        ctdt = ball_growth_ctdt(region, (0.0, 0.0), support=window)
+        ctdt = ball_growth_ctdt(region, (0.0, 0.0))
         if name == "poincare-empty-space":
             rep = chaos.poincare_audit(f, process, args.samples, stream(seed, 0))
         elif name == "osss-empty-space":
@@ -291,12 +284,9 @@ def cmd_perc_duality(args) -> int:
     model = fixtures.confetti_model(fx, args.p)
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
     h = fx.get("radius", 1.0) / 10.0
-    bad = 0
-    hits = 0
-    for i in range(args.samples):
-        world = sample_confetti_world(model, rect, h, stream(args.seed, i))
-        hits += crossing(world)
-        bad += not confetti_duality_check(world)
+    hits, bad = confetti_duality_counts(
+        model, rect, h, args.samples, lambda i: stream(args.seed, i)
+    )
     payload = {
         "model": args.model, "p": args.p, "n": args.n, "samples": args.samples,
         "crossing_rate": hits / args.samples, "xor_violations": bad,

@@ -6,6 +6,10 @@ added.  ``simulate_path`` realizes the same semigroup as an event-driven
 Markov path: unit-rate exponential lifetimes, births at the total intensity
 mass, stationary start.  Functional evaluation along a path happens only at
 event times; there is no time discretization anywhere.
+
+``_ou_values`` draws the paired values (f(eta), f(eta^t)) once for both
+covariance routes: ``covariance_curve`` here and the Mehler chaos-weight
+fit in ``chaos``.
 """
 
 from __future__ import annotations
@@ -34,12 +38,8 @@ def resample(
     t: float,
     process: ProcessSpec,
     rng: np.random.Generator,
-    fresh: bool = False,
 ) -> PointConfig:
-    """One Ornstein-Uhlenbeck step of size t (``fresh`` = the t = infinity
-    flag: an independent sample)."""
-    if fresh:
-        return process.sample(rng)
+    """One Ornstein-Uhlenbeck step of size t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
@@ -177,6 +177,26 @@ def simulate_path(
 # Covariance curves
 
 
+def _ou_values(f, process: ProcessSpec, times, samples: int, rng) -> tuple:
+    """f on ``samples`` configurations eta_i (``base``) and on one
+    ``resample`` of each eta_i per time (row j of ``vals`` for times[j]).
+
+    Every eta_i is drawn first, then each is resampled at times[0], then at
+    times[1], and so on.
+    """
+    base = np.empty(samples)
+    vals = np.empty((len(times), samples))
+    configs = []
+    for i in range(samples):
+        eta = process.sample(rng)
+        configs.append(eta)
+        base[i] = f(eta)
+    for j, t in enumerate(times):
+        for i in range(samples):
+            vals[j, i] = f(resample(configs[i], t, process, rng))
+    return base, vals
+
+
 @dataclass
 class CovCurve:
     times: np.ndarray
@@ -208,19 +228,11 @@ def covariance_curve(
 ) -> CovCurve:
     """Paired estimates of Cov(f(eta), f(eta^t)) for each t."""
     times = np.asarray(sorted(times), dtype=float)
-    base_vals = np.empty(samples)
-    configs = []
-    for i in range(samples):
-        eta = process.sample(rng)
-        configs.append(eta)
-        base_vals[i] = f(eta)
+    base, vals = _ou_values(f, process, times, samples, rng)
     cov = np.empty(len(times))
     ses = np.empty(len(times))
-    for j, t in enumerate(times):
-        vals_t = np.empty(samples)
-        for i in range(samples):
-            vals_t[i] = f(resample(configs[i], t, process, rng))
-        cov[j], ses[j] = _cov_se(base_vals, vals_t)
+    for j, v in enumerate(vals):
+        cov[j], ses[j] = _cov_se(base, v)
     return CovCurve(times, cov, ses, samples)
 
 

@@ -28,8 +28,10 @@ from .process import (
     ProcessSpec,
     RadiusMarks,
 )
+from .stopping import LineSeed, component_exploration, probe_grid, randomize, revealment
 
 CROSSING_RADIUS = 1.0
+LINE_PROBE_SPACING = 0.5
 
 REGISTRY: dict[str, dict] = {
     # sampling
@@ -154,3 +156,14 @@ def crossing_setup(n: float, gamma: float):
         return 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
 
     return model, rect, padded, process, f
+
+
+def line_revealment(n: float, gamma: float, samples: int, rng: np.random.Generator):
+    """Revealment of the crossing setup's line exploration from the line
+    {x_0 = U}, U uniform on [0, n] and drawn afresh per sample, on the probe
+    grid of spacing ``LINE_PROBE_SPACING`` over the n x n square."""
+    model, rect, _, process, _ = crossing_setup(n, gamma)
+    family = lambda s: component_exploration(model, rect, LineSeed(0, s))
+    rz = randomize(family, lambda r: float(r.uniform(0.0, float(n))))
+    grid = probe_grid(rect, LINE_PROBE_SPACING)
+    return revealment(rz, process, grid, samples, rng, LINE_PROBE_SPACING)

@@ -77,6 +77,7 @@ __all__ = [
     "one_arm_decay_fit",
     "estimate_critical",
     "confetti_duality_check",
+    "confetti_duality_counts",
     "truncate_radii",
 ]
 
@@ -89,27 +90,19 @@ __all__ = [
 class GrainSpec:
     """Grain shape and size law.
 
-    ``kind``: "ball" (Euclidean ball of the sampled radius), "box"
-    (axis-aligned cube of half-side = sampled radius) or "raster" (an
-    explicit boolean stencil pasted in raster mode only).
+    ``kind``: "ball" (Euclidean ball of the sampled radius) or "box"
+    (axis-aligned cube of half-side = sampled radius).
     """
 
     kind: str
     law: RadiusLaw
-    stencil: Optional[np.ndarray] = None
-    stencil_cell: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("ball", "box", "raster"):
+        if self.kind not in ("ball", "box"):
             raise ValueError(f"unknown grain kind {self.kind!r}")
-        if self.kind == "raster" and self.stencil is None:
-            raise ValueError("raster grains need a stencil mask")
 
     @property
     def max_radius(self) -> Optional[float]:
-        if self.kind == "raster":
-            ny, nx = self.stencil.shape
-            return 0.5 * self.stencil_cell * math.hypot(nx, ny)
         b = self.law.bound
         if b is None:
             return None
@@ -121,9 +114,7 @@ class GrainSpec:
             if dim == 2:
                 return math.pi * self.law.mean_power(2)
             return 4.0 / 3.0 * math.pi * self.law.mean_power(3)
-        if self.kind == "box":
-            return 2.0**dim * self.law.mean_power(dim)
-        return float(self.stencil.sum()) * self.stencil_cell**2
+        return 2.0**dim * self.law.mean_power(dim)
 
 
 @dataclass(frozen=True)
@@ -318,8 +309,6 @@ class BooleanWorld:
     """
 
     def __init__(self, config: PointConfig, model: BooleanModel, rect: BoxWindow):
-        if model.grain.kind == "raster":
-            raise ValueError("raster grains support raster-mode queries only")
         self.model = model
         self.rect = rect
         self.config = config
@@ -331,7 +320,7 @@ class BooleanWorld:
             if config.size:
                 raise ValueError("config lacks radius marks")
             radii = np.empty(0)
-        keep = _grains_meeting_rect(pts, radii, rect, model.grain.kind)
+        keep = _reaches(_gap(pts, rect.lo, rect.hi), radii, model.grain.kind)
         self.points = pts[keep]
         self.radii = np.asarray(radii)[keep]
         self.n = len(self.points)
@@ -431,15 +420,10 @@ class BooleanWorld:
         return int(np.count_nonzero(inside))
 
     def grains_covering(self, x: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.empty(0, dtype=int)
         x = np.asarray(x, dtype=float)
-        d = self.points - x
-        if self.model.grain.kind == "ball":
-            inside = np.einsum("ij,ij->i", d, d) <= self.radii**2
-        else:
-            inside = np.all(np.abs(d) <= self.radii[:, None], axis=1)
-        return np.flatnonzero(inside)
+        return np.flatnonzero(
+            _reaches(_gap(self.points, x, x), self.radii, self.model.grain.kind)
+        )
 
     def grains_meeting_face(self, axis: int, coord: float) -> np.ndarray:
         """Grains intersecting the closed boundary face {x_axis = coord},
@@ -451,46 +435,32 @@ class BooleanWorld:
     ) -> list[np.ndarray]:
         """``grains_meeting_face(axis, c)`` for every ``c`` in ``coords``,
         sharing one clipped gap array."""
-        if self.n == 0:
-            return [np.empty(0, dtype=int) for _ in coords]
-        lo = np.asarray(self.rect.lo)
-        hi = np.asarray(self.rect.hi)
-        gap = np.maximum(0.0, np.maximum(lo - self.points, self.points - hi))
-        ball = self.model.grain.kind == "ball"
-        bound = self.radii**2 if ball else self.radii[:, None]
+        gap = _gap(self.points, self.rect.lo, self.rect.hi)
         out = []
         for coord in coords:
             gap[:, axis] = np.abs(self.points[:, axis] - coord)
-            if ball:
-                hit = np.einsum("ij,ij->i", gap, gap) <= bound
-            else:
-                hit = np.all(gap <= bound, axis=1)
-            out.append(np.flatnonzero(hit))
+            out.append(np.flatnonzero(_reaches(gap, self.radii, self.model.grain.kind)))
         return out
 
-    def grains_meeting_sphere(self, s: float, center=None) -> np.ndarray:
-        """Grains intersecting the Euclidean sphere of radius s."""
+    def grains_meeting_sphere(self, s: float) -> np.ndarray:
+        """Grains intersecting the sphere of radius s around the origin."""
         if self.n == 0:
             return np.empty(0, dtype=int)
-        c = np.zeros(self.model.dim) if center is None else np.asarray(center)
         if self.model.grain.kind == "ball":
-            dist = np.linalg.norm(self.points - c, axis=1)
+            dist = np.linalg.norm(self.points, axis=1)
             return np.flatnonzero(np.abs(dist - s) <= self.radii)
         # boxes intersect the sphere iff the nearest and farthest box points
         # straddle the radius
-        offset = np.abs(self.points - c)
+        offset = np.abs(self.points)
         near = np.linalg.norm(np.maximum(0.0, offset - self.radii[:, None]), axis=1)
         far = np.linalg.norm(offset + self.radii[:, None], axis=1)
         return np.flatnonzero((near <= s) & (s <= far))
 
     def grains_meeting_linf_box(self, half: float) -> np.ndarray:
         """Grains intersecting the closed box [-half, half]^d."""
-        if self.n == 0:
-            return np.empty(0, dtype=int)
-        gap = np.maximum(0.0, np.abs(self.points) - half)
-        if self.model.grain.kind == "ball":
-            return np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= self.radii**2)
-        return np.flatnonzero(np.all(gap <= self.radii[:, None], axis=1))
+        return np.flatnonzero(
+            _reaches(_gap(self.points, -half, half), self.radii, self.model.grain.kind)
+        )
 
     def grains_leaving_linf_box(self, half: float) -> np.ndarray:
         """Grains meeting the complement of the open box (-half, half)^d.
@@ -515,12 +485,7 @@ class BooleanWorld:
         if resolution in self._raster_cache:
             return self._raster_cache[resolution]
         counts = _paint_counts(
-            self.points,
-            self.radii,
-            self.rect,
-            resolution,
-            self.model.grain.kind,
-            self.model.grain,
+            self.points, self.radii, self.rect, resolution, self.model.grain.kind
         )
         self._raster_cache[resolution] = counts
         return counts
@@ -529,14 +494,14 @@ class BooleanWorld:
         return self.cover_raster(resolution) >= self.model.k
 
 
-def _grains_meeting_rect(
-    pts: np.ndarray, radii: np.ndarray, rect: BoxWindow, kind: str
-) -> np.ndarray:
-    if len(pts) == 0:
-        return np.zeros(0, dtype=bool)
-    lo = np.asarray(rect.lo)
-    hi = np.asarray(rect.hi)
-    gap = np.maximum(0.0, np.maximum(lo - pts, pts - hi))
+def _gap(points: np.ndarray, lo, hi) -> np.ndarray:
+    """Per-axis distance from each point to the closed box [lo, hi] (0 inside);
+    with lo = hi = x it is |point - x| exactly."""
+    return np.maximum(0.0, np.maximum(np.subtract(lo, points), np.subtract(points, hi)))
+
+
+def _reaches(gap: np.ndarray, radii: np.ndarray, kind: str) -> np.ndarray:
+    """Mask of the grains whose closed ball or box reaches across ``gap``."""
     radii = np.asarray(radii)
     if kind == "ball":
         return np.einsum("ij,ij->i", gap, gap) <= radii**2
@@ -558,16 +523,13 @@ def _cell_centers(rect: BoxWindow, h: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _paint_counts(pts, radii, rect, h, kind, grain: GrainSpec) -> np.ndarray:
+def _paint_counts(pts, radii, rect, h, kind) -> np.ndarray:
     xs, ys = _cell_centers(rect, h)
     counts = np.zeros((len(xs), len(ys)), dtype=np.int32)
     lo = np.asarray(rect.lo)
     for g in range(len(pts)):
         c = pts[g]
         r = radii[g]
-        if kind == "raster":
-            _paste_stencil(counts, grain, c, rect, h)
-            continue
         reach = r if kind == "ball" else r * math.sqrt(2.0)
         i0 = max(0, int((c[0] - reach - lo[0]) / h))
         i1 = min(len(xs), int((c[0] + reach - lo[0]) / h) + 1)
@@ -583,21 +545,6 @@ def _paint_counts(pts, radii, rect, h, kind, grain: GrainSpec) -> np.ndarray:
             mask = (np.abs(dx) <= r) & (np.abs(dy) <= r)
         counts[i0:i1, j0:j1] += mask
     return counts
-
-
-def _paste_stencil(counts, grain: GrainSpec, c, rect, h) -> None:
-    if abs(grain.stencil_cell - h) > 1e-12:
-        raise ValueError("stencil cell size must match raster resolution")
-    sx, sy = grain.stencil.shape
-    lo = np.asarray(rect.lo)
-    i0 = int(round((c[0] - lo[0]) / h - sx / 2))
-    j0 = int(round((c[1] - lo[1]) / h - sy / 2))
-    ia, ja = max(0, i0), max(0, j0)
-    ib = min(counts.shape[0], i0 + sx)
-    jb = min(counts.shape[1], j0 + sy)
-    if ia >= ib or ja >= jb:
-        return
-    counts[ia:ib, ja:jb] += grain.stencil[ia - i0 : ib - i0, ja - j0 : jb - j0]
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +624,7 @@ def _confetti_paint(
     """Fold a batch of grains into the per-cell first-arrival table.
 
     A grain covers a cell when ``dx*dx + dy*dy <= r*r`` (ball) or
-    ``|dx|, |dy| <= r`` (box or raster kind), where ``(dx, dy) = sub + o*h``
+    ``|dx|, |dy| <= r`` (box), where ``(dx, dy) = sub + o*h``
     is the offset ``sub`` (``|sub| <= h/2``) of the grain's center from
     its cell's center plus ``o = cell - grain_cell`` whole cells.  Grains
     are ranked by birth time with a stable sort (among equal times the
@@ -1002,6 +949,18 @@ def arm_event(world: BooleanWorld, r: float, s: float) -> bool:
 # Monte Carlo estimators
 
 
+def _frequency(samples: int, trial: Callable[[int], bool]) -> tuple[float, float]:
+    """Frequency of ``trial(i)`` over i < samples, with its standard error."""
+    p = sum(trial(i) for i in range(samples)) / samples
+    return p, _bernoulli_se(p, samples)
+
+
+def _centred_box(model: BooleanModel, s: float) -> BoxWindow:
+    """The square [-s, s]^2 padded by the largest grain (0 if unbounded)."""
+    pad = model.grain.max_radius or 0.0
+    return BoxWindow((-s - pad, -s - pad), (s + pad, s + pad))
+
+
 def one_arm(
     model: BooleanModel,
     s: float,
@@ -1009,14 +968,9 @@ def one_arm(
     rng_factory: Callable[[int], np.random.Generator],
 ) -> tuple[float, float]:
     """theta_s estimate: P(origin connected to the sphere of radius s)."""
-    pad = model.grain.max_radius or 0.0
-    rect = BoxWindow((-s - pad, -s - pad), (s + pad, s + pad))
-    hits = 0
-    for i in range(samples):
-        world = sample_boolean_world(model, rect, rng_factory(i))
-        hits += one_arm_event(world, s)
-    p = hits / samples
-    return p, _bernoulli_se(p, samples)
+    rect = _centred_box(model, s)
+    return _frequency(samples, lambda i: one_arm_event(
+        sample_boolean_world(model, rect, rng_factory(i)), s))
 
 
 def arm_probability(
@@ -1028,14 +982,9 @@ def arm_probability(
 ) -> tuple[float, float]:
     if not r < s:
         raise ValueError("arm event needs r < s")
-    pad = model.grain.max_radius or 0.0
-    rect = BoxWindow((-s - pad, -s - pad), (s + pad, s + pad))
-    hits = 0
-    for i in range(samples):
-        world = sample_boolean_world(model, rect, rng_factory(i))
-        hits += arm_event(world, r, s)
-    p = hits / samples
-    return p, _bernoulli_se(p, samples)
+    rect = _centred_box(model, s)
+    return _frequency(samples, lambda i: arm_event(
+        sample_boolean_world(model, rect, rng_factory(i)), r, s))
 
 
 def crossing_probability(
@@ -1046,16 +995,15 @@ def crossing_probability(
     resolution: Optional[float] = None,
     r_split: Optional[float] = None,
 ) -> tuple[float, float]:
-    hits = 0
-    for i in range(samples):
+    def trial(i):
         rng = rng_factory(i)
         if isinstance(model, ConfettiModel):
             world = sample_confetti_world(model, rect, resolution, rng)
         else:
             world = sample_boolean_world(model, rect, rng, r_split)
-        hits += crossing(world, resolution=resolution)
-    p = hits / samples
-    return p, _bernoulli_se(p, samples)
+        return crossing(world, resolution=resolution)
+
+    return _frequency(samples, trial)
 
 
 @dataclass
@@ -1066,8 +1014,6 @@ class ThresholdScan:
     ses: np.ndarray
     samples: int
     seed: int
-    decay_slope: Optional[float] = None
-    decay_r2: Optional[float] = None
 
     def to_csv(self) -> str:
         lines = ["param,n,estimate,se,samples,seed"]
@@ -1127,9 +1073,7 @@ def one_arm_decay_fit(
     from .rng import stream
 
     s_values = np.asarray(s_values, dtype=float)
-    s_max = float(s_values.max())
-    pad = model.grain.max_radius or 0.0
-    rect = BoxWindow((-s_max - pad, -s_max - pad), (s_max + pad, s_max + pad))
+    rect = _centred_box(model, float(s_values.max()))
     reach = np.zeros(samples)
     for i in range(samples):
         world = sample_boolean_world(model, rect, stream(seed, i))
@@ -1140,7 +1084,7 @@ def one_arm_decay_fit(
         dist = np.linalg.norm(world.points[member], axis=1) + world.radii[member]
         reach[i] = dist.max() if len(dist) else 0.0
     theta = np.array([(reach >= s).mean() for s in s_values])
-    se = np.array([_bernoulli_se(t, samples) for t in theta])
+    se = _bernoulli_se(theta, samples)
     ok = theta > 0
     y = np.log(theta[ok])
     x = s_values[ok]
@@ -1194,6 +1138,20 @@ def estimate_critical(
             lo = mid
     mid = 0.5 * (lo + hi)
     return mid, 0.5 * (hi - lo) + tolerance
+
+
+def confetti_duality_counts(
+    model: ConfettiModel, rect: BoxWindow, resolution: float, samples: int,
+    rng_factory: Callable[[int], np.random.Generator],
+) -> tuple[int, int]:
+    """Over ``samples`` sampled worlds: how many cross left-right, and on how
+    many the duality XOR fails."""
+    crossings = violations = 0
+    for i in range(samples):
+        world = sample_confetti_world(model, rect, resolution, rng_factory(i))
+        crossings += crossing(world)
+        violations += not confetti_duality_check(world)
+    return crossings, violations
 
 
 def confetti_duality_check(world: ConfettiWorld) -> bool:

@@ -501,10 +501,12 @@ def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-def _bernoulli_se(p_hat: float, n: int) -> float:
-    """Standard error of a frequency from n trials; p(1-p) is floored at
-    1e-12 so that p_hat in {0, 1} keeps a positive error."""
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
+def _bernoulli_se(p_hat, n: int):
+    """Standard error of a frequency (or an array of them) from n trials;
+    p(1-p) is floored at 1e-12 so that p_hat in {0, 1} keeps a positive
+    error.  A scalar frequency gives a Python float."""
+    se = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 1e-12) / n)
+    return float(se) if np.ndim(se) == 0 else se
 
 
 def mecke_check(

@@ -25,6 +25,7 @@ from .process import (
     DiscreteWindow,
     PointConfig,
     ProcessSpec,
+    _bernoulli_se,
     _mean_se,
     superpose,
 )
@@ -63,8 +64,6 @@ __all__ = [
 class StoppingSetOracle:
     """Base class: membership predicate Z(mu) evaluated at locations."""
 
-    support_hint: Optional[BoxWindow] = None
-
     def contains(self, xs: np.ndarray, config: PointConfig) -> np.ndarray:
         raise NotImplementedError
 
@@ -79,9 +78,8 @@ def restrict_to(oracle: StoppingSetOracle, config: PointConfig) -> PointConfig:
 class ConstantRegionSet(StoppingSetOracle):
     """Deterministic region; trivially a stopping set."""
 
-    def __init__(self, region: Callable[[np.ndarray], np.ndarray], support=None):
+    def __init__(self, region: Callable[[np.ndarray], np.ndarray]):
         self.region = region
-        self.support_hint = support
 
     def contains(self, xs, config):
         return np.asarray(self.region(np.asarray(xs)), dtype=bool)
@@ -94,9 +92,6 @@ class BrokenNearestPointOracle(StoppingSetOracle):
     The nearest point itself is outside the open ball, so replacing the
     outside by another configuration moves the radius: the axiom fails.
     """
-
-    def __init__(self, support=None):
-        self.support_hint = support
 
     def contains(self, xs, config):
         xs = np.atleast_2d(xs)
@@ -114,15 +109,9 @@ class BallGrowthCTDT:
     """Z_t(mu) = closed ball B(x0, tau(mu) ^ t) where tau is the distance
     from x0 to the nearest configuration point inside the target region W."""
 
-    def __init__(
-        self,
-        region: Callable[[np.ndarray], np.ndarray],
-        x0: np.ndarray,
-        support: Optional[BoxWindow] = None,
-    ):
+    def __init__(self, region: Callable[[np.ndarray], np.ndarray], x0: np.ndarray):
         self.region = region
         self.x0 = np.asarray(x0, dtype=float)
-        self.support_hint = support
 
     def tau(self, config: PointConfig) -> float:
         if config.size == 0:
@@ -145,19 +134,14 @@ class BallGrowthCTDT:
 class BallGrowthTerminalSet(StoppingSetOracle):
     def __init__(self, ctdt: BallGrowthCTDT):
         self.ctdt = ctdt
-        self.support_hint = ctdt.support_hint
 
     def contains(self, xs, config):
         xs = np.atleast_2d(xs)
         return np.linalg.norm(xs - self.ctdt.x0, axis=1) <= self.ctdt.tau(config)
 
 
-def ball_growth_ctdt(
-    region: Callable[[np.ndarray], np.ndarray],
-    x0,
-    support: Optional[BoxWindow] = None,
-) -> BallGrowthCTDT:
-    return BallGrowthCTDT(region, x0, support)
+def ball_growth_ctdt(region: Callable[[np.ndarray], np.ndarray], x0) -> BallGrowthCTDT:
+    return BallGrowthCTDT(region, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +285,6 @@ class ExplorationOracle(StoppingSetOracle):
                 raise ValueError("unbounded grains need an explicit dilation")
             dilation = r
         self.dilation = float(dilation)
-        self.support_hint = rect.pad(self.dilation)
         self._cache: Optional[tuple[PointConfig, _GrainIndex]] = None
 
     def _revealed(self, config: PointConfig) -> _GrainIndex:
@@ -343,11 +326,9 @@ class RandomizedStoppingSet:
         self,
         family: Callable[[object], StoppingSetOracle],
         law: Callable[[np.random.Generator], object],
-        support: Optional[BoxWindow] = None,
     ):
         self.family = family
         self.law = law
-        self.support_hint = support
 
     def draw(self, rng: np.random.Generator):
         return self.law(rng)
@@ -362,9 +343,8 @@ class RandomizedStoppingSet:
 def randomize(
     family: Callable[[object], StoppingSetOracle],
     law: Callable[[np.random.Generator], object],
-    support: Optional[BoxWindow] = None,
 ) -> RandomizedStoppingSet:
-    return RandomizedStoppingSet(family, law, support)
+    return RandomizedStoppingSet(family, law)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +360,6 @@ class NonAttainableFixture(StoppingSetOracle):
             raise ValueError("need three positive cell masses")
         self.masses = np.asarray(masses, dtype=float)
         self.window = DiscreteWindow(3)
-        self.support_hint = None
 
     def cells_mask(self, counts: np.ndarray) -> np.ndarray:
         x1, x2, x3 = (bool(c > 0) for c in counts)
@@ -479,6 +458,17 @@ class AxiomReport:
         }
 
 
+def _outside_resampled(
+    oracle: StoppingSetOracle, mu: PointConfig, psi: PointConfig
+) -> PointConfig:
+    """mu inside Z(mu) plus psi outside Z(mu): the outside of the stopping
+    set replaced by another configuration."""
+    inside = restrict_to(oracle, mu)
+    if psi.size:
+        psi = psi.take(~oracle.contains(psi.points, mu))
+    return superpose(inside, psi)
+
+
 def _probe_locations(process: ProcessSpec, count: int, rng) -> np.ndarray:
     if isinstance(process.window, DiscreteWindow):
         return np.arange(process.window.num_cells)
@@ -497,14 +487,7 @@ def verify_stopping_axiom(
     report = AxiomReport(trials=trials, probes=probes)
     for trial in range(trials):
         mu = process.sample(rng)
-        psi = process.sample(rng)
-        inside = restrict_to(oracle, mu)
-        if psi.size:
-            outside_mask = ~oracle.contains(psi.points, mu)
-            outside = psi.take(outside_mask)
-        else:
-            outside = psi
-        composite = superpose(inside, outside)
+        composite = _outside_resampled(oracle, mu, process.sample(rng))
         xs = _probe_locations(process, probes, rng)
         before = oracle.contains(xs, mu)
         after = oracle.contains(xs, composite)
@@ -581,7 +564,7 @@ def revealment(
         else:
             counts += oracle.contains(probes, eta)
     p = counts / samples
-    ses = np.sqrt(np.maximum(p * (1 - p), 1e-12) / samples)
+    ses = _bernoulli_se(p, samples)
     best = int(np.argmax(p))
     return RevealmentReport(
         delta=float(p[best]),
@@ -689,13 +672,7 @@ def markov_property_check(
         for j, (_, g) in enumerate(functionals):
             vals_eta[j, i] = g(eta)
         eta2 = process.sample(rng)
-        prime = process.sample(rng)
-        inside = restrict_to(oracle, eta2)
-        if prime.size:
-            outside = prime.take(~oracle.contains(prime.points, eta2))
-        else:
-            outside = prime
-        mix = superpose(inside, outside)
+        mix = _outside_resampled(oracle, eta2, process.sample(rng))
         for j, (_, g) in enumerate(functionals):
             vals_mix[j, i] = g(mix)
     p_values = [

@@ -17,6 +17,7 @@ from poissonlab.chaos import (
     schramm_steif_audit,
     sqrt_osss_audit,
 )
+from poissonlab.dynamics import covariance_curve
 from poissonlab.process import (
     BoxWindow,
     CellIntensity,
@@ -170,7 +171,7 @@ def test_poincare_audit_cases():
 
 
 def test_osss_audit_sharp_empty_space():
-    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW)
+    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
     rep = osss_audit(empty_indicator, ctdt, SPEC, 30_000, stream(215), binary=True)
     assert rep.passed
     both = 2 * math.exp(-1) * (1 - math.exp(-1))
@@ -182,13 +183,13 @@ def test_osss_audit_sharp_empty_space():
 
 
 def test_osss_audit_constant():
-    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW)
+    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
     rep = osss_audit(lambda c: 1.0, ctdt, SPEC, 400, stream(216))
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
 
 def test_osss_audit_rejects_undetermined():
-    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW)
+    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
     outside = lambda c: float(c.count_in(lambda p: np.atleast_2d(p)[:, 0] > 0.9))
     with pytest.raises(ValueError):
         osss_audit(outside, ctdt, SPEC, 200, stream(217))
@@ -211,7 +212,7 @@ def test_schramm_steif_empty_space_terminal_set():
     space = DiscreteOracleSpace((1.0,))
     f_counts = lambda c: (np.atleast_2d(c)[:, 0] == 0).astype(float)
     spec = chaos_weights_exact(f_counts, space, 4)
-    term = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW).terminal()
+    term = ball_growth_ctdt(disk_region, (0.0, 0.0)).terminal()
     grid = probe_grid(WINDOW, 0.1)
     rev = revealment(term, SPEC, grid, 2000, stream(222), grid_spacing=0.1)
     ef2 = math.exp(-1.0)
@@ -227,7 +228,7 @@ def test_sqrt_osss_audit():
     assert rep.passed
     assert abs(rep.rhs - 3 * math.exp(-1)) <= 3 * rep.rhs_se
     # with the true terminal-set revealment it still holds
-    term = ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW).terminal()
+    term = ball_growth_ctdt(disk_region, (0.0, 0.0)).terminal()
     rev = revealment(term, SPEC, probe_grid(WINDOW, 0.1), 1500, stream(224), 0.1)
     rep2 = sqrt_osss_audit(
         empty_indicator, rev.delta, rev.delta_se, SPEC, 20_000, stream(225)
@@ -235,6 +236,23 @@ def test_sqrt_osss_audit():
     assert rep2.passed
     rep3 = sqrt_osss_audit(lambda c: 5.0, 1.0, 0.0, SPEC, 300, stream(226))
     assert rep3.lhs == 0.0 and rep3.rhs == 0.0
+
+
+def test_sqrt_osss_audit_reuses_the_poincare_draws():
+    poin = poincare_audit(empty_indicator, SPEC, 2000, stream(227))
+    rep = sqrt_osss_audit(empty_indicator, 0.3, 0.01, SPEC, 2000, stream(227))
+    assert (rep.lhs, rep.lhs_se) == (poin.lhs, poin.lhs_se)
+    assert rep.rhs == 3.0 * math.sqrt(0.3) * poin.rhs
+
+
+def test_covariance_curve_and_mehler_share_one_sampler():
+    times = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0]
+    curve = covariance_curve(lambda c: float(c.size), SPEC, times, 400, stream(228))
+    spec = chaos_weights_mehler(
+        lambda c: float(c.size), SPEC, times, 400, stream(228), k_max=4
+    )
+    assert np.array_equal(curve.se, spec.extras["cov_se"])
+    assert np.array_equal(curve.times, spec.extras["times"])
 
 
 # -- conditional moment bound -----------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy
 
-from poissonlab import __version__, svgplot
+from poissonlab import __version__, fixtures, svgplot
 from poissonlab.cli import main
+from poissonlab.rng import stream
 
 PROVENANCE = {
     "poissonlab": __version__, "numpy": np.__version__, "scipy": scipy.__version__
@@ -68,6 +69,17 @@ def test_stopping_audit_cli(tmp_path):
     rep = json.loads((tmp_path / "na.json").read_text())
     assert rep["axiom"]["passed"]
     assert rep["provenance"] == PROVENANCE
+
+
+def test_stopping_audit_line_exploration_revealment(tmp_path):
+    assert run(
+        tmp_path, "stopping", "audit", "--fixture", "line-exploration",
+        "--trials", "3", "--probes", "5", "--samples", "4", "--seed", "7",
+        "-o", "le.json",
+    ) == 0
+    rep = json.loads((tmp_path / "le.json").read_text())
+    want = fixtures.line_revealment(6, 0.36, 4, stream(7, 1))
+    assert rep["revealment"] == {"delta": want.delta, "delta_se": want.delta_se}
 
 
 def test_chaos_audit_cli(tmp_path):

@@ -1,7 +1,8 @@
-"""Differential tests of the grain-graph connectivity and the k = 1
-crossing against dense references: every pair of grains tested for
-overlap, every grain tested against the rect's faces, and a plain
-breadth-first search over the resulting matrix."""
+"""Differential tests of the grain-graph connectivity, the k = 1 crossing
+and the grain queries against dense references: every pair of grains
+tested for overlap, every grain tested against the rect's faces, a point
+or a box through its nearest point, and a plain breadth-first search over
+the resulting matrix."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -190,3 +191,60 @@ def test_crossing_matches_dense_reference(world):
             assert np.array_equal(world.grains_meeting_face(axis, c), want)
         reached = reference_depths(adj, faces[0]) >= 0
         assert crossing(world, axis) == bool(reached[faces[1]].any())
+
+
+def dense_meets(points, radii, lo, hi, kind):
+    """Grains whose closed grain meets the closed box [lo, hi] (a point when
+    lo = hi): the box point nearest to each centre, found by clipping."""
+    d = points - np.clip(points, lo, hi)
+    if kind == "ball":
+        return np.flatnonzero((d**2).sum(axis=1) <= radii**2)
+    return np.flatnonzero(np.all(np.abs(d) <= radii[:, None], axis=1))
+
+
+dyadic = st.integers(0, 8 * 16).map(lambda i: i / 16.0)
+
+
+@st.composite
+def tangent_worlds(draw):
+    """A world of ``worlds()`` plus grains planted against a point x, the
+    box [-half, half]^2 and RECT: per axis the centre lies a radius beyond
+    the lower or upper side (exactly tangent: all values are multiples of
+    1/16, so |gap| == r without rounding) or on a side, then possibly moves
+    one ulp either way."""
+    world, _ = draw(worlds())
+    x = np.array([draw(dyadic), draw(dyadic)])
+    half = draw(dyadic)
+    pts = [world.config.points.reshape(-1, 2)]
+    radii = [world.config.marks["radius"]]
+    for lo, hi in ((x, x), ((-half, -half), (half, half)), (RECT.lo, RECT.hi)):
+        for _ in range(draw(st.integers(0, 6))):
+            r = draw(st.integers(1, 24)) / 16.0
+            c = np.array([
+                draw(st.sampled_from([lo[k] - r, hi[k] + r, lo[k], hi[k]]))
+                for k in (0, 1)
+            ])
+            c = np.nextafter(c, c + draw(st.sampled_from([-1.0, 0.0, 1.0])))
+            pts.append(c[None, :])
+            radii.append([r])
+    config = PointConfig(world.config.window, np.concatenate(pts),
+                         {"radius": np.concatenate(radii)})
+    return config, world.model, x, half
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangent_worlds())
+def test_grain_queries_match_dense_references(case):
+    config, model, x, half = case
+    kind = model.grain.kind
+    world = BooleanWorld(config, model, RECT)
+    kept = dense_meets(config.points, config.marks["radius"], RECT.lo, RECT.hi, kind)
+    assert np.array_equal(world.points, config.points[kept])
+    assert np.array_equal(world.radii, config.marks["radius"][kept])
+    covering = dense_meets(world.points, world.radii, x, x, kind)
+    assert np.array_equal(world.grains_covering(x), covering)
+    assert world.cover_count(x) == len(covering)
+    assert np.array_equal(
+        world.grains_meeting_linf_box(half),
+        dense_meets(world.points, world.radii, -half, half, kind),
+    )

@@ -16,6 +16,7 @@ from poissonlab.process import (
     ProcessSpec,
     RadiusMarks,
     UniformRadius,
+    _bernoulli_se,
     _mean_se,
     config_from_csv,
     config_to_csv,
@@ -285,3 +286,10 @@ def test_mean_se_small_samples():
         assert _mean_se([0.3]) == (0.3, math.inf)
         vals = np.array([0.1, 0.7])
         assert _mean_se(vals) == (vals.mean(), vals.std(ddof=1) / math.sqrt(2))
+
+
+def test_bernoulli_se_scalar_is_float_and_arrays_match():
+    assert type(_bernoulli_se(0.3, 10)) is float
+    assert _bernoulli_se(0.3, 10) == math.sqrt(0.3 * (1.0 - 0.3) / 10)
+    p = np.array([0.0, 0.3, 1.0])
+    assert np.array_equal(_bernoulli_se(p, 10), [_bernoulli_se(v, 10) for v in p])

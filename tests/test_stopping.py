@@ -49,7 +49,7 @@ def disk_region(p):
 
 
 def make_ctdt():
-    return ball_growth_ctdt(disk_region, (0.0, 0.0), support=WINDOW)
+    return ball_growth_ctdt(disk_region, (0.0, 0.0))
 
 
 def crossing_setup(n=6, gamma=0.36):
@@ -106,7 +106,7 @@ def test_entry_time_detects_non_monotone():
 
 
 def test_axiom_constant_and_ball_growth():
-    const = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] > 0, support=WINDOW)
+    const = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] > 0)
     assert verify_stopping_axiom(const, SPEC, 300, 50, stream(103)).passed
     term = make_ctdt().terminal()
     assert verify_stopping_axiom(term, SPEC, 1000, 100, stream(104)).passed
