@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,20 +63,27 @@ class BoxWindow:
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
+    # The window is immutable, so its bounds are converted to (read-only)
+    # arrays and its volume computed once, on first use.
+
+    @cached_property
+    def lo_array(self) -> np.ndarray:
+        return _freeze(np.array(self.lo))
+
+    @cached_property
+    def hi_array(self) -> np.ndarray:
+        return _freeze(np.array(self.hi))
+
+    @cached_property
     def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
+        return float(np.prod(self.hi_array - self.lo_array))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
 
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return rng.uniform(lo, hi, size=(n, self.dim))
+        return rng.uniform(self.lo_array, self.hi_array, size=(n, self.dim))
 
     def pad(self, margin: float) -> "BoxWindow":
         return BoxWindow(

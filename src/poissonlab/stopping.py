@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .percolation import BooleanModel, BooleanWorld
+from .percolation import _DENSE_MAX, BooleanModel, BooleanWorld
 from .process import (
     BoxWindow,
     DiscreteWindow,
@@ -178,12 +178,9 @@ class SphereSeed:
 Seed = LineSeed | SphereSeed
 
 
-# Products len(probes) * len(grains) up to this size take the dense test,
-# larger ones the strip sweep.  Measured crossover (unit disks, probe grids
-# and uniform probes, 2-core x86 VM, numpy 2.4): at about 8,000 pairs the
-# dense test takes 70-90 us against 80-140 us for the sweep, and from about
-# 12,800 pairs on the sweep is faster.
-_DENSE_MAX = 10_000
+# Products len(probes) * len(grains) up to ``_DENSE_MAX`` take the dense
+# test, larger ones the strip sweep (the crossover is measured next to the
+# constant).
 _EPS = float(np.finfo(float).eps)
 
 

@@ -2,19 +2,26 @@
 and the grain queries against dense references: every pair of grains
 tested for overlap, every grain tested against the rect's faces, a point
 or a box through its nearest point, and a plain breadth-first search over
-the resulting matrix."""
+the resulting matrix. The grain graph's two builds, the dense n x n test
+and the kd-tree candidates, are each checked against the dense reference
+on both sides of the grain count that selects between them."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from poissonlab.percolation import (
+    _DENSE_MAX,
     BooleanModel,
     BooleanWorld,
     FixedRadius,
     GrainSpec,
     ParetoRadius,
     UniformRadius,
+    _gap,
+    _reaches,
     crossing,
 )
 from poissonlab.process import BoxWindow, PointConfig
@@ -120,6 +127,94 @@ def test_connectivity_matches_dense_references(case, data):
     )
     assert world.connected(a, b) == bool(reach[b].any())
     assert world.connected(a, b) == bool(np.intersect1d(comp[a], comp[b]).size)
+
+
+def csr_entries(n, indices, indptr):
+    """The n x n mask of a CSR matrix's entries, after checking that its
+    index pointer is well formed and that no entry repeats."""
+    assert indptr.shape == (n + 1,) and indptr[0] == 0
+    assert indptr[-1] == len(indices) and np.all(np.diff(indptr) >= 0)
+    assert np.all((indices >= 0) & (indices < n))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.repeat(np.arange(n), np.diff(indptr)), indices] = True
+    assert np.count_nonzero(mask) == len(indices)
+    return mask
+
+
+def same_partition(a, b):
+    return np.array_equal(a[:, None] == a, b[:, None] == b)
+
+
+# Radii are multiples of 5/32, so that a pair of equal radii r placed at
+# (3, 4) * 2r / 5 is exactly tangent as well as one placed along an axis.
+FIFTH = 5.0 / 32.0
+
+
+@st.composite
+def graph_worlds(draw):
+    """Worlds of 0-140 background grains (so on both sides of the dense
+    cap of 100) plus planted pairs: exactly tangent along an axis or on a
+    3-4-5 diagonal, or moved one ulp closer or farther.  Pareto laws put a
+    few large grains among the background."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
+    a = draw(st.integers(1, 6))
+    b = a + draw(st.integers(0, 6))
+    if law_kind == "fixed":
+        law, b = FixedRadius(a * FIFTH), a
+    elif law_kind == "uniform":
+        law = UniformRadius(a * FIFTH, b * FIFTH)
+    else:
+        law = ParetoRadius(a * FIFTH, 2.5)
+    n = draw(st.integers(0, 140))
+    span = 16.0 * max(1.0, np.sqrt(n) / 4.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = [rng.uniform(0.0, span, (n, 2))]
+    if law_kind == "fixed":
+        radii = [np.full(n, law.r)]
+    elif law_kind == "uniform":
+        radii = [rng.uniform(law.lo, law.hi, n)]
+    else:
+        radii = [law.sample(rng, n)]
+    cell = st.integers(0, int(16 * span)).map(lambda k: k / 16.0)
+    for _ in range(draw(st.integers(0, 8))):
+        c = np.array([draw(cell), draw(cell)])
+        r_i = draw(st.integers(a, b)) * FIFTH
+        sign = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+        if draw(st.booleans()):  # equal radii on the 3-4-5 diagonal
+            r_j = r_i
+            step = np.array([3.0, 4.0]) * (2.0 * r_i / 5.0)
+        else:
+            r_j = draw(st.integers(a, b)) * FIFTH
+            step = np.array([r_i + r_j, 0.0])
+            if draw(st.booleans()):
+                step = step[::-1]
+        other = c + sign * step
+        toward = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        if toward:
+            other = np.nextafter(other, other - toward * sign * np.inf)
+        pts.append(np.array([c, other]))
+        radii.append([r_i, r_j])
+    window = BoxWindow((0.0, 0.0), (span, span))
+    config = PointConfig(window, np.concatenate(pts), {"radius": np.concatenate(radii)})
+    return BooleanWorld(config, BooleanModel(1.0, GrainSpec(kind, law), k=1), window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_worlds())
+def test_dense_and_tree_graphs_match_dense_reference(world):
+    n = world.n
+    event("dense" if n * n <= _DENSE_MAX else "tree")
+    adj = dense_adjacency(world)
+    comp = reference_partition(adj)
+    for indices, indptr in (world._dense_csr(), world._tree_csr()):
+        assert np.array_equal(csr_entries(n, indices, indptr), adj)
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        assert same_partition(labels, comp)
+    used = world.adjacency
+    assert np.array_equal(csr_entries(n, used.indices, used.indptr), adj)
+    assert same_partition(world.labels, comp)
 
 
 def dense_face(world, axis, coord):
@@ -248,3 +343,25 @@ def test_grain_queries_match_dense_references(case):
         world.grains_meeting_linf_box(half),
         dense_meets(world.points, world.radii, -half, half, kind),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangent_worlds())
+def test_face_tests_match_two_column_gap_formula(case):
+    """``grains_meeting_faces`` against the clipped two-column gap with the
+    face's own axis put in, tested by ``_reaches``: the same grains, with
+    grains at a gap of exactly r (planted tangent to RECT) counted."""
+    config, model, _, _ = case
+    world = BooleanWorld(config, model, RECT)
+    for axis in (0, 1):
+        coords = (RECT.lo[axis], RECT.hi[axis])
+        for c, got in zip(coords, world.grains_meeting_faces(axis, coords)):
+            gap = _gap(world.points, RECT.lo, RECT.hi)
+            gap[:, axis] = np.abs(world.points[:, axis] - c)
+            want = _reaches(gap, world.radii, model.grain.kind)
+            assert np.array_equal(got, np.flatnonzero(want))
+            if model.grain.kind == "ball":
+                touching = np.einsum("ij,ij->i", gap, gap) == world.radii**2
+            else:
+                touching = np.any(gap == world.radii[:, None], axis=1) & want
+            assert set(np.flatnonzero(touching)) <= set(got)

@@ -293,3 +293,26 @@ def test_bernoulli_se_scalar_is_float_and_arrays_match():
     assert _bernoulli_se(0.3, 10) == math.sqrt(0.3 * (1.0 - 0.3) / 10)
     p = np.array([0.0, 0.3, 1.0])
     assert np.array_equal(_bernoulli_se(p, 10), [_bernoulli_se(v, 10) for v in p])
+
+
+def test_box_window_cached_bounds_keep_every_stream():
+    """Sampling from the window's cached bound arrays and volume draws the
+    same stream, bit for bit, as converting the bound tuples on each call."""
+    window = BoxWindow((-1.25, 0.5), (3.0, 2.75))
+    law = UniformRadius(0.5, 1.5)
+    spec = ProcessSpec(HomogeneousIntensity(7.0, RadiusMarks(law)), window)
+    for seed in range(5):
+        got = spec.sample(stream(60, seed))
+        rng = stream(60, seed)
+        volume = float(np.prod(np.asarray(window.hi) - np.asarray(window.lo)))
+        n = int(rng.poisson(7.0 * volume))
+        pts = rng.uniform(np.asarray(window.lo), np.asarray(window.hi), size=(n, 2))
+        assert np.array_equal(got.points, pts)
+        assert np.array_equal(got.marks["radius"], law.sample(rng, n))
+    assert window.volume == volume
+    for bound in (window.lo_array, window.hi_array):
+        assert not bound.flags.writeable
+    padded = window.pad(0.5)
+    assert padded.volume == float(np.prod(np.asarray(padded.hi) - np.asarray(padded.lo)))
+    assert padded.volume != window.volume
+    assert np.array_equal(padded.lo_array, np.asarray(window.lo) - 0.5)

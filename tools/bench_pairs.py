@@ -11,6 +11,15 @@ side) and the distance between the parent's quartiles; it also lists the
 seeds, whether each seed's output digest matched, and each side's
 ``provenance`` block. Metric names, units and directions come from
 ``BENCHMARK.json``.
+
+Where ``--trace 1`` also ran on both sides for a workload's seeds, its
+``layers`` hold each side's median of every per-layer metric that is not
+zero on every traced run, over those seeds. A run of fixed length lets a
+faster layer be called more often, so each called layer also gets its self
+time per call, ``<layer>.self_us_per_call`` in microseconds. Traced times
+are raw, and the shared machine's speed can halve for minutes, so the time
+per call is scaled as ``run.py`` scales block times, by the run's median
+block scale.
 """
 
 import argparse
@@ -22,10 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load(results: Path) -> dict:
-    """{(workload, seed): results file} of the untraced runs in ``results``."""
+def load(results: Path, trace: int) -> dict:
+    """{(workload, seed): results file} of the runs in ``results`` made with
+    ``--trace trace``."""
     runs = {}
-    for path in sorted(results.glob("*-trace0.json")):
+    for path in sorted(results.glob(f"*-trace{trace}.json")):
         run = json.loads(path.read_text())
         runs[run["workload"], run["seed"]] = run
     return runs
@@ -39,7 +49,41 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
+def layer_values(run: dict) -> dict:
+    """Per-layer metrics of one traced run, with the scaled self time per
+    call in microseconds of every layer called in it."""
+    values = {name: m["value"] for name, m in run["result"]["metrics"].items()}
+    us = 1e6 * statistics.median(run["block_scale"])
+    for name, calls in list(values.items()):
+        if name.endswith(".calls") and calls:
+            layer = name.removesuffix(".calls")
+            values[f"{layer}.self_us_per_call"] = values[f"{layer}.self_s"] / calls * us
+    return values
+
+
+def layers(parent: dict, change: dict, workload: str) -> dict | None:
+    """Both sides' medians of the per-layer metrics of ``workload`` over the
+    seeds traced on both sides, or None where there are none."""
+    seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+    if not seeds:
+        return None
+    par = [layer_values(parent[workload, s]) for s in seeds]
+    chg = [layer_values(change[workload, s]) for s in seeds]
+    names = set.intersection(*(set(v) for v in par + chg))
+    return {
+        "seeds": seeds,
+        "seconds": sorted({side[workload, s]["seconds"]
+                           for side in (parent, change) for s in seeds}),
+        "metrics": {
+            name: {"parent": statistics.median(v[name] for v in par),
+                   "change": statistics.median(v[name] for v in chg)}
+            for name in sorted(names) if any(v[name] for v in par + chg)
+        },
+    }
+
+
+def summarise(parent: dict, change: dict, metrics: list[dict],
+              parent_traced: dict, change_traced: dict) -> dict:
     out = {}
     for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -72,6 +116,9 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "values": [{"seed": s, "parent": p, "change": c}
                            for s, (p, c) in zip(seeds, values)],
             }
+        traced = layers(parent_traced, change_traced, workload)
+        if traced is not None:
+            row["layers"] = traced
         out[workload] = row
     return out
 
@@ -83,7 +130,8 @@ def main(argv=None) -> int:
     ap.add_argument("--output", "-o", type=Path, required=True)
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    workloads = summarise(load(args.parent), load(args.change), metrics)
+    workloads = summarise(load(args.parent, 0), load(args.change, 0), metrics,
+                          load(args.parent, 1), load(args.change, 1))
     if not workloads:
         print("error: no (workload, seed) pair was run on both sides", file=sys.stderr)
         return 2
