@@ -14,19 +14,8 @@ from poissonlab.dynamics import (
     resample,
     simulate_path,
 )
-from poissonlab.percolation import (
-    BooleanModel,
-    BooleanWorld,
-    FixedRadius,
-    GrainSpec,
-    crossing,
-)
-from poissonlab.process import (
-    BoxWindow,
-    HomogeneousIntensity,
-    ProcessSpec,
-    RadiusMarks,
-)
+from poissonlab.fixtures import crossing_setup
+from poissonlab.process import BoxWindow, HomogeneousIntensity, ProcessSpec
 from poissonlab.rng import stream
 
 window = BoxWindow((0.0, 0.0), (1.0, 1.0))
@@ -48,12 +37,7 @@ print(f"alive at 0.5: {path.alive_at(0.5).size}; one-shot resample: {check.size}
 # Exceptional times of a critical crossing functional grow with the window.
 gamma = 0.36
 for n in (5, 8, 11):
-    model = BooleanModel(gamma, GrainSpec("ball", FixedRadius(1.0)), k=1)
-    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-    process = ProcessSpec(
-        HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(1.0))), rect.pad(1.0)
-    )
-    f = lambda cfg: 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
+    _, _, process, f = crossing_setup(n, gamma)
     counts = [
         len(exceptional_times(simulate_path(process, 1.0, stream(14, n, s)), f))
         for s in range(12)

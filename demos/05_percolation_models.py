@@ -10,19 +10,16 @@ import numpy as np
 
 from poissonlab.percolation import (
     BooleanModel,
-    BooleanWorld,
     ConfettiModel,
     FixedRadius,
     GrainSpec,
     ParetoRadius,
     confetti_duality_counts,
-    crossing,
-    estimate_critical,
     crossing_probability,
+    estimate_critical,
     one_arm_decay_fit,
-    sample_boolean_config,
     threshold_scan,
-    truncate_radii,
+    truncation_flips,
 )
 from poissonlab.process import BoxWindow
 from poissonlab.rng import stream
@@ -60,12 +57,5 @@ print(f"confetti: P(cross at 1/2) ~ {hits / 300:.3f}; "
 
 # Pareto radii: truncate at n^(1-eps) and compare against the analytic bound.
 heavy = BooleanModel(0.4, GrainSpec("ball", ParetoRadius(0.5, 3.5)), k=1)
-trect = BoxWindow((0.0, 0.0), (32.0, 32.0))
-flips, bound = 0, 0.0
-for i in range(400):
-    cfg = sample_boolean_config(heavy, trect, stream(25, i), r_split=32.0**0.8)
-    kept, bound = truncate_radii(cfg, heavy, 32, 0.2)
-    flips += crossing(BooleanWorld(cfg, heavy, trect)) != crossing(
-        BooleanWorld(kept, heavy, trect)
-    )
+flips, bound = truncation_flips(heavy, 32, 0.2, 400, lambda i: stream(25, i))
 print(f"truncation: flip rate {flips / 400:.4f} <= analytic bound {bound:.4f}")

@@ -16,47 +16,34 @@ import numpy as np
 from scipy import stats
 
 from . import chaos, dynamics
-from .chaos import (
-    DiscreteOracleSpace,
-    chaos_weights_exact,
-    chaos_weights_mehler,
-    cond_moment_audit,
-)
+from .chaos import chaos_weights_exact, chaos_weights_mehler, cond_moment_audit
 from .fixtures import (
     CROSSING_RADIUS,
     boolean_model,
+    cond_moment_setup,
+    confetti_model,
+    counting_setup,
     crossing_setup,
     empty_space_setup,
+    line_exploration_setup,
     line_revealment,
+    sample_process,
+    three_cell_setup,
 )
 from .percolation import (
     BooleanModel,
-    BooleanWorld,
-    ConfettiModel,
-    FixedRadius,
     GrainSpec,
     ParetoRadius,
     confetti_duality_counts,
-    crossing,
     crossing_probability,
     estimate_critical,
     one_arm_decay_fit,
-    sample_boolean_config,
-    truncate_radii,
+    truncation_flips,
 )
-from .process import (
-    BoxWindow,
-    CellIntensity,
-    DiscreteWindow,
-    HomogeneousIntensity,
-    ProcessSpec,
-    _bernoulli_se,
-    _cov_se,
-)
+from .process import BoxWindow, ProcessSpec, _bernoulli_se, _cov_se
 from .rng import stream
 from .stopping import (
     ConstantRegionSet,
-    LineSeed,
     SphereSeed,
     ball_growth_ctdt,
     component_exploration,
@@ -162,14 +149,8 @@ def criterion_3_chaos_oracle() -> CriterionResult:
     """Exact enumeration on a 3-cell space reproduces the closed-form
     weights of the empty-indicator to 1e-10 and the second-moment identity."""
     t0 = time.perf_counter()
-    masses = (0.5, 0.3, 0.2)
     lam_w = 0.8  # cells 0 and 1
-    space = DiscreteOracleSpace(masses, tail_bound=1e-14)
-
-    def f_counts(counts):
-        counts = np.atleast_2d(counts)
-        return ((counts[:, 0] + counts[:, 1]) == 0).astype(float)
-
+    space, f_counts = three_cell_setup((0.5, 0.3, 0.2))
     spec6 = chaos_weights_exact(f_counts, space, k_max=6)
     closed = np.array(
         [lam_w**k * math.exp(-2 * lam_w) / math.factorial(k) for k in range(1, 7)]
@@ -198,10 +179,7 @@ def criterion_4_mehler_regression(samples: int = 25_000) -> CriterionResult:
     """Counting functional with lambda(B) = 2: pure first chaos W_1 = 2 and
     covariance curve 2 exp(-t)."""
     t0 = time.perf_counter()
-    window = BoxWindow((0.0, 0.0), (1.0, 1.0))
-    process = ProcessSpec(HomogeneousIntensity(2.0), window)
-    f = lambda cfg: float(cfg.size)
-    times = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
+    process, f, times = counting_setup(2.0)
     spec = chaos_weights_mehler(
         f, process, times, samples, stream(SEED, 4), k_max=6
     )
@@ -260,7 +238,7 @@ def criterion_5_schramm_steif(
     details: dict = {"gamma": gamma, "per_n": []}
     ok = True
     for idx, n in enumerate(sizes):
-        _, _, _, process, f = crossing_setup(n, gamma)
+        _, _, process, f = crossing_setup(n, gamma)
         times = np.geomspace(0.08, 2.5, 9)
         spec = chaos_weights_mehler(
             f, process, times, mehler_samples[idx], stream(SEED, 6, idx), k_max=4
@@ -302,10 +280,7 @@ def criterion_6_conditional_moment() -> CriterionResult:
     """Exact conditional-moment bound on the 3-cell space with the
     non-attainable stopping set, k in {1, 2}."""
     t0 = time.perf_counter()
-    masses = (0.5, 0.3, 0.2)
-    space = DiscreteOracleSpace(masses, tail_bound=1e-14)
-    fx = nonattainable_fixture(masses)
-    u1 = np.array([1.0, -0.7, 0.4])
+    space, fx, u1 = cond_moment_setup((0.5, 0.3, 0.2))
     u2 = np.array(
         [[0.8, -0.3, 0.1], [-0.3, 0.5, 0.6], [0.1, 0.6, -0.9]]
     )
@@ -332,11 +307,7 @@ def criterion_7_confetti_duality(samples: int = 10_000) -> CriterionResult:
     """Symmetric planar confetti at p = 1/2, n = 10, h = r/10: crossing
     probability 1/2 and the per-sample duality XOR everywhere."""
     t0 = time.perf_counter()
-    model = ConfettiModel(
-        0.5,
-        GrainSpec("ball", FixedRadius(CROSSING_RADIUS)),
-        GrainSpec("ball", FixedRadius(CROSSING_RADIUS)),
-    )
+    model = confetti_model({"radius": CROSSING_RADIUS}, 0.5)
     rect = BoxWindow((0.0, 0.0), (10.0, 10.0))
     h = CROSSING_RADIUS / 10.0
     hits, violations = confetti_duality_counts(
@@ -392,9 +363,7 @@ def criterion_8_markov_property(samples: int = 2_500) -> CriterionResult:
     )
 
     n = 6
-    gamma = 0.36
-    model, rect, padded, process2, _ = crossing_setup(n, gamma)
-    expl = component_exploration(model, rect, LineSeed(0, n / 2))
+    _, _, process2, expl = line_exploration_setup(n, 0.36)
     mid = np.array([n / 2, n / 2])
     region2 = lambda p: np.linalg.norm(np.atleast_2d(p) - mid, axis=1) <= 1.5
     fns2 = [
@@ -475,7 +444,7 @@ def criterion_10_noise_sensitivity(
     rows = []
     for s_idx in range(seeds):
         for idx, n in enumerate(sizes):
-            _, _, _, process, f = crossing_setup(n, gamma)
+            _, _, process, f = crossing_setup(n, gamma)
             rng = stream(SEED, 13, s_idx, idx)
             base = np.empty(samples)
             shifted = np.empty(samples)
@@ -512,16 +481,9 @@ def criterion_11_truncation_bound(samples: int = 4_000) -> CriterionResult:
     n, eps = 32, 0.2
     law = ParetoRadius(0.5, 3.5)  # alpha = shape - 2 = 1.5 > 1 declared margin
     model = BooleanModel(0.4, GrainSpec("ball", law), k=1)
-    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-    r_n = float(n) ** (1.0 - eps)
-    flips = 0
-    bound = 0.0
-    for i in range(samples):
-        cfg = sample_boolean_config(model, rect, stream(SEED, 14, i), r_split=r_n)
-        trunc, bound = truncate_radii(cfg, model, n, eps)
-        f_full = crossing(BooleanWorld(cfg, model, rect))
-        f_trunc = crossing(BooleanWorld(trunc, model, rect))
-        flips += f_full != f_trunc
+    flips, bound = truncation_flips(
+        model, n, eps, samples, lambda i: stream(SEED, 14, i)
+    )
     p_hat = flips / samples
     se = _bernoulli_se(p_hat, samples)
     passed = p_hat <= bound + 3.0 * se
@@ -532,7 +494,7 @@ def criterion_11_truncation_bound(samples: int = 4_000) -> CriterionResult:
             "p_flip": p_hat,
             "se": se,
             "analytic_bound": bound,
-            "r_n": r_n,
+            "r_n": float(n) ** (1.0 - eps),
             "samples": samples,
         },
         time.perf_counter() - t0,
@@ -562,32 +524,23 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200) -> Crit
         details[f"{name}_failures"] = len(rep.failures)
         ok &= rep.passed
 
-    n = 6
-    model, rect, padded, process2, _ = crossing_setup(n, 0.36)
-    for sub, (name, seed_obj) in enumerate(
+    model, _, line_process, line = line_exploration_setup(6, 0.36)
+    box = BoxWindow((-3.0, -3.0), (3.0, 3.0))
+    sphere = component_exploration(model, box, SphereSeed(1.5))
+    sphere_process = ProcessSpec(line_process.intensity, box.pad(CROSSING_RADIUS))
+    for sub, (name, expl, proc) in enumerate(
         (
-            ("line_exploration", LineSeed(0, n / 2)),
-            ("sphere_exploration", SphereSeed(1.5)),
+            ("line_exploration", line, line_process),
+            ("sphere_exploration", sphere, sphere_process),
         )
     ):
-        rect_s = (
-            rect
-            if isinstance(seed_obj, LineSeed)
-            else BoxWindow((-3.0, -3.0), (3.0, 3.0))
-        )
-        model_s, _, _, proc_s, _ = crossing_setup(n, 0.36)
-        if isinstance(seed_obj, SphereSeed):
-            proc_s = ProcessSpec(process2.intensity, rect_s.pad(CROSSING_RADIUS))
-        expl = component_exploration(model_s, rect_s, seed_obj)
-        rep = verify_stopping_axiom(
-            expl, proc_s, trials, probes, stream(SEED, 16, sub)
-        )
+        rep = verify_stopping_axiom(expl, proc, trials, probes, stream(SEED, 16, sub))
         details[f"{name}_failures"] = len(rep.failures)
         ok &= rep.passed
 
     masses = (0.5, 0.3, 0.2)
     fx = nonattainable_fixture(masses)
-    dproc = ProcessSpec(CellIntensity(masses), DiscreteWindow(3))
+    dproc = sample_process({"masses": masses})
     rep = verify_stopping_axiom(fx, dproc, trials, 3, stream(SEED, 17))
     details["fixture_failures"] = len(rep.failures)
     ok &= rep.passed
@@ -648,7 +601,7 @@ def run(names=None, workers: int = 1) -> list[CriterionResult]:
     names = list(names or ALL_CRITERIA)
     unknown = [n for n in names if n not in ALL_CRITERIA]
     if unknown:
-        raise KeyError(f"unknown criteria: {unknown}")
+        raise ValueError(f"unknown criteria: {unknown}")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

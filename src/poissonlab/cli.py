@@ -3,8 +3,11 @@
 Subcommands: sample, stopping, chaos, dynamics, perc, plot, acceptance,
 run.  All randomness funnels through --seed; outputs are deterministic
 given (arguments, seed) and carry a header with the resolved parameters
-and package version.  Environment: POISSONLAB_OUTDIR prefixes relative
-output paths, POISSONLAB_WORKERS sets the acceptance worker count.
+and package version.  Each command takes only fixtures of its own kind
+(sample, stopping, chaos, dynamics or perc).  Bad input, such as a fixture
+of another kind, ends with one "error: ..." line and exit status 2.
+Environment: POISSONLAB_OUTDIR prefixes relative output paths,
+POISSONLAB_WORKERS sets the acceptance worker count.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from .percolation import (
     estimate_critical,
     threshold_scan,
 )
-from .process import ProcessSpec, config_to_csv
+from .process import config_to_csv
 from .rng import stream
 from .stopping import (
     BrokenNearestPointOracle,
-    LineSeed,
     ball_growth_ctdt,
-    component_exploration,
     nonattainable_fixture,
     probe_grid,
     revealment,
@@ -73,9 +74,7 @@ def _write(path: str, text: str, header: dict | None = None) -> None:
 
 
 def cmd_sample(args) -> int:
-    fx = fixtures.get(args.fixture)
-    if fx["kind"] != "sample":
-        raise SystemExit(f"fixture {args.fixture!r} is not a sampling fixture")
+    fx = fixtures.get(args.fixture, "sample")
     process = fixtures.sample_process(fx)
     config = process.sample(stream(args.seed))
     _write(args.output, config_to_csv(config), {"fixture": args.fixture, "seed": args.seed})
@@ -83,7 +82,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stopping_audit(args) -> int:
-    fx = fixtures.get(args.fixture)
+    fx = fixtures.get(args.fixture, "stopping")
     seed = args.seed
     report: dict = {"fixture": args.fixture, "seed": seed, "provenance": _provenance()}
     if args.fixture in ("ball-growth", "broken-nearest"):
@@ -101,33 +100,27 @@ def cmd_stopping_audit(args) -> int:
         report["axiom"] = axiom.to_dict()
         report["revealment"] = {"delta": rev.delta, "delta_se": rev.delta_se}
     elif args.fixture == "line-exploration":
-        n = fx["n"]
-        model, rect, _, process, _ = fixtures.crossing_setup(n, fx["gamma"])
-        oracle = component_exploration(model, rect, LineSeed(0, n / 2))
+        n, gamma = fx["n"], fx["gamma"]
+        _, _, process, oracle = fixtures.line_exploration_setup(n, gamma)
         axiom = verify_stopping_axiom(
             oracle, process, args.trials, args.probes, stream(seed, 0)
         )
-        rev = fixtures.line_revealment(n, fx["gamma"], args.samples, stream(seed, 1))
+        rev = fixtures.line_revealment(n, gamma, args.samples, stream(seed, 1))
         report["axiom"] = axiom.to_dict()
         report["revealment"] = {"delta": rev.delta, "delta_se": rev.delta_se}
-    elif args.fixture == "nonattainable":
-        from .process import CellIntensity, DiscreteWindow
-
-        masses = tuple(fx["masses"])
-        oracle = nonattainable_fixture(masses)
-        process = ProcessSpec(CellIntensity(masses), DiscreteWindow(3))
+    else:  # nonattainable
+        oracle = nonattainable_fixture(fx["masses"])
+        process = fixtures.sample_process(fx)
         axiom = verify_stopping_axiom(
             oracle, process, args.trials, 3, stream(seed, 0)
         )
         report["axiom"] = axiom.to_dict()
-    else:
-        raise SystemExit(f"fixture {args.fixture!r} is not a stopping fixture")
     _write(args.output, json.dumps(report, indent=2, sort_keys=True), None)
     return 0 if report["axiom"]["passed"] == (args.fixture != "broken-nearest") else 1
 
 
 def cmd_chaos_audit(args) -> int:
-    fx = fixtures.get(args.fixture)
+    fx = fixtures.get(args.fixture, "chaos")
     seed = args.seed
     name = args.fixture
     if name in ("poincare-empty-space", "osss-empty-space", "sqrt-osss-empty-space"):
@@ -149,37 +142,17 @@ def cmd_chaos_audit(args) -> int:
             )
         payload = rep.to_dict()
     elif name == "mehler-count":
-        from .process import BoxWindow, HomogeneousIntensity
-
-        window = BoxWindow((0.0, 0.0), (1.0, 1.0))
-        process = ProcessSpec(HomogeneousIntensity(fx["mass"]), window)
+        process, f, times = fixtures.counting_setup(fx["mass"])
         spec = chaos.chaos_weights_mehler(
-            lambda c: float(c.size),
-            process,
-            [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0],
-            args.samples,
-            stream(seed, 0),
-            k_max=6,
+            f, process, times, args.samples, stream(seed, 0), k_max=6
         )
         payload = spec.to_dict()
     elif name == "chaos-3cell-exact":
-        masses = tuple(fx["masses"])
-        space = chaos.DiscreteOracleSpace(masses, tail_bound=1e-14)
-
-        def f_counts(counts):
-            counts = np.atleast_2d(counts)
-            return ((counts[:, 0] + counts[:, 1]) == 0).astype(float)
-
-        spec = chaos.chaos_weights_exact(f_counts, space, k_max=8)
-        payload = spec.to_dict()
-    elif name == "cond-moment-nonattainable":
-        masses = tuple(fx["masses"])
-        space = chaos.DiscreteOracleSpace(masses, tail_bound=1e-14)
-        fxo = nonattainable_fixture(masses)
-        u1 = np.array([1.0, -0.7, 0.4])
-        payload = chaos.cond_moment_audit(u1, 1, fxo.cells_mask, space)
-    else:
-        raise SystemExit(f"fixture {name!r} is not a chaos fixture")
+        space, f_counts = fixtures.three_cell_setup(fx["masses"])
+        payload = chaos.chaos_weights_exact(f_counts, space, k_max=8).to_dict()
+    else:  # cond-moment-nonattainable
+        space, oracle, u1 = fixtures.cond_moment_setup(fx["masses"])
+        payload = chaos.cond_moment_audit(u1, 1, oracle.cells_mask, space)
     payload = {**payload, "provenance": _provenance()}
     _write(
         args.output,
@@ -192,9 +165,7 @@ def cmd_chaos_audit(args) -> int:
 
 
 def cmd_dynamics_run(args) -> int:
-    fx = fixtures.get(args.fixture)
-    if fx["kind"] != "dynamics":
-        raise SystemExit(f"fixture {args.fixture!r} is not a dynamics fixture")
+    fx = fixtures.get(args.fixture, "dynamics")
     window = fx["window"] if "window" in fx else [0, 0, fx["n"], fx["n"]]
     process = fixtures.sample_process({"gamma": fx["gamma"], "window": window})
     path = dynamics.simulate_path(process, fx["horizon"], stream(args.seed))
@@ -203,9 +174,9 @@ def cmd_dynamics_run(args) -> int:
 
 
 def cmd_dynamics_exceptional(args) -> int:
-    fx = fixtures.get(args.fixture)
+    fx = fixtures.get(args.fixture, "dynamics")
     if args.fixture == "crossing-exceptional":
-        _, _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
+        _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
     else:
         process = fixtures.sample_process(fx)
         f = lambda cfg: float(cfg.size % 2)
@@ -222,17 +193,20 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(float(lo), float(hi), int(num))
 
 
-def cmd_perc_scan(args) -> int:
-    fx = fixtures.get(args.model)
-    grid = _parse_grid(args.grid)
+def _perc_model(fx: dict):
+    """Builder of the fixture's model at a scanned parameter (p for confetti,
+    gamma for Boolean), and the raster resolution (None: the exact grain
+    graph)."""
     if fx["model"] == "confetti":
-        model = fixtures.confetti_model(fx, 0.5)
-        resolution = fx.get("radius", 1.0) / 8.0
-    else:
-        model = fixtures.boolean_model(fx, grid[0])
-        resolution = None
+        return (lambda p: fixtures.confetti_model(fx, p)), fx.get("radius", 1.0) / 8.0
+    return (lambda gamma: fixtures.boolean_model(fx, gamma)), None
+
+
+def cmd_perc_scan(args) -> int:
+    build, resolution = _perc_model(fixtures.get(args.model, "perc"))
+    grid = _parse_grid(args.grid)
     scan = threshold_scan(
-        model, grid, args.n, args.samples, args.seed,
+        build(grid[0]), grid, args.n, args.samples, args.seed,
         event=args.event, resolution=resolution,
     )
     _write(
@@ -244,27 +218,17 @@ def cmd_perc_scan(args) -> int:
 
 
 def cmd_perc_critical(args) -> int:
-    fx = fixtures.get(args.model)
+    fx = fixtures.get(args.model, "perc")
+    build, resolution = _perc_model(fx)
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
-    if fx["model"] == "confetti":
-        resolution = fx.get("radius", 1.0) / 8.0
 
-        def prob_at(p, samples, ridx):
-            return crossing_probability(
-                fixtures.confetti_model(fx, p), rect, samples,
-                lambda i: stream(args.seed, ridx, i), resolution=resolution,
-            )
+    def prob_at(param, samples, ridx):
+        return crossing_probability(
+            build(param), rect, samples, lambda i: stream(args.seed, ridx, i),
+            resolution=resolution,
+        )
 
-        lo, hi = 0.3, 0.7
-    else:
-
-        def prob_at(g, samples, ridx):
-            return crossing_probability(
-                fixtures.boolean_model(fx, g), rect, samples,
-                lambda i: stream(args.seed, ridx, i),
-            )
-
-        lo, hi = args.lo, args.hi
+    lo, hi = (0.3, 0.7) if fx["model"] == "confetti" else (args.lo, args.hi)
     est, ci = estimate_critical(
         prob_at, lo, hi, tolerance=args.tolerance, base_samples=args.samples
     )
@@ -278,9 +242,9 @@ def cmd_perc_critical(args) -> int:
 
 
 def cmd_perc_duality(args) -> int:
-    fx = fixtures.get(args.model)
+    fx = fixtures.get(args.model, "perc")
     if fx["model"] != "confetti":
-        raise SystemExit("duality check applies to confetti fixtures")
+        raise ValueError("duality check applies to confetti fixtures")
     model = fixtures.confetti_model(fx, args.p)
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
     h = fx.get("radius", 1.0) / 10.0
@@ -304,28 +268,28 @@ def cmd_plot(args) -> int:
         for ln in text.strip().splitlines()
         if ln and not ln.startswith("#")
     ]
+    if len(rows) < 2:
+        raise ValueError("empty CSV: nothing to plot")
     header, data = rows[0], rows[1:]
-    if not data:
-        raise SystemExit("empty CSV: nothing to plot")
+    if any(len(r) != len(header) for r in data):
+        raise ValueError("CSV rows must have as many fields as the header")
     cols = {name: [float(r[j]) for r in data] for j, name in enumerate(header)}
     if args.kind == "threshold":
         if not {"param", "estimate", "se"} <= set(cols):
-            raise SystemExit("threshold plot needs columns param,estimate,se")
+            raise ValueError("threshold plot needs columns param,estimate,se")
         svg = svgplot.line_plot(
             [{"x": cols["param"], "y": cols["estimate"], "err": cols["se"],
               "label": "estimate"}],
             xlabel="parameter", ylabel="probability", title="threshold scan",
         )
-    elif args.kind == "covariance":
+    else:  # covariance
         if not {"t", "cov"} <= set(cols):
-            raise SystemExit("covariance plot needs columns t,cov")
+            raise ValueError("covariance plot needs columns t,cov")
         svg = svgplot.line_plot(
             [{"x": cols["t"], "y": cols["cov"], "err": cols.get("se"),
               "label": "cov"}],
             xlabel="t", ylabel="covariance", title="covariance decay", log_y=True,
         )
-    else:
-        raise SystemExit(f"unknown plot kind {args.kind!r}")
     _write(args.output, svg, None)
     return 0
 
@@ -333,10 +297,7 @@ def cmd_plot(args) -> int:
 def cmd_acceptance(args) -> int:
     names = None if args.which == "all" else [args.which]
     workers = args.workers or int(os.environ.get("POISSONLAB_WORKERS", "1"))
-    try:
-        results = acceptance.run(names, workers=workers)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
+    results = acceptance.run(names, workers=workers)
     for res in results:
         print(res.line())
     summary = {
@@ -487,7 +448,7 @@ def main(argv=None) -> int:
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

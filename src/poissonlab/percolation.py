@@ -83,6 +83,7 @@ __all__ = [
     "confetti_duality_check",
     "confetti_duality_counts",
     "truncate_radii",
+    "truncation_flips",
 ]
 
 
@@ -294,6 +295,33 @@ def truncate_radii(
         + math.pi * law.tail_moment(2, r_n)
     )
     return kept, float(bound)
+
+
+def truncation_flips(
+    model: BooleanModel,
+    n: float,
+    epsilon: float,
+    samples: int,
+    rng_factory: Callable[[int], np.random.Generator],
+) -> tuple[int, float]:
+    """Over ``samples`` worlds on the n x n square, how many left-right
+    crossings change when grains of radius > n^(1-epsilon) are dropped, and
+    the analytic bound of :func:`truncate_radii` on that probability.
+
+    Replica i draws from ``rng_factory(i)``, small grains split from the
+    exact tail at r_split = n^(1-epsilon).
+    """
+    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
+    r_split = float(n) ** (1.0 - epsilon)
+    flips = 0
+    bound = 0.0
+    for i in range(samples):
+        cfg = sample_boolean_config(model, rect, rng_factory(i), r_split=r_split)
+        kept, bound = truncate_radii(cfg, model, n, epsilon)
+        flips += crossing(BooleanWorld(cfg, model, rect)) != crossing(
+            BooleanWorld(kept, model, rect)
+        )
+    return flips, bound
 
 
 # ---------------------------------------------------------------------------
@@ -896,9 +924,8 @@ def sample_boolean_world(
     model: BooleanModel,
     rect: BoxWindow,
     rng: np.random.Generator,
-    r_split: Optional[float] = None,
 ) -> BooleanWorld:
-    return BooleanWorld(sample_boolean_config(model, rect, rng, r_split), model, rect)
+    return BooleanWorld(sample_boolean_config(model, rect, rng), model, rect)
 
 
 _ADJACENCY = {
@@ -1061,14 +1088,13 @@ def crossing_probability(
     samples: int,
     rng_factory: Callable[[int], np.random.Generator],
     resolution: Optional[float] = None,
-    r_split: Optional[float] = None,
 ) -> tuple[float, float]:
     def trial(i):
         rng = rng_factory(i)
         if isinstance(model, ConfettiModel):
             world = sample_confetti_world(model, rect, resolution, rng)
         else:
-            world = sample_boolean_world(model, rect, rng, r_split)
+            world = sample_boolean_world(model, rect, rng)
         return crossing(world, resolution=resolution)
 
     return _frequency(samples, trial)

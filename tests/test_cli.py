@@ -54,11 +54,11 @@ def test_perc_scan_and_plot(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_plot_empty_csv_errors(tmp_path):
+def test_plot_empty_csv_errors(tmp_path, capsys):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")
-    with pytest.raises(SystemExit):
-        run(tmp_path, "plot", "--csv", str(tmp_path / "empty.csv"),
-            "--kind", "threshold", "-o", "x.svg")
+    assert run(tmp_path, "plot", "--csv", str(tmp_path / "empty.csv"),
+               "--kind", "threshold", "-o", "x.svg") == 2
+    assert capsys.readouterr().err == "error: empty CSV: nothing to plot\n"
 
 
 def test_stopping_audit_cli(tmp_path):
@@ -190,9 +190,57 @@ def test_acceptance_single_criterion(tmp_path):
     assert rep["passed"] and len(rep["criteria"]) == 1
 
 
-def test_acceptance_unknown_name(tmp_path):
-    with pytest.raises(SystemExit):
-        run(tmp_path, "acceptance", "nope")
+def test_acceptance_unknown_name(tmp_path, capsys):
+    assert run(tmp_path, "acceptance", "nope") == 2
+    assert capsys.readouterr().err == "error: unknown criteria: ['nope']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("plot", "--csv", "empty.csv"),
+    ("plot", "--csv", "ab.csv", "--kind", "threshold"),
+    ("plot", "--csv", "ab.csv", "--kind", "covariance"),
+    ("plot", "--csv", "ragged.csv"),
+    ("perc", "duality", "--model", "boolean-k1"),
+    ("acceptance", "99"),
+    ("perc", "scan", "--model", "poisson-square"),
+    ("perc", "critical", "--model", "ball-growth"),
+    ("dynamics", "exceptional", "--fixture", "poisson-square"),
+    ("sample", "--fixture", "line-exploration"),
+    ("stopping", "audit", "--fixture", "poisson-square"),
+    ("chaos", "audit", "--fixture", "ball-growth"),
+    ("dynamics", "run", "--fixture", "boolean-k1"),
+    ("sample", "--fixture", "nope"),
+])
+def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "empty.csv").write_text("param,estimate,se\n")
+    (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "ragged.csv").write_text("param,estimate,se\n1,2\n")
+    assert run(tmp_path, *argv, "-o", "out.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err[len("error: ")] not in "'\""
+    assert not (tmp_path / "out.txt").exists()
+
+
+# the smallest counts at which each command runs every fixture of its kind
+KIND_ARGV = {
+    "sample": ("sample", "--fixture"),
+    "stopping": ("stopping", "audit", "--trials", "20", "--probes", "10",
+                 "--samples", "2", "--fixture"),
+    "chaos": ("chaos", "audit", "--samples", "50", "--fixture"),
+    "dynamics": ("dynamics", "run", "--fixture"),
+    "perc": ("perc", "scan", "--grid", "0.4:0.6:2", "--n", "4", "--samples", "2",
+             "--model"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.REGISTRY))
+def test_every_registry_entry_runs_through_its_command(tmp_path, name):
+    # exit 0: the command ran and, for the audits, gave the fixture's
+    # expected verdict (broken-nearest is expected to fail its axiom check)
+    argv = KIND_ARGV[fixtures.REGISTRY[name]["kind"]]
+    assert run(tmp_path, *argv, name, "-o", "out.txt") == 0
+    assert (tmp_path / "out.txt").exists()
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -28,6 +28,7 @@ from poissonlab.percolation import (
     sample_confetti_world,
     threshold_scan,
     truncate_radii,
+    truncation_flips,
 )
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.rng import stream
@@ -408,6 +409,28 @@ def test_truncate_bounded_noop():
     cfg = sample_boolean_config(model, rect, stream(422))
     kept, bound = truncate_radii(cfg, model, 8, 0.2)  # r_n = 8^0.8 > 0.8
     assert bound == 0.0 and kept.size == cfg.size
+
+
+@pytest.mark.parametrize("shape, n, epsilon, samples, seed", [
+    (3.5, 32, 0.2, 10, 14),  # the acceptance model: no flips at this count
+    (2.5, 8, 0.15, 40, 431),  # heavier tail on a small square: flips occur
+    (2.5, 8, 0.15, 40, 432),
+])
+def test_truncation_flips_matches_inline_loop(shape, n, epsilon, samples, seed):
+    model = BooleanModel(0.4, GrainSpec("ball", ParetoRadius(0.5, shape)), k=1)
+    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
+    flips, bound = 0, 0.0
+    for i in range(samples):
+        cfg = sample_boolean_config(
+            model, rect, stream(seed, i), r_split=float(n) ** (1.0 - epsilon)
+        )
+        kept, bound = truncate_radii(cfg, model, n, epsilon)
+        flips += crossing(BooleanWorld(cfg, model, rect)) != crossing(
+            BooleanWorld(kept, model, rect)
+        )
+    got = truncation_flips(model, n, epsilon, samples, lambda i: stream(seed, i))
+    assert got == (flips, bound)
+    assert type(got[0]) is int and type(got[1]) is float
 
 
 def test_pareto_tail_sampler_consistency():
