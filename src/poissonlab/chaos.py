@@ -338,13 +338,11 @@ class AuditReport:
 
 
 def _lambda_draw(process: ProcessSpec, rng) -> tuple[np.ndarray, Optional[dict]]:
-    x = process.sample_locations(rng, 1)
-    marks = (
-        process.intensity.marks.sample(rng, 1)
-        if process.intensity.marks is not None
-        else None
-    )
-    return x, marks
+    """One point x drawn from the normalized intensity, then its marks."""
+    intensity = process.intensity
+    x = intensity.sample_locations(rng, process.window, 1)
+    marks = intensity.marks
+    return x, (marks.sample(rng, 1) if marks is not None else None)
 
 
 def poincare_audit(

@@ -166,8 +166,7 @@ def cmd_chaos_audit(args) -> int:
 
 def cmd_dynamics_run(args) -> int:
     fx = fixtures.get(args.fixture, "dynamics")
-    window = fx["window"] if "window" in fx else [0, 0, fx["n"], fx["n"]]
-    process = fixtures.sample_process({"gamma": fx["gamma"], "window": window})
+    process, _ = fixtures.dynamics_setup(fx)
     path = dynamics.simulate_path(process, fx["horizon"], stream(args.seed))
     _write(args.output, path.to_csv(), {"fixture": args.fixture, "seed": args.seed})
     return 0
@@ -175,11 +174,7 @@ def cmd_dynamics_run(args) -> int:
 
 def cmd_dynamics_exceptional(args) -> int:
     fx = fixtures.get(args.fixture, "dynamics")
-    if args.fixture == "crossing-exceptional":
-        _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
-    else:
-        process = fixtures.sample_process(fx)
-        f = lambda cfg: float(cfg.size % 2)
+    process, f = fixtures.dynamics_setup(fx)
     path = dynamics.simulate_path(process, fx["horizon"], stream(args.seed))
     times = dynamics.exceptional_times(path, f)
     text = "time\n" + "".join(f"{t:.17g}\n" for t in times)
@@ -189,21 +184,28 @@ def cmd_dynamics_exceptional(args) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, num = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    try:
+        lo, hi, num = spec.split(":")
+        lo, hi, num = float(lo), float(hi), int(num)
+    except ValueError:
+        raise ValueError(f"--grid must be lo:hi:num, got {spec!r}") from None
+    if num < 1:
+        raise ValueError(f"--grid needs at least 1 value, got {num}")
+    return np.linspace(lo, hi, num)
 
 
 def _perc_model(fx: dict):
     """Builder of the fixture's model at a scanned parameter (p for confetti,
-    gamma for Boolean), and the raster resolution (None: the exact grain
-    graph)."""
+    gamma for Boolean), the raster resolution (None: the exact grain graph)
+    and the default bracket of the critical-point bisection."""
     if fx["model"] == "confetti":
-        return (lambda p: fixtures.confetti_model(fx, p)), fx.get("radius", 1.0) / 8.0
-    return (lambda gamma: fixtures.boolean_model(fx, gamma)), None
+        build = lambda p: fixtures.confetti_model(fx, p)
+        return build, fx.get("radius", 1.0) / 8.0, (0.3, 0.7)
+    return (lambda gamma: fixtures.boolean_model(fx, gamma)), None, (0.2, 0.6)
 
 
 def cmd_perc_scan(args) -> int:
-    build, resolution = _perc_model(fixtures.get(args.model, "perc"))
+    build, resolution, _ = _perc_model(fixtures.get(args.model, "perc"))
     grid = _parse_grid(args.grid)
     scan = threshold_scan(
         build(grid[0]), grid, args.n, args.samples, args.seed,
@@ -218,8 +220,9 @@ def cmd_perc_scan(args) -> int:
 
 
 def cmd_perc_critical(args) -> int:
-    fx = fixtures.get(args.model, "perc")
-    build, resolution = _perc_model(fx)
+    build, resolution, bracket = _perc_model(fixtures.get(args.model, "perc"))
+    lo = bracket[0] if args.lo is None else args.lo
+    hi = bracket[1] if args.hi is None else args.hi
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
 
     def prob_at(param, samples, ridx):
@@ -228,13 +231,12 @@ def cmd_perc_critical(args) -> int:
             resolution=resolution,
         )
 
-    lo, hi = (0.3, 0.7) if fx["model"] == "confetti" else (args.lo, args.hi)
     est, ci = estimate_critical(
         prob_at, lo, hi, tolerance=args.tolerance, base_samples=args.samples
     )
     payload = {
         "model": args.model, "n": args.n, "estimate": est, "ci": ci,
-        "seed": args.seed, "provenance": _provenance(),
+        "bracket": [lo, hi], "seed": args.seed, "provenance": _provenance(),
     }
     _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
     print(f"critical estimate {est:.4f} +- {ci:.4f}")
@@ -401,8 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = psub.add_parser("critical")
     pa.add_argument("--model", default="boolean-k1")
     pa.add_argument("--n", type=float, default=10.0)
-    pa.add_argument("--lo", type=float, default=0.2)
-    pa.add_argument("--hi", type=float, default=0.6)
+    pa.add_argument("--lo", type=float, default=None,
+                    help="bracket start (default: 0.2 Boolean gamma, 0.3 confetti p)")
+    pa.add_argument("--hi", type=float, default=None,
+                    help="bracket end (default: 0.6 Boolean gamma, 0.7 confetti p)")
     pa.add_argument("--tolerance", type=float, default=0.02)
     pa.add_argument("--samples", type=int, default=150)
     pa.add_argument("--seed", type=int, default=0)

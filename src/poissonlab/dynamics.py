@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import PointConfig, ProcessSpec, _cov_se, superpose, thin
+from .process import HomogeneousIntensity, PointConfig, ProcessSpec, _cov_se, _draw, thin
 
 __all__ = [
     "resample",
@@ -39,15 +39,33 @@ def resample(
     process: ProcessSpec,
     rng: np.random.Generator,
 ) -> PointConfig:
-    """One Ornstein-Uhlenbeck step of size t."""
+    """One Ornstein-Uhlenbeck step of size t.
+
+    The draws are those of ``superpose(thin(config, e^-t, rng),
+    process.scaled(1 - e^-t).sample(rng))``: the thinning mask, then the
+    newcomers' count, locations and marks.  On a homogeneous intensity the
+    scaled process is not built; its mass is the same product in the same
+    order.  ``config`` is taken to lie in ``process.window``.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return config
     keep = math.exp(-t)
     survivors = thin(config, keep, rng)
-    newcomers = process.scaled(1.0 - keep).sample(rng)
-    return superpose(survivors, newcomers)
+    intensity, window = process.intensity, process.window
+    if isinstance(intensity, HomogeneousIntensity):
+        mass = intensity.total_mass(window, 1.0 - keep)
+        newcomers = _draw(intensity, window, mass, rng)
+    else:
+        newcomers = process.scaled(1.0 - keep).sample(rng)
+    if survivors.marks.keys() != newcomers.marks.keys():
+        raise ValueError("mark columns must match")
+    return PointConfig._fresh(
+        survivors.window,
+        np.concatenate([survivors.points, newcomers.points]),
+        {k: np.concatenate([v, newcomers.marks[k]]) for k, v in survivors.marks.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

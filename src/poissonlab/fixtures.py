@@ -193,6 +193,18 @@ def crossing_setup(n: float, gamma: float):
     return model, rect, process, f
 
 
+def dynamics_setup(fx: dict):
+    """The process a dynamics fixture's birth-death path runs on, and the
+    functional whose flips along it are its exceptional times: the crossing
+    setup's radius-padded, radius-marked process and its crossing indicator
+    for ``crossing-exceptional``, the plain process of ``window`` and the
+    parity of the count otherwise."""
+    if fx["name"] == "crossing-exceptional":
+        _, _, process, f = crossing_setup(fx["n"], fx["gamma"])
+        return process, f
+    return sample_process(fx), lambda cfg: float(cfg.size % 2)
+
+
 def line_exploration_setup(n: float, gamma: float):
     """The crossing setup's model, square and process, and the exploration
     of the occupied cluster of the vertical line through the square's middle."""

@@ -82,8 +82,15 @@ class BoxWindow:
         pts = np.atleast_2d(pts)
         return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
 
+    @cached_property
+    def extent(self) -> np.ndarray:
+        return _freeze(self.hi_array - self.lo_array)
+
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo_array, self.hi_array, size=(n, self.dim))
+        # numpy's uniform(lo, hi) computes lo + (hi - lo) * next_double, one
+        # double per element in C order: the same draws and the same bits,
+        # without its broadcasting set-up.
+        return self.lo_array + self.extent * rng.random((n, self.dim))
 
     def pad(self, margin: float) -> "BoxWindow":
         return BoxWindow(
@@ -244,10 +251,12 @@ class HomogeneousIntensity:
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
 
-    def total_mass(self, window: Window) -> float:
+    def total_mass(self, window: Window, factor: float = 1.0) -> float:
+        """Mass over ``window`` at the rate gamma * factor (the rate is
+        multiplied first, so factor 1 changes no bit)."""
         if not isinstance(window, BoxWindow):
             raise TypeError("homogeneous intensity needs a box window")
-        mass = self.gamma * window.volume
+        mass = self.gamma * factor * window.volume
         if isinstance(self.marks, ConfettiMarks):
             mass *= self.marks.horizon
         return mass
@@ -279,6 +288,8 @@ class CellIntensity:
     def sample_locations(
         self, rng: np.random.Generator, window: DiscreteWindow, n: int
     ) -> np.ndarray:
+        if n == 0:  # draws nothing, and all-zero masses have no probabilities
+            return np.empty(0, dtype=np.int64)
         masses = np.asarray(self.masses, dtype=float)
         probs = masses / masses.sum()
         return rng.choice(window.num_cells, size=n, p=probs).astype(np.int64)
@@ -314,6 +325,20 @@ class PointConfig:
             if len(col) != self.size:
                 raise ValueError(f"mark column {key!r} has wrong length")
 
+    @classmethod
+    def _fresh(
+        cls, window: Window, points: np.ndarray, marks: dict[str, np.ndarray]
+    ) -> "PointConfig":
+        """A config on arrays its caller has just built, of matching lengths
+        and owned by nobody else: they are frozen in place, and the
+        conversions and checks of public construction are skipped."""
+        points.setflags(write=False)
+        for col in marks.values():
+            col.setflags(write=False)
+        self = object.__new__(cls)
+        self.__dict__.update(window=window, points=points, marks=marks)
+        return self
+
     @property
     def size(self) -> int:
         return len(self.points)
@@ -337,7 +362,7 @@ class PointConfig:
 
     def take(self, mask: np.ndarray) -> "PointConfig":
         mask = np.asarray(mask, dtype=bool)
-        return PointConfig(
+        return PointConfig._fresh(
             self.window,
             self.points[mask],
             {k: v[mask] for k, v in self.marks.items()},
@@ -350,13 +375,15 @@ class PointConfig:
         check and the chaos audits."""
         pts = np.atleast_2d(pts) if not self.is_discrete else np.atleast_1d(pts)
         marks = marks or {}
-        if set(marks) != set(self.marks) and self.size > 0:
+        if marks.keys() != self.marks.keys() and self.size > 0:
             raise ValueError("mark columns must match to append points")
-        new_marks = {
-            k: np.concatenate([self.marks[k], np.asarray(marks[k])])
-            for k in self.marks
-        }
-        return PointConfig(
+        new_marks = {}
+        for k, col in self.marks.items():
+            extra = np.asarray(marks[k])
+            if len(extra) != len(pts):
+                raise ValueError(f"mark column {k!r} has wrong length")
+            new_marks[k] = np.concatenate([col, extra])
+        return PointConfig._fresh(
             self.window, np.concatenate([self.points, pts]), new_marks
         )
 
@@ -405,13 +432,20 @@ def sample_poisson(
     intensity: IntensityModel, window: Window, rng: np.random.Generator
 ) -> PointConfig:
     """Draw one realization of the Poisson process."""
-    mass = intensity.total_mass(window)
-    if not np.isfinite(mass):
+    return _draw(intensity, window, intensity.total_mass(window), rng)
+
+
+def _draw(
+    intensity: IntensityModel, window: Window, mass: float, rng: np.random.Generator
+) -> PointConfig:
+    """Poisson(mass) points of ``intensity`` on ``window``: the count, then
+    the locations, then the marks."""
+    if not math.isfinite(mass):
         raise ValueError("intensity mass over the window is not finite")
     n = int(rng.poisson(mass))
     pts = intensity.sample_locations(rng, window, n)
     marks = intensity.marks.sample(rng, n) if intensity.marks is not None else {}
-    return PointConfig(window, pts, marks)
+    return PointConfig._fresh(window, pts, marks)
 
 
 def restrict(

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Philox keys are 128 bits; mix path indices with an odd multiplier so
-# distinct (seed, path) tuples land on distinct keys.
+# Philox keys are 128 bits.  Each path index is mixed in as key * _MIX +
+# index + 1, which is linear, so distinct (seed, path) tuples can share a
+# key: stream(0, i) == stream(i + 1), for one.  Keying from
+# numpy.random.SeedSequence(seed, spawn_key=path) would keep them apart but
+# move every pinned draw; that change is ROADMAP open item 7.
 _MASK = (1 << 128) - 1
 _MIX = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
@@ -20,8 +23,9 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, *path)``.
 
     ``stream(s, i)`` is the stream of replica ``i``; deeper paths
-    (``stream(s, i, j)``) address independent substreams.  The same
-    tuple always yields the same stream.
+    (``stream(s, i, j)``) address further substreams.  The same tuple
+    always yields the same stream, but two different tuples may too (see
+    the note on ``_MIX``).
     """
     key = int(seed) & _MASK
     for idx in path:

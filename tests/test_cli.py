@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy
 
-from poissonlab import __version__, fixtures, svgplot
+from poissonlab import __version__, dynamics, fixtures, svgplot
 from poissonlab.cli import main
+from poissonlab.process import BoxWindow, HomogeneousIntensity, ProcessSpec
 from poissonlab.rng import stream
 
 PROVENANCE = {
@@ -91,6 +92,10 @@ def test_chaos_audit_cli(tmp_path):
     assert rep["exact"] and len(rep["weights"]) == 8
 
 
+def body(path):
+    return "".join(ln for ln in path.read_text().splitlines(True) if not ln.startswith("#"))
+
+
 def test_dynamics_cli(tmp_path):
     assert run(tmp_path, "dynamics", "run", "--fixture", "birth-death-small",
                "--seed", "3", "-o", "path.csv") == 0
@@ -99,8 +104,62 @@ def test_dynamics_cli(tmp_path):
         if ln and not ln.startswith("#")
     ]
     assert rows[0] == "time,kind,point_id,x0,x1"
+    plain = ProcessSpec(HomogeneousIntensity(3.0), BoxWindow((0.0, 0.0), (1.0, 1.0)))
+    path = dynamics.simulate_path(plain, 2.0, stream(3))
+    assert body(tmp_path / "path.csv") == path.to_csv()
     assert run(tmp_path, "dynamics", "exceptional", "--fixture",
                "crossing-exceptional", "--seed", "3", "-o", "exc.csv") == 0
+
+
+def read_json(path):
+    return json.loads(path.read_text())
+
+
+CRITICAL = ("perc", "critical", "--tolerance", "0.05", "--seed", "1")
+
+
+@pytest.mark.parametrize("model,n,samples,bracket", [
+    ("confetti-symmetric", "4", "20", [0.3, 0.7]),
+    ("boolean-k1", "6", "30", [0.2, 0.6]),
+])
+def test_perc_critical_bracket_defaults_to_the_model_and_is_recorded(
+    tmp_path, model, n, samples, bracket
+):
+    argv = (*CRITICAL, "--model", model, "--n", n, "--samples", samples)
+    lo, hi = (str(v) for v in bracket)
+    assert run(tmp_path, *argv, "-o", "default.json") == 0
+    assert run(tmp_path, *argv, "--lo", lo, "--hi", hi, "-o", "explicit.json") == 0
+    default = read_json(tmp_path / "default.json")
+    assert default["bracket"] == bracket
+    assert default == read_json(tmp_path / "explicit.json")
+
+
+def test_perc_critical_honours_an_explicit_confetti_bracket(tmp_path):
+    argv = (*CRITICAL, "--model", "confetti-symmetric", "--n", "4", "--samples", "20")
+    assert run(tmp_path, *argv, "-o", "default.json") == 0
+    assert run(tmp_path, *argv, "--lo", "0.05", "--hi", "0.95", "-o", "wide.json") == 0
+    default, wide = read_json(tmp_path / "default.json"), read_json(tmp_path / "wide.json")
+    assert wide["bracket"] == [0.05, 0.95]
+    assert (wide["estimate"], wide["ci"]) != (default["estimate"], default["ci"])
+
+
+def test_dynamics_run_and_exceptional_share_the_crossing_path(tmp_path):
+    """``dynamics run`` writes the path whose crossing flips ``dynamics
+    exceptional`` counts: the radius-padded window, with radius marks."""
+    fx = fixtures.get("crossing-exceptional", "dynamics")
+    _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
+    for seed in ("3", "11"):
+        assert run(tmp_path, "dynamics", "run", "--fixture", "crossing-exceptional",
+                   "--seed", seed, "-o", "path.csv") == 0
+        assert run(tmp_path, "dynamics", "exceptional", "--fixture",
+                   "crossing-exceptional", "--seed", seed, "-o", "exc.csv") == 0
+        path = dynamics.simulate_path(process, fx["horizon"], stream(int(seed)))
+        text = body(tmp_path / "path.csv")
+        assert text.splitlines()[0] == "time,kind,point_id,x0,x1,radius"
+        assert text == path.to_csv()
+        times = [float(t) for t in body(tmp_path / "exc.csv").split()[1:]]
+        assert times == dynamics.exceptional_times(path, f)
+        assert len(times) == {"3": 0, "11": 4}[seed]
 
 
 def test_perc_duality_cli(tmp_path):
@@ -210,6 +269,8 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("chaos", "audit", "--fixture", "ball-growth"),
     ("dynamics", "run", "--fixture", "boolean-k1"),
     ("sample", "--fixture", "nope"),
+    ("perc", "scan", "--grid", "0.2:0.6:0"),
+    ("perc", "scan", "--grid", "0.2:0.6"),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")

@@ -7,18 +7,30 @@ Each argument is the ``benchmarks/results`` directory of one checkout, after
 (workload, seed) pairs. A pair is one seed of one workload, run once on each
 side. Per workload and end-to-end metric, the output holds both sides'
 medians and quartiles, the pairs the change won (ties count for neither
-side) and the distance between the parent's quartiles; it also lists the
-seeds, whether each seed's output digest matched, and each side's
-``provenance`` block. Metric names, units and directions come from
-``BENCHMARK.json``.
+side) and the distance between the parent's quartiles (IQR); it also lists
+the seeds, whether each seed's output digest matched, and each side's
+``provenance`` block. Metric names, units, directions and bounds come from
+``BENCHMARK.json``; a bound is a fraction of the parent's median.
+
+Each metric also gets a ``verdict``, the first that applies of:
+
+* ``gain``: the change won at least 9 in 10 of the pairs, and its median is
+  better than the parent's by more than the parent's IQR;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: the parent's IQR is wider than the bound, and not every
+  change run is better than every parent run;
+* ``within_bound``: any other case.
 
 Where ``--trace 1`` also ran on both sides for a workload's seeds, its
 ``layers`` hold each side's median of every per-layer metric that is not
 zero on every traced run, over those seeds. A run of fixed length lets a
 faster layer be called more often, so each called layer also gets its self
-time per call, ``<layer>.self_us_per_call`` in microseconds. Traced times
-are raw, and the shared machine's speed can halve for minutes, so the time
-per call is scaled as ``run.py`` scales block times, by the run's median
+time per call, ``<layer>.self_us_per_call`` in microseconds, and every
+layer its self time per timed replica, ``<layer>.self_us_per_replica`` (for
+a layer with no call count, such as an estimator called once per block).
+Traced times are raw, and the shared machine's speed can halve for minutes,
+so both are scaled as ``run.py`` scales block times, by the run's median
 block scale.
 """
 
@@ -50,14 +62,17 @@ def quartiles(values: list[float]) -> dict:
 
 
 def layer_values(run: dict) -> dict:
-    """Per-layer metrics of one traced run, with the scaled self time per
-    call in microseconds of every layer called in it."""
+    """Per-layer metrics of one traced run, with the scaled self times per
+    call (of every layer called in it) and per replica in microseconds."""
     values = {name: m["value"] for name, m in run["result"]["metrics"].items()}
     us = 1e6 * statistics.median(run["block_scale"])
-    for name, calls in list(values.items()):
-        if name.endswith(".calls") and calls:
+    for name, value in list(values.items()):
+        if name.endswith(".calls") and value:
             layer = name.removesuffix(".calls")
-            values[f"{layer}.self_us_per_call"] = values[f"{layer}.self_s"] / calls * us
+            values[f"{layer}.self_us_per_call"] = values[f"{layer}.self_s"] / value * us
+        if name.endswith(".self_s"):
+            layer = name.removesuffix(".self_s")
+            values[f"{layer}.self_us_per_replica"] = value / run["replicas"] * us
     return values
 
 
@@ -80,6 +95,23 @@ def layers(parent: dict, change: dict, workload: str) -> dict | None:
             for name in sorted(names) if any(v[name] for v in par + chg)
         },
     }
+
+
+def verdict(row: dict, sign: int, bound: float) -> str:
+    """The verdict of one metric row of ``summarise`` (see the module
+    docstring); ``sign`` is 1 where higher is better, -1 where lower is."""
+    par, pairs = row["parent"], row["values"]
+    gain = sign * (row["change"]["median"] - par["median"])
+    slack = bound * abs(par["median"])
+    if row["pairs_won"] >= 0.9 * len(pairs) and gain > row["parent_iqr"]:
+        return "gain"
+    if gain < -slack:
+        return "worse"
+    best_parent = max(sign * v["parent"] for v in pairs)
+    if row["parent_iqr"] > slack and not all(sign * v["change"] > best_parent
+                                             for v in pairs):
+        return "unresolved"
+    return "within_bound"
 
 
 def summarise(parent: dict, change: dict, metrics: list[dict],
@@ -116,6 +148,8 @@ def summarise(parent: dict, change: dict, metrics: list[dict],
                 "values": [{"seed": s, "parent": p, "change": c}
                            for s, (p, c) in zip(seeds, values)],
             }
+            row["metrics"][name]["verdict"] = verdict(
+                row["metrics"][name], sign, metric["bound"])
         traced = layers(parent_traced, change_traced, workload)
         if traced is not None:
             row["layers"] = traced
@@ -139,10 +173,11 @@ def main(argv=None) -> int:
                            + "\n")
     for workload, row in workloads.items():
         rate = row["metrics"]["replicas_per_s"]
+        verdicts = " ".join(f"{name}={m['verdict']}" for name, m in row["metrics"].items())
         print(f"{workload}: replicas_per_s {rate['parent']['median']:.4g} -> "
               f"{rate['change']['median']:.4g} ({rate['ratio_of_medians']:.3f}x), "
               f"won {rate['pairs_won']}/{len(row['seeds'])}, "
-              f"digests equal {all(row['digests_equal'])}")
+              f"digests equal {all(row['digests_equal'])}; {verdicts}")
     return 0
 
 
