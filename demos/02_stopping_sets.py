@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from poissonlab.process import BoxWindow, HomogeneousIntensity, ProcessSpec
+from poissonlab.process import BoxWindow, HomogeneousIntensity, PointConfig, ProcessSpec
 from poissonlab.rng import stream
 from poissonlab.stopping import (
     BrokenNearestPointOracle,
@@ -31,7 +31,7 @@ region = lambda p: np.linalg.norm(np.atleast_2d(p), axis=1) <= r_w
 
 # Grown ball: Z_t = B(0, tau ^ t) where tau is the first hit of the disk.
 ctdt = ball_growth_ctdt(region, (0.0, 0.0))
-empty = spec.sample(stream(0, 12345)).take(np.zeros(0, dtype=bool))  # empty config
+empty = PointConfig.empty(window)
 t = entry_time(ctdt, np.array([0.4, 0.0]), empty, resolution=1e-6, t_max=2.0)
 print(f"entry time of x at distance 0.4 under an empty configuration: {t:.6f}")
 

@@ -12,7 +12,7 @@ Two routes to the weights W_k = E[I_k(u_k)^2]:
   ``dynamics.covariance_curve`` too, so the two routes see the same draws.
 
 The audit functions estimate both sides of an inequality with standard
-errors and report a verdict at the 3-sigma margin.
+errors and report a verdict by the pass rule of ``process._at_most``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ from scipy.stats import poisson as poisson_dist
 
 from .dynamics import _ou_values
 from .process import (
+    AuditReport,
     DiscreteWindow,
     PointConfig,
     ProcessSpec,
+    _at_most,
     _bernoulli_se,
     _cov_se,
     _mean_se,
+    _need_two,
     _var_se,
 )
 from .stopping import StoppingSetOracle, restrict_to
@@ -73,6 +76,8 @@ def binary_l1_distance(p_hat: float, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Discrete enumeration space
 
+_MAX_OUTCOMES = 10**7
+
 
 @dataclass
 class DiscreteOracleSpace:
@@ -80,12 +85,12 @@ class DiscreteOracleSpace:
 
     Counts are capped per cell so the total neglected probability mass is
     below ``tail_bound``; the truncation mass is carried through every
-    exact result.
+    exact result.  Spaces of more than ``_MAX_OUTCOMES`` count vectors are
+    refused.
     """
 
     masses: tuple[float, ...]
     tail_bound: float = 1e-12
-    max_outcomes: int = 10**7
 
     def __post_init__(self):
         m = len(self.masses)
@@ -95,7 +100,7 @@ class DiscreteOracleSpace:
             caps.append(max(n, 1))
         self.caps = tuple(caps)
         total = math.prod(c + 1 for c in self.caps)
-        if total > self.max_outcomes:
+        if total > _MAX_OUTCOMES:
             raise ValueError(f"enumeration would need {total} outcomes")
         grids = np.meshgrid(*[np.arange(c + 1) for c in self.caps], indexing="ij")
         self.grid = np.column_stack([g.ravel() for g in grids])
@@ -252,6 +257,9 @@ def _resampled_cov(base: np.ndarray, vals: np.ndarray, idx: np.ndarray) -> np.nd
     return ((rows - rows.mean(axis=1)[:, None]) * b).mean(axis=1) * m / (m - 1)
 
 
+_BOOTSTRAP = 80
+
+
 def chaos_weights_mehler(
     f: Callable[[PointConfig], float],
     process: ProcessSpec,
@@ -259,16 +267,17 @@ def chaos_weights_mehler(
     samples: int,
     rng: np.random.Generator,
     k_max: int = 6,
-    bootstrap: int = 80,
 ) -> ChaosSpectrum:
-    """Chaos weights from the covariance curve via nonnegative least squares.
+    """Chaos weights from the covariance curve via nonnegative least squares,
+    with standard errors from ``_BOOTSTRAP`` resamples of the pairs.
 
-    Needs at least k_max distinct times; the default grid choice elsewhere
-    is geometric in (0, 3].
+    Needs at least k_max distinct times and two samples; the default grid
+    choice elsewhere is geometric in (0, 3].
     """
     times = np.asarray(sorted(set(float(t) for t in times)))
     if len(times) < k_max:
         raise ValueError("need at least k_max distinct times")
+    _need_two(samples)
     base, vals = _ou_values(f, process, times, samples, rng)
     design = np.exp(-np.outer(times, np.arange(1, k_max + 1)))
     cond = float(np.linalg.cond(design))
@@ -281,8 +290,8 @@ def chaos_weights_mehler(
     all_idx = np.arange(samples)
     w_hat, cov_hat = fit(all_idx)
     cov_se = np.array([_cov_se(base, v)[1] for v in vals])
-    boots = np.empty((bootstrap, k_max))
-    for b in range(bootstrap):
+    boots = np.empty((_BOOTSTRAP, k_max))
+    for b in range(_BOOTSTRAP):
         idx = rng.integers(0, samples, size=samples)
         boots[b], _ = fit(idx)
     ses = boots.std(axis=0, ddof=1)
@@ -307,34 +316,7 @@ def chaos_weights_mehler(
 
 
 # ---------------------------------------------------------------------------
-# Audit reports
-
-
-@dataclass
-class AuditReport:
-    name: str
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-    samples: int
-    passed: bool
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "lhs_se": self.lhs_se,
-            "rhs": self.rhs,
-            "rhs_se": self.rhs_se,
-            "samples": self.samples,
-            "passed": bool(self.passed),
-            **{
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.extras.items()
-            },
-        }
+# Audits
 
 
 def _lambda_draw(process: ProcessSpec, rng) -> tuple[np.ndarray, Optional[dict]]:
@@ -369,7 +351,7 @@ def poincare_audit(
         rhs,
         rhs_se,
         samples,
-        passed=bool(var <= rhs + 3.0 * (var_se + rhs_se)),
+        passed=bool(_at_most(var, rhs, var_se + rhs_se)),
     )
 
 
@@ -427,7 +409,7 @@ def osss_audit(
         rhs,
         rhs_se,
         samples,
-        passed=bool(lhs <= rhs + 3.0 * (lhs_se + rhs_se)),
+        passed=bool(_at_most(lhs, rhs, lhs_se + rhs_se)),
         extras={"pair_lhs": _mean_se(pair_vals)[0], "binary_mode": binary},
     )
 
@@ -453,7 +435,7 @@ def schramm_steif_audit(
         w_se = float(spectrum.ses[k - 1]) if spectrum.ses is not None else 0.0
         bound = k * delta * ef2
         bound_se = k * (delta_se * ef2 + delta * ef2_se)
-        passed = bool(w <= bound + 3.0 * (w_se + bound_se))
+        passed = bool(_at_most(w, bound, w_se + bound_se))
         ok &= passed
         rows.append(
             {
@@ -502,7 +484,7 @@ def sqrt_osss_audit(
         rhs,
         rhs_se,
         samples,
-        passed=bool(var <= rhs + 3.0 * (var_se + rhs_se)),
+        passed=bool(_at_most(var, rhs, var_se + rhs_se)),
         extras={"delta": delta, "delta_se": delta_se},
     )
 

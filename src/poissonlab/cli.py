@@ -305,10 +305,8 @@ def cmd_acceptance(args) -> int:
     summary = {
         "version": __version__,
         "passed": all(r.passed for r in results),
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "elapsed": r.elapsed}
-            for r in results
-        ],
+        "provenance": _provenance(),
+        "criteria": [r.record() for r in results],
     }
     if args.output:
         _write(args.output, json.dumps(summary, indent=2, sort_keys=True), None)

@@ -20,7 +20,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import HomogeneousIntensity, PointConfig, ProcessSpec, _cov_se, _draw, thin
+from .process import (
+    HomogeneousIntensity,
+    PointConfig,
+    ProcessSpec,
+    _at_most,
+    _cov_se,
+    _draw,
+    thin,
+)
 
 __all__ = [
     "resample",
@@ -222,19 +230,12 @@ class CovCurve:
     se: np.ndarray
     samples: int
 
-    def nonincreasing_within(self, k_se: float = 3.0) -> bool:
-        jumps = np.diff(self.cov)
-        tol = k_se * np.hypot(self.se[1:], self.se[:-1])
-        return bool(np.all(jumps <= tol))
+    def nonincreasing_within(self) -> bool:
+        jump_se = np.hypot(self.se[1:], self.se[:-1])
+        return bool(np.all(_at_most(np.diff(self.cov), 0.0, jump_se)))
 
-    def nonnegative_within(self, k_se: float = 3.0) -> bool:
-        return bool(np.all(self.cov >= -k_se * self.se))
-
-    def to_csv(self) -> str:
-        lines = ["t,cov,se,samples"]
-        for t, c, s in zip(self.times, self.cov, self.se):
-            lines.append(f"{t:.17g},{c:.17g},{s:.17g},{self.samples}")
-        return "\n".join(lines) + "\n"
+    def nonnegative_within(self) -> bool:
+        return bool(np.all(_at_most(-self.cov, 0.0, self.se)))
 
 
 def covariance_curve(

@@ -309,7 +309,9 @@ def truncation_flips(
     the analytic bound of :func:`truncate_radii` on that probability.
 
     Replica i draws from ``rng_factory(i)``, small grains split from the
-    exact tail at r_split = n^(1-epsilon).
+    exact tail at r_split = n^(1-epsilon).  Unless a grain of radius above
+    r_split meets the square, the truncated world holds the same grains in
+    the same order as the full one, so no crossing is evaluated.
     """
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
     r_split = float(n) ** (1.0 - epsilon)
@@ -318,9 +320,9 @@ def truncation_flips(
     for i in range(samples):
         cfg = sample_boolean_config(model, rect, rng_factory(i), r_split=r_split)
         kept, bound = truncate_radii(cfg, model, n, epsilon)
-        flips += crossing(BooleanWorld(cfg, model, rect)) != crossing(
-            BooleanWorld(kept, model, rect)
-        )
+        full = BooleanWorld(cfg, model, rect)
+        if np.any(full.radii > r_split):
+            flips += crossing(full) != crossing(BooleanWorld(kept, model, rect))
     return flips, bound
 
 
@@ -507,15 +509,7 @@ class BooleanWorld:
     # -- point queries -------------------------------------------------------
 
     def cover_count(self, x: np.ndarray) -> int:
-        if self.n == 0:
-            return 0
-        x = np.asarray(x, dtype=float)
-        d = self.points - x
-        if self.model.grain.kind == "ball":
-            inside = np.einsum("ij,ij->i", d, d) <= self.radii**2
-        else:
-            inside = np.all(np.abs(d) <= self.radii[:, None], axis=1)
-        return int(np.count_nonzero(inside))
+        return len(self.grains_covering(x))
 
     def grains_covering(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -1209,19 +1203,22 @@ def one_arm_decay_fit(
     }
 
 
+_MAX_ROUNDS = 40
+
+
 def estimate_critical(
     prob_at: Callable[[float, int, int], tuple[float, float]],
     lo: float,
     hi: float,
     tolerance: float,
     base_samples: int = 200,
-    max_rounds: int = 40,
 ) -> tuple[float, float]:
     """Stochastic bisection for the parameter with event probability 1/2.
 
     ``prob_at(param, samples, round_idx)`` returns (estimate, se).  Sample
     size grows when the estimate is statistically indistinguishable from
-    1/2.  Returns (estimate, half-width CI combining bracket and noise).
+    1/2; at most ``_MAX_ROUNDS`` estimates are made.  Returns (estimate,
+    half-width CI combining bracket and noise).
     """
     p_lo, se_lo = prob_at(lo, base_samples, 0)
     p_hi, se_hi = prob_at(hi, base_samples, 1)
@@ -1230,7 +1227,7 @@ def estimate_critical(
             f"invalid bracket: P({lo})={p_lo:.3f}, P({hi})={p_hi:.3f} must straddle 1/2"
         )
     round_idx = 2
-    while hi - lo > tolerance and round_idx < max_rounds:
+    while hi - lo > tolerance and round_idx < _MAX_ROUNDS:
         mid = 0.5 * (lo + hi)
         samples = base_samples
         while True:

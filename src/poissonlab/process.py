@@ -36,7 +36,7 @@ __all__ = [
     "superpose",
     "thin",
     "mecke_check",
-    "MeckeReport",
+    "AuditReport",
     "config_to_csv",
     "config_from_csv",
 ]
@@ -362,6 +362,10 @@ class PointConfig:
 
     def take(self, mask: np.ndarray) -> "PointConfig":
         mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.size,):
+            raise ValueError(
+                f"mask of shape {mask.shape} for a config of {self.size} points"
+            )
         return PointConfig._fresh(
             self.window,
             self.points[mask],
@@ -482,31 +486,43 @@ def thin(
 
 
 # ---------------------------------------------------------------------------
-# Mecke equation check (n = 1)
-
-_OVERFLOW_GUARD = 1e12
+# Estimates with standard errors, and the one pass rule that reads them
 
 
-@dataclass(frozen=True)
-class MeckeReport:
+def _at_most(stat, bound, se):
+    """The pass rule of every statistical verdict: ``stat`` exceeds ``bound``
+    by at most three standard errors (elementwise on arrays).  A two-sided
+    check reads ``_at_most(abs(a - b), 0.0, se)``."""
+    return stat <= bound + 3.0 * se
+
+
+@dataclass
+class AuditReport:
+    """Two sides of an inequality or identity with their standard errors,
+    and the verdict on them."""
+
+    name: str
     lhs: float
     lhs_se: float
     rhs: float
     rhs_se: float
     samples: int
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.lhs - self.rhs) <= 3.0 * (self.lhs_se + self.rhs_se)
+    passed: bool
+    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
+            "name": self.name,
             "lhs": self.lhs,
             "lhs_se": self.lhs_se,
             "rhs": self.rhs,
             "rhs_se": self.rhs_se,
             "samples": self.samples,
             "passed": bool(self.passed),
+            **{
+                k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                for k, v in self.extras.items()
+            },
         }
 
 
@@ -520,10 +536,16 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def _need_two(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"a variance needs at least 2 samples, got {n}")
+
+
 def _var_se(vals: np.ndarray) -> tuple[float, float]:
     """Sample variance with a delta-method standard error."""
     vals = np.asarray(vals, dtype=float)
     n = len(vals)
+    _need_two(n)
     c = vals - vals.mean()
     m2 = float(np.mean(c**2))
     m4 = float(np.mean(c**4))
@@ -536,8 +558,9 @@ def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Paired sample covariance and the standard error of its mean product."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    prods = (a - a.mean()) * (b - b.mean())
     n = len(a)
+    _need_two(n)
+    prods = (a - a.mean()) * (b - b.mean())
     cov = float(prods.sum() / (n - 1))
     se = float(prods.std(ddof=1) / math.sqrt(n))
     return cov, se
@@ -551,13 +574,19 @@ def _bernoulli_se(p_hat, n: int):
     return float(se) if np.ndim(se) == 0 else se
 
 
+# ---------------------------------------------------------------------------
+# Mecke equation check (n = 1)
+
+_OVERFLOW_GUARD = 1e12
+
+
 def mecke_check(
     f: Callable[[np.ndarray, PointConfig], float],
     intensity: IntensityModel,
     window: Window,
     samples: int,
     rng: np.random.Generator,
-) -> MeckeReport:
+) -> AuditReport:
     """Estimate both sides of the univariate Mecke identity.
 
     Left side: E[sum over points x of eta of f(x, eta)].  Right side:
@@ -584,7 +613,10 @@ def mecke_check(
             raise OverflowError("functional looks unbounded; Mecke check aborted")
     lhs, lhs_se = _mean_se(lhs_vals)
     rhs, rhs_se = _mean_se(rhs_vals)
-    return MeckeReport(lhs, lhs_se, rhs, rhs_se, samples)
+    return AuditReport(
+        "mecke", lhs, lhs_se, rhs, rhs_se, samples,
+        passed=_at_most(abs(lhs - rhs), 0.0, lhs_se + rhs_se),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .process import (
     DiscreteWindow,
     PointConfig,
     ProcessSpec,
+    _at_most,
     _bernoulli_se,
     _mean_se,
     superpose,
@@ -386,6 +387,8 @@ def nonattainable_fixture(masses) -> NonAttainableFixture:
 # ---------------------------------------------------------------------------
 # Entry times
 
+_MONOTONE_SCAN = 16
+
 
 def entry_time(
     ctdt,
@@ -393,12 +396,11 @@ def entry_time(
     config: PointConfig,
     resolution: Optional[float] = None,
     t_max: float = 1.0,
-    monotone_scan: int = 16,
 ) -> float:
     """inf{t : x in Z_t(mu)} by bisection on [0, t_max]; inf -> math.inf.
 
-    Resolution defaults to 1e-6 * t_max.  A coarse scan guards against
-    non-monotone membership curves.
+    Resolution defaults to 1e-6 * t_max.  A scan of ``_MONOTONE_SCAN``
+    evenly spaced times guards against non-monotone membership curves.
     """
     if resolution is None:
         resolution = 1e-6 * t_max
@@ -409,11 +411,9 @@ def entry_time(
     def member(t: float) -> bool:
         return bool(ctdt.membership_at(t, x, config)[0])
 
-    if monotone_scan:
-        grid = np.linspace(0.0, t_max, monotone_scan)
-        vals = [member(t) for t in grid]
-        if any(a and not b for a, b in zip(vals, vals[1:])):
-            raise RuntimeError("non-monotone CTDT detected during bisection")
+    vals = [member(t) for t in np.linspace(0.0, t_max, _MONOTONE_SCAN)]
+    if any(a and not b for a, b in zip(vals, vals[1:])):
+        raise RuntimeError("non-monotone CTDT detected during bisection")
     if not member(t_max):
         return math.inf
     if member(0.0):
@@ -500,6 +500,9 @@ def verify_stopping_axiom(
 
 @dataclass
 class RevealmentReport:
+    """``delta`` is a maximum over a finite probe grid, so it lower-bounds
+    the supremum over locations; ``grid_spacing`` says how fine the grid is."""
+
     delta: float
     delta_se: float
     probes: np.ndarray
@@ -507,22 +510,6 @@ class RevealmentReport:
     ses: np.ndarray
     samples: int
     grid_spacing: Optional[float]
-    note: str = (
-        "delta is a maximum over a finite probe grid and lower-bounds the "
-        "supremum over locations; the grid spacing is reported above"
-    )
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "delta_se": self.delta_se,
-            "samples": self.samples,
-            "grid_spacing": self.grid_spacing,
-            "note": self.note,
-            "probes": np.atleast_2d(self.probes).tolist(),
-            "probabilities": self.probabilities.tolist(),
-            "ses": self.ses.tolist(),
-        }
 
 
 def probe_grid(box: BoxWindow, spacing: float) -> np.ndarray:
@@ -621,7 +608,7 @@ def expected_revealed_points(
         "e_eta_se": se_eta,
         "e_lam": e_lam,
         "e_lam_se": se_lam,
-        "passed": abs(e_eta - e_lam) <= 3.0 * (se_eta + se_lam),
+        "passed": _at_most(abs(e_eta - e_lam), 0.0, se_eta + se_lam),
     }
 
 
@@ -629,27 +616,23 @@ def expected_revealed_points(
 # Markov property (two-sample tests)
 
 
+_MARKOV_LEVEL = 0.01
+
+
 @dataclass
 class MarkovReport:
     names: list[str]
     p_values: list[float]
-    level: float
     samples: int
 
     @property
-    def passed(self) -> bool:
-        cutoff = self.level / max(1, len(self.p_values))
-        return all(p >= cutoff for p in self.p_values)
+    def cutoff(self) -> float:
+        """The level ``_MARKOV_LEVEL``, Bonferroni-split over the tests."""
+        return _MARKOV_LEVEL / max(1, len(self.p_values))
 
-    def to_dict(self) -> dict:
-        return {
-            "names": self.names,
-            "p_values": self.p_values,
-            "level": self.level,
-            "bonferroni_cutoff": self.level / max(1, len(self.p_values)),
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+    @property
+    def passed(self) -> bool:
+        return all(p >= self.cutoff for p in self.p_values)
 
 
 def markov_property_check(
@@ -658,7 +641,6 @@ def markov_property_check(
     functionals: Sequence[tuple[str, Callable[[PointConfig], float]]],
     samples: int,
     rng: np.random.Generator,
-    level: float = 0.01,
 ) -> MarkovReport:
     """Compare the laws of g(eta) and g(eta_Z + eta'_{X \\ Z}) with
     two-sample KS tests, Bonferroni-corrected across functionals."""
@@ -679,6 +661,5 @@ def markov_property_check(
     return MarkovReport(
         names=[name for name, _ in functionals],
         p_values=p_values,
-        level=level,
         samples=samples,
     )

@@ -271,6 +271,9 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("sample", "--fixture", "nope"),
     ("perc", "scan", "--grid", "0.2:0.6:0"),
     ("perc", "scan", "--grid", "0.2:0.6"),
+    ("chaos", "audit", "--fixture", "poincare-empty-space", "--samples", "1"),
+    ("chaos", "audit", "--fixture", "sqrt-osss-empty-space", "--samples", "1"),
+    ("chaos", "audit", "--fixture", "mehler-count", "--samples", "1"),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")

@@ -16,8 +16,11 @@ from poissonlab.process import (
     ProcessSpec,
     RadiusMarks,
     UniformRadius,
+    _at_most,
     _bernoulli_se,
+    _cov_se,
     _mean_se,
+    _var_se,
     config_from_csv,
     config_to_csv,
     mecke_check,
@@ -169,13 +172,46 @@ def test_thinned_process_is_poisson():
     assert chisquare(obs, exp * obs.sum() / exp.sum()).pvalue >= 0.01
 
 
+def test_take_rejects_a_mask_of_the_wrong_shape():
+    pts = np.linspace(0.0, 1.0, 10).reshape(5, 2)
+    cfg = PointConfig(UNIT_SQ, pts, {"radius": np.arange(5.0)})
+    for mask in (np.zeros(0, dtype=bool), np.ones(cfg.size - 1, dtype=bool),
+                 np.ones(cfg.size + 1, dtype=bool), np.ones((1, cfg.size), dtype=bool)):
+        with pytest.raises(ValueError, match="mask of shape"):
+            cfg.take(mask)
+    half = cfg.take(np.arange(cfg.size) % 2 == 0)
+    assert half.size == (cfg.size + 1) // 2
+    assert np.array_equal(half.marks["radius"], cfg.marks["radius"][::2])
+    empty = PointConfig.empty(UNIT_SQ)
+    assert empty.take(np.zeros(0, dtype=bool)).size == 0
+
+
+def test_pass_rule_is_three_standard_errors_elementwise():
+    assert _at_most(1.375, 1.0, 0.125) and not _at_most(1.5, 1.0, 0.125)
+    assert _at_most(abs(2.0 - 2.25), 0.0, 0.125)  # the two-sided form
+    np.testing.assert_array_equal(
+        _at_most(np.array([0.0, 0.5, -5.0]), 0.0, np.array([0.125, 0.125, 0.0])),
+        [True, False, True],
+    )
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda v: _var_se(v), lambda v: _cov_se(v, v)
+], ids=["var", "cov"])
+def test_variance_estimates_need_two_values(estimate):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"at least 2 samples, got {n}"):
+            estimate(np.ones(n))
+    assert estimate(np.array([1.0, 3.0]))[0] == 2.0
+
+
 # -- Mecke ----------------------------------------------------------------------
 
 
 def test_mecke_constant_functional():
     spec = ProcessSpec(HomogeneousIntensity(2.0), UNIT_SQ)
     rep = mecke_check(lambda x, cfg: 1.0, spec.intensity, spec.window, 4000, stream(10))
-    assert rep.passed
+    assert rep.passed and rep.name == "mecke" and rep.samples == 4000
     assert abs(rep.lhs - 2.0) <= 3 * rep.lhs_se
     assert abs(rep.rhs - 2.0) <= 3 * rep.rhs_se
 
