@@ -75,21 +75,17 @@ class CriterionResult:
     def record(self) -> dict:
         """The criterion's entry in the acceptance record: name, verdict,
         canonical details and their sha256 digest; ``elapsed`` is left out.
-        Every entry is a pure function of the pinned seeds except criterion
-        1's ``runtime_under_60s``, which reads the wall clock."""
-        text = canonical(self.details)
+        Canonical means JSON with sorted keys and floats by ``repr``, numpy
+        values and tuples converted and every key a string.  Every entry is
+        a pure function of the pinned seeds except criterion 1's
+        ``runtime_under_60s``, which reads the wall clock."""
+        text = json.dumps(_plain(self.details), sort_keys=True)
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "details": json.loads(text),
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
-
-
-def canonical(details: dict) -> str:
-    """JSON of ``details`` with sorted keys and floats by ``repr``; numpy
-    scalars and arrays, tuples and non-string keys become plain JSON."""
-    return json.dumps(_plain(details), sort_keys=True)
 
 
 def _plain(value):
