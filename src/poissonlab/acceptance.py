@@ -251,9 +251,8 @@ def critical_gamma(seed: int = SEED, n: int = 12) -> tuple[float, float]:
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
 
     def prob_at(gamma, samples, ridx):
-        return crossing_probability(
-            _boolean_model(gamma), rect, samples, lambda i: stream(seed, 5, ridx, i)
-        )
+        model = _boolean_model(gamma)
+        return crossing_probability(model, rect, samples, (seed, 5, ridx))
 
     return estimate_critical(prob_at, 0.2, 0.6, tolerance=0.02, base_samples=150)
 
@@ -331,9 +330,7 @@ def criterion_7_confetti_duality(samples: int = 10_000):
     model = confetti_model({"radius": CROSSING_RADIUS}, 0.5)
     rect = BoxWindow((0.0, 0.0), (10.0, 10.0))
     h = CROSSING_RADIUS / 10.0
-    hits, violations = confetti_duality_counts(
-        model, rect, h, samples, lambda i: stream(SEED, 8, i)
-    )
+    hits, violations = confetti_duality_counts(model, rect, h, samples, (SEED, 8))
     p_hat = hits / samples
     se = _bernoulli_se(p_hat, samples)
     checks = {
@@ -425,7 +422,7 @@ def criterion_9_subcritical_decay(samples: int = 20_000):
     over s in {4,...,16} with negative slope and R^2 > 0.9."""
     gamma_c, _ = critical_gamma()
     model = _boolean_model(0.5 * gamma_c)
-    fit = one_arm_decay_fit(model, np.arange(4, 17, 2), samples, seed=SEED + 11)
+    fit = one_arm_decay_fit(model, np.arange(4, 17, 2), samples, (SEED + 11,))
     checks = {"slope_negative": fit["slope"] < 0.0, "r2_above_0.9": fit["r2"] > 0.9}
     return all(checks.values()), {
         "gamma": 0.5 * gamma_c,
@@ -486,9 +483,7 @@ def criterion_11_truncation_bound(samples: int = 4_000):
     n, eps = 32, 0.2
     law = ParetoRadius(0.5, 3.5)  # alpha = shape - 2 = 1.5 > 1 declared margin
     model = BooleanModel(0.4, GrainSpec("ball", law), k=1)
-    flips, bound = truncation_flips(
-        model, n, eps, samples, lambda i: stream(SEED, 14, i)
-    )
+    flips, bound = truncation_flips(model, n, eps, samples, (SEED, 14))
     p_hat = flips / samples
     se = _bernoulli_se(p_hat, samples)
     return _at_most(p_hat, bound, se), {

@@ -208,7 +208,7 @@ def cmd_perc_scan(args) -> int:
     build, resolution, _ = _perc_model(fixtures.get(args.model, "perc"))
     grid = _parse_grid(args.grid)
     scan = threshold_scan(
-        build(grid[0]), grid, args.n, args.samples, args.seed,
+        build, grid, args.n, args.samples, args.seed,
         event=args.event, resolution=resolution,
     )
     _write(
@@ -227,8 +227,7 @@ def cmd_perc_critical(args) -> int:
 
     def prob_at(param, samples, ridx):
         return crossing_probability(
-            build(param), rect, samples, lambda i: stream(args.seed, ridx, i),
-            resolution=resolution,
+            build(param), rect, samples, (args.seed, ridx), resolution=resolution
         )
 
     est, ci = estimate_critical(
@@ -250,9 +249,7 @@ def cmd_perc_duality(args) -> int:
     model = fixtures.confetti_model(fx, args.p)
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
     h = fx.get("radius", 1.0) / 10.0
-    hits, bad = confetti_duality_counts(
-        model, rect, h, args.samples, lambda i: stream(args.seed, i)
-    )
+    hits, bad = confetti_duality_counts(model, rect, h, args.samples, (args.seed,))
     payload = {
         "model": args.model, "p": args.p, "n": args.n, "samples": args.samples,
         "crossing_rate": hits / args.samples, "xor_violations": bad,

@@ -58,6 +58,7 @@ from .process import (
     UniformRadius,
     _bernoulli_se,
 )
+from .rng import replicate
 
 __all__ = [
     "GrainSpec",
@@ -113,13 +114,11 @@ class GrainSpec:
             return None
         return b * (math.sqrt(2.0) if self.kind == "box" else 1.0)
 
-    def mean_area(self, dim: int = 2) -> float:
-        """Expected grain volume (used for coverage-rate bookkeeping)."""
+    def mean_area(self) -> float:
+        """Expected planar grain area (used for coverage-rate bookkeeping)."""
         if self.kind == "ball":
-            if dim == 2:
-                return math.pi * self.law.mean_power(2)
-            return 4.0 / 3.0 * math.pi * self.law.mean_power(3)
-        return 2.0**dim * self.law.mean_power(dim)
+            return math.pi * self.law.mean_power(2)
+        return 4.0 * self.law.mean_power(2)
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,10 @@ class BooleanModel:
     gamma: float
     grain: GrainSpec
     k: int = 1
-    dim: int = 2
 
     def __post_init__(self):
         if self.gamma < 0 or self.k < 1:
             raise ValueError("need gamma >= 0 and k >= 1")
-
-    def with_gamma(self, gamma: float) -> "BooleanModel":
-        return BooleanModel(gamma, self.grain, self.k, self.dim)
 
 
 @dataclass(frozen=True)
@@ -149,9 +144,8 @@ class ConfettiModel:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-
-    def with_p(self, p: float) -> "ConfettiModel":
-        return ConfettiModel(p, self.black, self.white, self.horizon)
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValueError("the horizon must be positive")
 
     def point_cover_rate(self) -> float:
         """Arrival rate of grains covering a fixed location (unit space-time
@@ -188,6 +182,15 @@ def _sample_rounded_rect(
     return np.array([cx + rho * math.cos(ang), cy + rho * math.sin(ang)])
 
 
+def _tail_terms(law: ParetoRadius, a: float, b: float, r: float) -> np.ndarray:
+    """a*b*T0, 2(a+b)*T1 and pi*T2 with T_j = E[R^j; R > r]: per unit
+    intensity, the expected number of grains of radius above r meeting the
+    a x b rectangle with their center in its interior, edge strips or
+    corner quarter disks; their sum is the rectangle's tail mass."""
+    t0, t1, t2 = (law.tail_moment(j, r) for j in range(3))
+    return np.array([a * b * t0, 2.0 * (a + b) * t1, math.pi * t2])
+
+
 def sample_boolean_config(
     model: BooleanModel,
     rect: BoxWindow,
@@ -213,7 +216,7 @@ def sample_boolean_config(
     law = grain.law
     if not isinstance(law, ParetoRadius):
         raise TypeError("unbounded sampling implemented for Pareto radii")
-    if model.dim != 2 or grain.kind != "ball":
+    if rect.dim != 2 or grain.kind != "ball":
         raise NotImplementedError("unbounded grains: planar balls only")
     if r_split is None:
         raise ValueError("unbounded radius law needs r_split")
@@ -234,13 +237,7 @@ def sample_boolean_config(
     # exact tail: grains with radius > r_split touching rect
     lo = np.asarray(rect.lo)
     hi = np.asarray(rect.hi)
-    a, b = hi - lo
-    t0 = law.tail_moment(0, r_split)
-    t1 = law.tail_moment(1, r_split)
-    t2 = law.tail_moment(2, r_split)
-    comp_mass = model.gamma * np.array(
-        [a * b * t0, 2.0 * (a + b) * t1, math.pi * t2]
-    )
+    comp_mass = model.gamma * _tail_terms(law, *(hi - lo), r_split)
     mass = comp_mass.sum()
     n_big = rng.poisson(mass)
     pts_big = np.empty((n_big, 2))
@@ -262,14 +259,21 @@ def sample_boolean_config(
 def truncate_radii(
     config: PointConfig, model: BooleanModel, n: float, epsilon: float
 ) -> tuple[PointConfig, float]:
-    """Drop grains with radius > n^(1-epsilon); return the analytic bound on
-    the probability that the truncation changes anything on the window.
+    """Drop grains with radius > r_n = n^(1-epsilon); return the analytic
+    bound on the probability that this changes an event of the n x n square
+    the configuration was sampled for.
 
-    The bound is gamma * integral over (r_n, inf) of vol(rect + B_r) Q(dr):
-    the expected number of removed grains able to touch the window, which
-    dominates P(f differs).  Requires 0 < epsilon < alpha/(2+alpha) where
-    alpha is the declared heavy-tail moment margin.
+    Only grains meeting the square enter its events, so the bound is the
+    expected number of dropped grains meeting it, gamma times the square's
+    tail mass above r_n (``_tail_terms``).  Requires 0 < epsilon <
+    alpha/(2+alpha) where alpha is the declared heavy-tail moment margin.
     """
+    bound = _truncation_bound(model, n, epsilon)
+    return config.take(config.marks["radius"] <= float(n) ** (1.0 - epsilon)), bound
+
+
+def _truncation_bound(model: BooleanModel, n: float, epsilon: float) -> float:
+    """The bound of :func:`truncate_radii`, after checking its parameters."""
     law = model.grain.law
     if isinstance(law, ParetoRadius):
         alpha = law.shape - 2.0
@@ -278,52 +282,41 @@ def truncate_radii(
         if not 0.0 < epsilon < alpha / (2.0 + alpha):
             raise ValueError("need 0 < epsilon < alpha/(2+alpha)")
     r_n = float(n) ** (1.0 - epsilon)
-    radii = config.marks["radius"]
-    kept = config.take(radii <= r_n)
     if law.bound is not None:
         if law.bound > r_n:
             raise ValueError(
                 "truncation radius below the bounded support is not a no-op"
             )
-        return kept, 0.0
-    lo = np.asarray(config.window.lo)
-    hi = np.asarray(config.window.hi)
-    a, b = hi - lo
-    bound = model.gamma * (
-        a * b * law.tail_moment(0, r_n)
-        + 2.0 * (a + b) * law.tail_moment(1, r_n)
-        + math.pi * law.tail_moment(2, r_n)
-    )
-    return kept, float(bound)
+        return 0.0
+    n = float(n)
+    return float(model.gamma * _tail_terms(law, n, n, r_n).sum())
 
 
 def truncation_flips(
-    model: BooleanModel,
-    n: float,
-    epsilon: float,
-    samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
+    model: BooleanModel, n: float, epsilon: float, samples: int, path: tuple[int, ...]
 ) -> tuple[int, float]:
     """Over ``samples`` worlds on the n x n square, how many left-right
     crossings change when grains of radius > n^(1-epsilon) are dropped, and
     the analytic bound of :func:`truncate_radii` on that probability.
 
-    Replica i draws from ``rng_factory(i)``, small grains split from the
+    Replica i draws from ``stream(*path, i)``, small grains split from the
     exact tail at r_split = n^(1-epsilon).  Unless a grain of radius above
     r_split meets the square, the truncated world holds the same grains in
     the same order as the full one, so no crossing is evaluated.
     """
+    bound = _truncation_bound(model, n, epsilon)
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
     r_split = float(n) ** (1.0 - epsilon)
-    flips = 0
-    bound = 0.0
-    for i in range(samples):
-        cfg = sample_boolean_config(model, rect, rng_factory(i), r_split=r_split)
-        kept, bound = truncate_radii(cfg, model, n, epsilon)
+
+    def flipped(rng):
+        cfg = sample_boolean_config(model, rect, rng, r_split=r_split)
         full = BooleanWorld(cfg, model, rect)
-        if np.any(full.radii > r_split):
-            flips += crossing(full) != crossing(BooleanWorld(kept, model, rect))
-    return flips, bound
+        if not np.any(full.radii > r_split):
+            return False
+        kept, _ = truncate_radii(cfg, model, n, epsilon)
+        return crossing(full) != crossing(BooleanWorld(kept, model, rect))
+
+    return sum(replicate(path, samples, flipped)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +359,7 @@ class BooleanWorld:
         self.config = config
         pts = np.atleast_2d(config.points)
         if pts.size == 0:
-            pts = pts.reshape(0, model.dim)
+            pts = pts.reshape(0, config.window.dim)
         radii = config.marks.get("radius")
         if radii is None:
             if config.size:
@@ -654,17 +647,16 @@ def _paint_counts(pts, radii, rect, h, kind) -> np.ndarray:
 # Confetti worlds
 
 
-def required_confetti_horizon(
-    model: ConfettiModel, resolution: float, target: float = 1e-8, dim: int = 2
-) -> float:
-    """Smallest horizon with uncolored-cell bound exp(-a^d b1 b2 h) <= target.
+def required_confetti_horizon(model: ConfettiModel, resolution: float) -> float:
+    """Smallest horizon h with uncolored-cell bound exp(-a^2 b1 b2 h) <= 1e-8
+    for planar cells of side a.
 
     b_i is the probability that a grain of color i contains a ball of
-    radius a*sqrt(d) around its center (so a grain landing anywhere in a
+    radius a*sqrt(2) around its center (so a grain landing anywhere in a
     raster cell covers the whole cell).
     """
     a = resolution
-    guard = a * math.sqrt(dim)
+    guard = a * math.sqrt(2)
     betas = []
     for spec in (model.black, model.white):
         law = spec.law
@@ -677,10 +669,10 @@ def required_confetti_horizon(
         else:  # pragma: no cover
             raise TypeError("unsupported radius law for horizon rule")
         betas.append(beta)
-    rate = a**dim * betas[0] * betas[1]
+    rate = a**2 * betas[0] * betas[1]
     if rate <= 0:
         raise ValueError("grains too small relative to the raster; no horizon rule")
-    return math.log(1.0 / target) / rate
+    return math.log(1.0 / 1e-8) / rate
 
 
 class ConfettiWorld:
@@ -827,27 +819,40 @@ def confetti_world_from_config(
     grain with the lower index in the record wins.  Grains anywhere in the
     plane are accepted; those that cannot reach the window are dropped.
     """
-    shape = _cell_shape(rect, resolution)
-    best_time = np.full(shape[0] * shape[1], np.inf)
-    best_black = np.zeros(len(best_time), dtype=bool)
-    kinds = (model.black.kind, model.white.kind)
+    best_time, best_black = _open_table(rect, resolution)
+    marks = config.marks
     _confetti_paint(
-        best_time,
-        best_black,
+        best_time, best_black,
         np.atleast_2d(config.points) if config.size else np.empty((0, 2)),
-        config.marks.get("birth_time", np.empty(0)),
-        config.marks.get("color", np.empty(0, dtype=np.uint8)),
-        config.marks.get("radius", np.empty(0)),
-        rect,
-        resolution,
-        kinds,
+        marks.get("birth_time", np.empty(0)),
+        marks.get("color", np.empty(0, dtype=np.uint8)),
+        marks.get("radius", np.empty(0)), rect, resolution,
+        (model.black.kind, model.white.kind),
     )
+    return _painted_world(
+        model, rect, resolution, best_time, best_black, config, "the grain record"
+    )
+
+
+def _open_table(rect: BoxWindow, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first-arrival table of a raster no grain has reached yet: per
+    cell the arrival time (``inf``) and whether the arrival is black."""
+    nx, ny = _cell_shape(rect, resolution)
+    return np.full(nx * ny, np.inf), np.zeros(nx * ny, dtype=bool)
+
+
+def _painted_world(
+    model: ConfettiModel, rect: BoxWindow, resolution: float, best_time: np.ndarray,
+    best_black: np.ndarray, config: PointConfig, source: str,
+) -> ConfettiWorld:
+    """The world of a filled first-arrival table.  A cell that ``source``
+    left uncolored is an error naming the horizon the model needs."""
     if np.any(np.isinf(best_time)):
         needed = required_confetti_horizon(model, resolution)
         raise RuntimeError(
-            f"uncolored cells remain; increase horizon to >= {needed:.3g}"
+            f"{source} left uncolored cells; need horizon >= {needed:.3g}"
         )
-    black = best_black.reshape(shape)
+    black = best_black.reshape(_cell_shape(rect, resolution))
     return ConfettiWorld(model, rect, resolution, black, config)
 
 
@@ -864,9 +869,10 @@ def sample_confetti_world(
     painter, which ranks the chunk by birth time (among exactly equal times
     the lower index wins) and keeps the first arrival per cell.  Later
     chunks have strictly later times, so colored cells keep their color and
-    the painter tests a later chunk only against the cells still open.  Painting stops once every cell is colored, or fails with the
-    required horizon if the declared horizon is exhausted first.  The
-    record of all chunks repaints to the same raster with
+    the painter tests a later chunk only against the cells still open.
+    Painting stops once every cell is colored, or fails with the required
+    horizon if the declared horizon is exhausted first.  The record of all
+    chunks, one concatenation per column, repaints to the same raster with
     ``confetti_world_from_config``.
     """
     horizon = model.horizon
@@ -875,12 +881,9 @@ def sample_confetti_world(
     bounds = [s.max_radius for s in (model.black, model.white)]
     if any(b is None for b in bounds):
         raise ValueError("confetti grains must be bounded")
-    pad = max(bounds)
-    padded = rect.pad(pad)
-    shape = _cell_shape(rect, resolution)
-    ncell = shape[0] * shape[1]
-    best_time = np.full(ncell, np.inf)
-    best_black = np.zeros(ncell, dtype=bool)
+    padded = rect.pad(max(bounds))
+    best_time, best_black = _open_table(rect, resolution)
+    ncell = len(best_time)
     kinds = (model.black.kind, model.white.kind)
 
     rate_pt = model.point_cover_rate()
@@ -905,20 +908,14 @@ def sample_confetti_world(
         t_lo = t_hi
         if not np.any(np.isinf(best_time)):
             break
-    if np.any(np.isinf(best_time)):
-        needed = required_confetti_horizon(model, resolution)
-        raise RuntimeError(
-            f"horizon {horizon:g} left uncolored cells; need >= {needed:.3g}"
-        )
-    config = chunks[0]
-    for extra in chunks[1:]:
-        config = PointConfig(
-            padded,
-            np.concatenate([config.points, extra.points]),
-            {k: np.concatenate([config.marks[k], extra.marks[k]]) for k in config.marks},
-        )
-    black = best_black.reshape(shape)
-    return ConfettiWorld(model, rect, resolution, black, config)
+    config = PointConfig(
+        padded,
+        np.concatenate([c.points for c in chunks]),
+        {k: np.concatenate([c.marks[k] for c in chunks]) for k in chunks[0].marks},
+    )
+    return _painted_world(
+        model, rect, resolution, best_time, best_black, config, f"horizon {horizon:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1003,7 @@ def one_arm_event(world: BooleanWorld, s: float) -> bool:
     """Origin connected to the Euclidean sphere of radius s (k=1 exact)."""
     _require_fits(world, s)
     if world.model.k == 1:
-        a = world.grains_covering(np.zeros(world.model.dim))
+        a = world.grains_covering(np.zeros(world.config.window.dim))
         b = world.grains_meeting_sphere(s)
         return world.connected(a, b)
     h = _default_resolution(world.model)
@@ -1051,9 +1048,12 @@ def arm_event(world: BooleanWorld, r: float, s: float) -> bool:
 # Monte Carlo estimators
 
 
-def _frequency(samples: int, trial: Callable[[int], bool]) -> tuple[float, float]:
-    """Frequency of ``trial(i)`` over i < samples, with its standard error."""
-    p = sum(trial(i) for i in range(samples)) / samples
+def _frequency(
+    path: tuple[int, ...], samples: int, event: Callable[[np.random.Generator], bool]
+) -> tuple[float, float]:
+    """Frequency of ``event`` over the replicas of ``path``, with its
+    standard error."""
+    p = sum(replicate(path, samples, event)) / samples
     return p, _bernoulli_se(p, samples)
 
 
@@ -1064,47 +1064,39 @@ def _centred_box(model: BooleanModel, s: float) -> BoxWindow:
 
 
 def one_arm(
-    model: BooleanModel,
-    s: float,
-    samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
+    model: BooleanModel, s: float, samples: int, path: tuple[int, ...]
 ) -> tuple[float, float]:
     """theta_s estimate: P(origin connected to the sphere of radius s)."""
     rect = _centred_box(model, s)
-    return _frequency(samples, lambda i: one_arm_event(
-        sample_boolean_world(model, rect, rng_factory(i)), s))
+    return _frequency(path, samples, lambda rng: one_arm_event(
+        sample_boolean_world(model, rect, rng), s))
 
 
 def arm_probability(
-    model: BooleanModel,
-    r: float,
-    s: float,
-    samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
+    model: BooleanModel, r: float, s: float, samples: int, path: tuple[int, ...]
 ) -> tuple[float, float]:
     if not r < s:
         raise ValueError("arm event needs r < s")
     rect = _centred_box(model, s)
-    return _frequency(samples, lambda i: arm_event(
-        sample_boolean_world(model, rect, rng_factory(i)), r, s))
+    return _frequency(path, samples, lambda rng: arm_event(
+        sample_boolean_world(model, rect, rng), r, s))
 
 
 def crossing_probability(
     model: BooleanModel | ConfettiModel,
     rect: BoxWindow,
     samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
+    path: tuple[int, ...],
     resolution: Optional[float] = None,
 ) -> tuple[float, float]:
-    def trial(i):
-        rng = rng_factory(i)
+    def crossed(rng):
         if isinstance(model, ConfettiModel):
             world = sample_confetti_world(model, rect, resolution, rng)
         else:
             world = sample_boolean_world(model, rect, rng)
         return crossing(world, resolution=resolution)
 
-    return _frequency(samples, trial)
+    return _frequency(path, samples, crossed)
 
 
 @dataclass
@@ -1126,7 +1118,7 @@ class ThresholdScan:
 
 
 def threshold_scan(
-    model: BooleanModel | ConfettiModel,
+    build: Callable[[float], BooleanModel | ConfettiModel],
     param_grid: np.ndarray,
     n: float,
     samples: int,
@@ -1134,56 +1126,51 @@ def threshold_scan(
     event: str = "cross",
     resolution: Optional[float] = None,
 ) -> ThresholdScan:
-    """Crossing probability (or theta_n) across a sorted parameter grid."""
-    from .rng import stream
-
+    """Crossing probability (or theta_n) of the model ``build(param)`` on the
+    n x n square across a sorted parameter grid; grid point j runs on the
+    replica path ``(seed, j)``."""
     param_grid = np.asarray(param_grid, dtype=float)
     if np.any(np.diff(param_grid) <= 0):
         raise ValueError("parameter grid must be strictly increasing")
-    if event == "one_arm" and isinstance(model, ConfettiModel):
-        raise ValueError("one_arm scans need a Boolean model, not confetti")
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
     est = np.empty(len(param_grid))
     ses = np.empty(len(param_grid))
     for j, p in enumerate(param_grid):
-        m = model.with_p(p) if isinstance(model, ConfettiModel) else model.with_gamma(p)
+        model = build(p)
         if event == "cross":
-            e, s = crossing_probability(
-                m, rect, samples, lambda i: stream(seed, j, i), resolution=resolution
+            est[j], ses[j] = crossing_probability(
+                model, rect, samples, (seed, j), resolution=resolution
             )
+        elif event == "one_arm" and isinstance(model, ConfettiModel):
+            raise ValueError("one_arm scans need a Boolean model, not confetti")
         elif event == "one_arm":
-            e, s = one_arm(m, n, samples, lambda i: stream(seed, j, i))
+            est[j], ses[j] = one_arm(model, n, samples, (seed, j))
         else:
             raise ValueError(f"unsupported scan event {event!r}")
-        est[j] = e
-        ses[j] = s
     return ThresholdScan(param_grid, n, est, ses, samples, seed)
 
 
 def one_arm_decay_fit(
-    model: BooleanModel,
-    s_values: np.ndarray,
-    samples: int,
-    seed: int,
+    model: BooleanModel, s_values: np.ndarray, samples: int, path: tuple[int, ...]
 ) -> dict:
     """Fit log theta_s ~ a + b*s by reusing max-reach distances.
 
     Per replica the maximal sphere radius reached from the origin is
     computed once; theta_s estimates for every s share the replicas.
     """
-    from .rng import stream
-
     s_values = np.asarray(s_values, dtype=float)
     rect = _centred_box(model, float(s_values.max()))
-    reach = np.zeros(samples)
-    for i in range(samples):
-        world = sample_boolean_world(model, rect, stream(seed, i))
-        origin = world.grains_covering(np.zeros(world.model.dim))
+
+    def max_reach(rng) -> float:
+        world = sample_boolean_world(model, rect, rng)
+        origin = world.grains_covering(np.zeros(world.config.window.dim))
         if len(origin) == 0:
-            continue
+            return 0.0
         member = world.component_mask(origin)
         dist = np.linalg.norm(world.points[member], axis=1) + world.radii[member]
-        reach[i] = dist.max() if len(dist) else 0.0
+        return dist.max()
+
+    reach = np.array(replicate(path, samples, max_reach), dtype=float)
     theta = np.array([(reach >= s).mean() for s in s_values])
     se = _bernoulli_se(theta, samples)
     ok = theta > 0
@@ -1246,16 +1233,17 @@ def estimate_critical(
 
 def confetti_duality_counts(
     model: ConfettiModel, rect: BoxWindow, resolution: float, samples: int,
-    rng_factory: Callable[[int], np.random.Generator],
+    path: tuple[int, ...],
 ) -> tuple[int, int]:
     """Over ``samples`` sampled worlds: how many cross left-right, and on how
     many the duality XOR fails."""
-    crossings = violations = 0
-    for i in range(samples):
-        world = sample_confetti_world(model, rect, resolution, rng_factory(i))
-        crossings += crossing(world)
-        violations += not confetti_duality_check(world)
-    return crossings, violations
+
+    def outcome(rng) -> tuple[bool, bool]:
+        world = sample_confetti_world(model, rect, resolution, rng)
+        return crossing(world), not confetti_duality_check(world)
+
+    pairs = replicate(path, samples, outcome)
+    return sum(c for c, _ in pairs), sum(v for _, v in pairs)
 
 
 def confetti_duality_check(world: ConfettiWorld) -> bool:

@@ -527,13 +527,11 @@ class AuditReport:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; the error is ``inf`` below two
-    values and the mean of no values is ``nan``."""
+    """Sample mean and its standard error, which needs two values."""
     values = np.asarray(values, dtype=float)
     n = len(values)
-    mean = float(values.mean()) if n else float("nan")
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return mean, se
+    _need_two(n)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
 
 
 def _need_two(n: int) -> None:

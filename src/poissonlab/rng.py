@@ -1,14 +1,24 @@
-"""Counter-based splittable random streams.
+"""Counter-based splittable random streams and the one replica loop.
 
 Every stochastic routine in this package takes an explicit
-``numpy.random.Generator``.  Monte Carlo drivers derive one stream per
-replica from ``(master_seed, replica_index, ...)`` so results are
-bit-reproducible no matter how replicas are scheduled.
+``numpy.random.Generator``.  An index-addressed Monte Carlo estimate takes a
+``path`` of integers and runs its replicas through :func:`replicate`, which
+hands replica ``i`` the stream ``stream(*path, i)``; its result is therefore
+a function of ``(path, i)`` alone, whatever order or process computes it.
+The audit loops that draw their replicas in sequence from one shared
+generator (``poincare_audit``, ``osss_audit``, ``mecke_check``, the
+stopping-set checks and others) keep it until block sampling changes the
+stream scheme (ROADMAP open item 7): moving them to per-replica streams
+moves every draw.
 """
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 import numpy as np
+
+T = TypeVar("T")
 
 # Philox keys are 128 bits.  Each path index is mixed in as key * _MIX +
 # index + 1, which is linear, so distinct (seed, path) tuples can share a
@@ -34,3 +44,14 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         key = (key * _MIX + int(idx) + 1) & _MASK
     return np.random.Generator(np.random.Philox(key=key))
 
+
+def replicate(
+    path: tuple[int, ...], samples: int, trial: Callable[[np.random.Generator], T]
+) -> list[T]:
+    """``trial(stream(*path, i))`` for every i < samples, in index order.
+
+    The contract of every index-addressed estimate: replica ``i`` draws from
+    ``stream(*path, i)`` and from nothing else, so it depends only on
+    ``(path, i)``.
+    """
+    return [trial(stream(*path, i)) for i in range(samples)]

@@ -274,6 +274,7 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("chaos", "audit", "--fixture", "poincare-empty-space", "--samples", "1"),
     ("chaos", "audit", "--fixture", "sqrt-osss-empty-space", "--samples", "1"),
     ("chaos", "audit", "--fixture", "mehler-count", "--samples", "1"),
+    ("chaos", "audit", "--fixture", "osss-empty-space", "--samples", "1"),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")

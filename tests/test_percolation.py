@@ -15,6 +15,7 @@ from poissonlab.percolation import (
     arm_event,
     arm_probability,
     confetti_duality_check,
+    confetti_duality_counts,
     confetti_world_from_config,
     crossing,
     crossing_probability,
@@ -31,9 +32,17 @@ from poissonlab.percolation import (
     truncation_flips,
 )
 from poissonlab.process import BoxWindow, PointConfig
-from poissonlab.rng import stream
+from poissonlab.rng import replicate, stream
 
 DISK1 = GrainSpec("ball", FixedRadius(1.0))
+
+
+def boolean(gamma):
+    return BooleanModel(gamma, DISK1, k=1)
+
+
+def confetti(p):
+    return ConfettiModel(p, DISK1, DISK1)
 
 
 def world_from(points, radii, model, rect):
@@ -133,6 +142,9 @@ def test_confetti_uncovered_raises_with_required_horizon():
     with pytest.raises(RuntimeError, match="horizon"):
         sample_confetti_world(model, rect, 0.25, stream(401))
     assert required_confetti_horizon(model, 0.25) > 0
+    for horizon in (0.0, -1.0):  # no time for a first chunk: rejected up front
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            ConfettiModel(0.5, DISK1, DISK1, horizon=horizon)
 
 
 # -- crossing ------------------------------------------------------------------------
@@ -231,8 +243,8 @@ def test_scaling_covariance():
     rect1 = BoxWindow((0.0, 0.0), (6.0, 6.0))
     scaled = BooleanModel(0.125, GrainSpec("ball", FixedRadius(2.0)), k=1)
     rect2 = BoxWindow((0.0, 0.0), (12.0, 12.0))
-    p1, s1 = crossing_probability(base, rect1, 900, lambda i: stream(405, i))
-    p2, s2 = crossing_probability(scaled, rect2, 900, lambda i: stream(406, i))
+    p1, s1 = crossing_probability(base, rect1, 900, (405,))
+    p2, s2 = crossing_probability(scaled, rect2, 900, (406,))
     assert abs(p1 - p2) <= 3 * (s1 + s2)
 
 
@@ -247,12 +259,12 @@ def test_arm_event_validation_and_convention():
     with pytest.raises(ValueError):
         one_arm_event(w, 50.0)  # sphere does not fit the world
     with pytest.raises(ValueError):
-        arm_probability(model, 2.0, 1.0, 10, lambda i: stream(408, i))
+        arm_probability(model, 2.0, 1.0, 10, (408,))
 
 
 def test_theta_small_gamma_vanishes():
     model = BooleanModel(0.01, DISK1, k=1)
-    est, se = one_arm(model, 4.0, 400, lambda i: stream(409, i))
+    est, se = one_arm(model, 4.0, 400, (409,))
     assert est <= 0.05
 
 
@@ -262,8 +274,8 @@ def test_harris_ordering_spot_check():
     # connected to the origin.
     model = BooleanModel(0.5, DISK1, k=1)
     r, s = 1.0, 5.0
-    arm, arm_se = arm_probability(model, r, s, 800, lambda i: stream(410, i))
-    theta, theta_se = one_arm(model, s - r, 800, lambda i: stream(411, i))
+    arm, arm_se = arm_probability(model, r, s, 800, (410,))
+    theta, theta_se = one_arm(model, s - r, 800, (411,))
     b, b_se = _b_r(model, r, 800)
     bound = theta / max(b - 3 * b_se, 1e-3)
     assert arm <= bound + 3 * (arm_se + theta_se)
@@ -286,8 +298,7 @@ def _b_r(model, r, samples):
 
 
 def test_threshold_scan_monotone_and_csv():
-    model = BooleanModel(1.0, DISK1, k=1)
-    scan = threshold_scan(model, np.linspace(0.2, 0.6, 5), 8.0, 150, seed=414)
+    scan = threshold_scan(boolean, np.linspace(0.2, 0.6, 5), 8.0, 150, seed=414)
     assert np.all(scan.estimates >= 0) and np.all(scan.estimates <= 1)
     jumps = np.diff(scan.estimates)
     tol = 3 * np.hypot(scan.ses[1:], scan.ses[:-1])
@@ -296,27 +307,22 @@ def test_threshold_scan_monotone_and_csv():
     assert csv.splitlines()[0] == "param,n,estimate,se,samples,seed"
     assert len(csv.strip().splitlines()) == 6
     with pytest.raises(ValueError):
-        threshold_scan(model, np.array([0.5, 0.4]), 8.0, 10, seed=1)
+        threshold_scan(boolean, np.array([0.5, 0.4]), 8.0, 10, seed=1)
 
 
 def test_one_arm_decay_fit_quality():
     model = BooleanModel(0.17, DISK1, k=1)
-    fit = one_arm_decay_fit(model, np.array([3, 5, 7, 9]), 6000, seed=415)
+    fit = one_arm_decay_fit(model, np.array([3, 5, 7, 9]), 6000, (415,))
     assert fit["slope"] < 0
     assert fit["r2"] > 0.9
 
 
 def test_estimate_critical_self_consistency():
-    model = BooleanModel(1.0, DISK1, k=1)
-
     def prob_at_n(n):
         rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
 
         def prob(gamma, samples, ridx):
-            return crossing_probability(
-                model.with_gamma(gamma), rect, samples,
-                lambda i: stream(416, n, ridx, i),
-            )
+            return crossing_probability(boolean(gamma), rect, samples, (416, n, ridx))
 
         return prob
 
@@ -337,10 +343,9 @@ def test_estimate_critical_invalid_bracket():
 
 
 def test_confetti_duality_holds_on_samples():
-    model = ConfettiModel(0.5, DISK1, DISK1)
     rect = BoxWindow((0.0, 0.0), (6.0, 6.0))
     for j, p in enumerate((0.3, 0.5, 0.7)):
-        m = model.with_p(p)
+        m = confetti(p)
         for i in range(60):
             w = sample_confetti_world(m, rect, 0.125, stream(417, j, i))
             assert confetti_duality_check(w)
@@ -428,9 +433,145 @@ def test_truncation_flips_matches_inline_loop(shape, n, epsilon, samples, seed):
         flips += crossing(BooleanWorld(cfg, model, rect)) != crossing(
             BooleanWorld(kept, model, rect)
         )
-    got = truncation_flips(model, n, epsilon, samples, lambda i: stream(seed, i))
+    got = truncation_flips(model, n, epsilon, samples, (seed,))
     assert got == (flips, bound)
     assert type(got[0]) is int and type(got[1]) is float
+
+
+# Each index-addressed estimator against a loop written out over
+# stream(*path, i): `replicate` hands replica i exactly that stream.
+
+
+def test_replicate_hands_replica_i_its_own_stream():
+    def draw(rng):
+        return rng.random(2).tolist()
+
+    assert replicate((5, 2), 4, draw) == [draw(stream(5, 2, i)) for i in range(4)]
+    assert replicate((5,), 0, draw) == []
+
+
+CONFETTI = ConfettiModel(0.5, DISK1, DISK1)
+SQUARE4 = BoxWindow((0.0, 0.0), (4.0, 4.0))
+SQUARE6 = BoxWindow((0.0, 0.0), (6.0, 6.0))
+BOX4 = BoxWindow((-4.0, -4.0), (4.0, 4.0))  # [-3, 3]^2 padded by the radius
+
+
+def inline_frequency(path, samples, event):
+    hits = 0
+    for i in range(samples):
+        hits += event(stream(*path, i))
+    p = hits / samples
+    return p, math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
+
+
+def inline_duality(path, samples):
+    hits = bad = 0
+    for i in range(samples):
+        w = sample_confetti_world(CONFETTI, SQUARE4, 0.25, stream(*path, i))
+        hits += crossing(w)
+        bad += not confetti_duality_check(w)
+    return hits, bad
+
+
+def inline_reach(model, s_max, path, samples):
+    rect = BoxWindow((-s_max - 1.0, -s_max - 1.0), (s_max + 1.0, s_max + 1.0))
+    reach = np.zeros(samples)
+    for i in range(samples):
+        w = sample_boolean_world(model, rect, stream(*path, i))
+        origin = w.grains_covering(np.zeros(2))
+        if len(origin):
+            member = w.component_mask(origin)
+            dist = np.linalg.norm(w.points[member], axis=1) + w.radii[member]
+            reach[i] = dist.max()
+    return reach
+
+
+def inline_scan(build, grid, n, samples, seed, event, resolution=None):
+    rect = BoxWindow((0.0, 0.0), (n, n))
+    rows = []
+    for j, param in enumerate(grid):
+        model = build(param)
+        if event == "cross":
+            def hit(rng):
+                if isinstance(model, ConfettiModel):
+                    w = sample_confetti_world(model, rect, resolution, rng)
+                else:
+                    w = sample_boolean_world(model, rect, rng)
+                return crossing(w)
+        else:
+            box = BoxWindow((-n - 1.0, -n - 1.0), (n + 1.0, n + 1.0))
+
+            def hit(rng):
+                return one_arm_event(sample_boolean_world(model, box, rng), n)
+        rows.append(inline_frequency((seed, j), samples, hit))
+    return [e for e, _ in rows], [s for _, s in rows]
+
+
+def scan_values(scan):
+    return scan.estimates.tolist(), scan.ses.tolist()
+
+
+ESTIMATOR_CASES = {
+    "crossing-boolean": (
+        lambda: crossing_probability(boolean(0.4), SQUARE6, 12, (440, 3)),
+        lambda: inline_frequency((440, 3), 12, lambda rng: crossing(
+            sample_boolean_world(boolean(0.4), SQUARE6, rng))),
+    ),
+    "crossing-confetti": (
+        lambda: crossing_probability(CONFETTI, SQUARE4, 6, (441,), resolution=0.25),
+        lambda: inline_frequency((441,), 6, lambda rng: crossing(
+            sample_confetti_world(CONFETTI, SQUARE4, 0.25, rng))),
+    ),
+    "one-arm": (
+        lambda: one_arm(boolean(0.5), 3.0, 12, (442, 1)),
+        lambda: inline_frequency((442, 1), 12, lambda rng: one_arm_event(
+            sample_boolean_world(boolean(0.5), BOX4, rng), 3.0)),
+    ),
+    "arm": (
+        lambda: arm_probability(boolean(0.3), 1.0, 3.0, 12, (443,)),
+        lambda: inline_frequency((443,), 12, lambda rng: arm_event(
+            sample_boolean_world(boolean(0.3), BOX4, rng), 1.0, 3.0)),
+    ),
+    "confetti-duality": (
+        lambda: confetti_duality_counts(CONFETTI, SQUARE4, 0.25, 6, (444, 2)),
+        lambda: inline_duality((444, 2), 6),
+    ),
+    "one-arm-decay": (
+        lambda: one_arm_decay_fit(boolean(0.3), np.array([1.0, 2.0, 3.0]), 30, (445,))[
+            "theta"].tolist(),
+        lambda: [float((inline_reach(boolean(0.3), 3.0, (445,), 30) >= s).mean())
+                 for s in (1.0, 2.0, 3.0)],
+    ),
+    "scan-cross-boolean": (
+        lambda: scan_values(threshold_scan(boolean, [0.3, 0.5], 5.0, 8, 446)),
+        lambda: inline_scan(boolean, [0.3, 0.5], 5.0, 8, 446, "cross"),
+    ),
+    "scan-cross-confetti": (
+        lambda: scan_values(
+            threshold_scan(confetti, [0.4, 0.6], 4.0, 4, 447, resolution=0.25)),
+        lambda: inline_scan(confetti, [0.4, 0.6], 4.0, 4, 447, "cross", 0.25),
+    ),
+    "scan-one-arm-boolean": (
+        lambda: scan_values(
+            threshold_scan(boolean, [0.3, 0.5], 3.0, 8, 448, event="one_arm")),
+        lambda: inline_scan(boolean, [0.3, 0.5], 3.0, 8, 448, "one_arm"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
+def test_estimator_matches_inline_loop(case):
+    estimate, inline = ESTIMATOR_CASES[case]
+    assert estimate() == inline()
+
+
+def test_one_arm_scan_on_confetti_fails_before_any_draw(monkeypatch):
+    def no_draw(*path):
+        raise AssertionError("a replica was drawn")
+
+    monkeypatch.setattr("poissonlab.rng.stream", no_draw)
+    with pytest.raises(ValueError, match="one_arm scans need a Boolean model"):
+        threshold_scan(confetti, [0.4, 0.6], 4.0, 4, 449, event="one_arm")
 
 
 def test_pareto_tail_sampler_consistency():

@@ -315,11 +315,11 @@ def test_duplicate_location_rate_zero():
 
 
 def test_mean_se_small_samples():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"at least 2 samples, got {n}"):
+            _mean_se(np.full(n, 0.3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, se = _mean_se([])
-        assert math.isnan(mean) and se == math.inf
-        assert _mean_se([0.3]) == (0.3, math.inf)
         vals = np.array([0.1, 0.7])
         assert _mean_se(vals) == (vals.mean(), vals.std(ddof=1) / math.sqrt(2))
 

@@ -338,9 +338,7 @@ def test_randomized_line_delta_bounded_by_arm_integral():
         if s <= 1.0:
             arm_vals.append((1.0, 0.0))
         else:
-            arm_vals.append(
-                arm_probability(model, 1.0, s, 250, lambda i, j=j: stream(130, j, i))
-            )
+            arm_vals.append(arm_probability(model, 1.0, s, 250, (130, j)))
     integral = np.trapezoid([a for a, _ in arm_vals], s_grid)
     bound = 2.0 / n * integral
     se_int = 2.0 / n * np.trapezoid([s for _, s in arm_vals], s_grid)
