@@ -6,14 +6,15 @@ Connectivity conventions
 * k = 1 with ball/box grains: exact via the grain intersection graph
   (``scipy.sparse.csgraph`` connected components).  For convex grains,
   connectivity of the occupied union equals connectivity of the
-  intersection graph.  Two paths build the graph with one strict overlap
-  test (balls meet when |d|^2 < (r_i + r_j)^2, boxes when every |d_k| <
-  r_i + r_j): up to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains)
-  one dense n x n test of every pair, above it kd-tree candidate pairs.
-  Both give the same CSR matrix.  Crossing events inside a rectangle use the grains
-  meeting the rectangle; chains may overlap slightly outside it (within
-  one grain diameter).  Sphere-reaching events (one-arm) are exact.  A
-  raster layer is available as an independent cross-check.
+  intersection graph.  ``_overlaps`` is the one strict overlap test
+  (balls meet when |d|^2 < (r_i + r_j)^2, boxes when every |d_k| < r_i +
+  r_j): up to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
+  one n x n block, above it on kd-tree candidates plus dense rows for the
+  grains above the reference reach.  Both give the same CSR matrix.
+  Crossing events inside a rectangle use the grains meeting the
+  rectangle; chains may overlap slightly outside it (within one grain
+  diameter).  Sphere-reaching events (one-arm) are exact.  A raster layer
+  is available as an independent cross-check.
 * k >= 2 and confetti: rasterized occupancy at resolution ``h`` (reported
   with every result).  Raster components are labeled with
   ``scipy.ndimage.label``.  Confetti rasters use the self-matching
@@ -25,6 +26,9 @@ Connectivity conventions
   crossings by several percent at raster scale h = r/10.)
   Plain k >= 2 occupancy rasters use 8-adjacency; no duality is claimed
   for them.
+* Every event asks whether two seed sets share a component; one label
+  table (``_label_table``) answers it, sized by the graph's component
+  count or, with background label 0 cleared, by a raster's label count.
 * Confetti: one first-arrival painter (``_confetti_paint``) folds each
   batch of grains into a per-cell (time, color) table.  The first time
   chunk, or a repaint from a record, is tested on each grain's stencil; a
@@ -339,14 +343,15 @@ class BooleanWorld:
 
     Construction only keeps the grains meeting ``rect``. The grain
     intersection graph is built on first use, by one of two paths that
-    apply the same strict-overlap test and give the same CSR matrix:
+    apply ``_overlaps`` and give the same CSR matrix:
 
     * up to ``_DENSE_MAX`` ordered pairs (n * n, so about 100 grains) every
       pair is tested at once in an n x n mask; its row-major nonzeros are
       the CSR column indices and its row counts the index pointer;
-    * above that, candidate pairs come from a kd-tree query at twice the
-      reference reach (grains above it are queried one by one) and the
-      exact test keeps the intersecting ones.
+    * above that, candidate pairs among the grains of reach up to a
+      reference reach come from a kd-tree query at twice that reach, and
+      each grain above it (only unbounded laws have such grains) is tested
+      against every grain in one dense row block.
 
     ``adjacency`` stores both directions of every pair as a symmetric CSR
     matrix. k=1 components are its connected components (``labels``); both
@@ -376,74 +381,22 @@ class BooleanWorld:
         self._adjacency: Optional[csr_matrix] = None
         self._labels: Optional[np.ndarray] = None
         self._components = 0
-        self._raster_cache: dict[float, np.ndarray] = {}
 
     # -- intersection graph ------------------------------------------------
 
-    def _pairs(self) -> np.ndarray:
-        if self.n < 2:
-            return np.empty((0, 2), dtype=int)
-        # candidates by circumradius: a box of half-side r reaches r*sqrt(2)
-        reach = self.radii
-        if self.model.grain.kind == "box":
-            reach = reach * math.sqrt(2.0)
-        bound = self.model.grain.max_radius
-        r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
-        # Neither tree option changes the pairs found; both make the build
-        # cheaper at a few hundred grains.
-        tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
-        cand = tree.query_pairs(2.0 * r_ref, output_type="ndarray")
-        big = np.flatnonzero(reach > r_ref)
-        if len(big):
-            r_max = float(reach.max())
-            extra = []
-            for i in big:
-                for j in tree.query_ball_point(self.points[i], reach[i] + r_max):
-                    if j != i:
-                        extra.append((min(i, j), max(i, j)))
-            if extra:
-                cand = np.unique(
-                    np.vstack([cand, np.array(extra, dtype=int)]), axis=0
-                )
-        if len(cand) == 0:
-            return cand
-        # take/compress gather rows several times faster than fancy indexing
-        i, j = cand[:, 0], cand[:, 1]
-        d = self.points.take(i, axis=0) - self.points.take(j, axis=0)
-        rsum = self.radii.take(i) + self.radii.take(j)
-        if self.model.grain.kind == "ball":
-            hit = np.einsum("ij,ij->i", d, d) < rsum**2
-        else:  # axis-aligned boxes: strict overlap in every axis
-            hit = np.all(np.abs(d) < rsum[:, None], axis=1)
-        return cand.compress(hit, axis=0)
-
     def _dense_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR column indices and index pointer of the intersection graph,
-        every ordered pair tested at once with the strict test of
-        ``_pairs``: |d|^2 (summed over the axes in order, as ``einsum``
-        does) below (r_i + r_j)^2 for balls, every |d_k| below r_i + r_j
-        for boxes.  Both orders of a pair compute the same bits.  When all
-        radii are equal, r_i + r_j is one scalar, with the same bits."""
+        every ordered pair tested at once by ``_overlaps``.  When all radii
+        are equal, r_i + r_j is one scalar, with the same bits."""
         n, radii = self.n, self.radii
         if n < 2:
             return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
         if np.count_nonzero(radii != radii[0]):
-            rsum = radii[:, None] + radii
+            r_row, r_col = radii[:, None], radii
         else:
-            rsum = radii[0] + radii[0]
-        cols = self.points.T
-        if self.model.grain.kind == "ball":
-            sq = cols[0][:, None] - cols[0]
-            sq *= sq
-            for col in cols[1:]:
-                d = col[:, None] - col
-                d *= d
-                sq += d
-            hit = sq < rsum * rsum
-        else:
-            hit = np.abs(cols[0][:, None] - cols[0]) < rsum
-            for col in cols[1:]:
-                hit &= np.abs(col[:, None] - col) < rsum
+            r_row = r_col = radii[0]
+        pts = self.points
+        hit = _overlaps(pts[:, None], r_row, pts, r_col, self.model.grain.kind)
         hit.flat[:: n + 1] = False
         # row-major nonzeros: rows ascend, and columns ascend within a row;
         # int32 positions (n * n is far below 2**31 here) divide faster
@@ -452,17 +405,48 @@ class BooleanWorld:
         return flat % np.int32(n), indptr.astype(np.int32)
 
     def _tree_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_dense_csr`` from the kd-tree candidate pairs of ``_pairs``."""
-        pairs = self._pairs()
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        """``_dense_csr`` from kd-tree candidate pairs.  Grains of reach up
+        to r_ref (the law's bound, else the reaches' 0.99 quantile; a box of
+        half-side r reaches r*sqrt(2)) meet only within 2*r_ref, so one
+        ``query_pairs`` finds theirs.  Each grain above r_ref is tested
+        against every grain in one dense row, a pair of two such grains in
+        the row of its lower index, and the pairs (i < j) merge by one sort
+        of their ``i*n + j`` keys."""
+        n, kind = self.n, self.model.grain.kind
+        if n < 2:
+            return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
+        pts, radii = self.points, self.radii
+        reach = radii * math.sqrt(2.0) if kind == "box" else radii
+        bound = self.model.grain.max_radius
+        r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
+        big, small = np.flatnonzero(reach > r_ref), np.flatnonzero(reach <= r_ref)
+        # Neither tree option changes the pairs found; both make the build
+        # cheaper at a few hundred grains.
+        tree = cKDTree(pts.take(small, 0), balanced_tree=False, compact_nodes=False)
+        cand = small.take(tree.query_pairs(2.0 * r_ref, output_type="ndarray"))
+        # take/compress gather rows several times faster than fancy indexing
+        i, j = cand[:, 0], cand[:, 1]
+        keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j),
+                         kind)
+        i, j = i.compress(keep), j.compress(keep)
+        if len(big):
+            block = _overlaps(pts.take(big, 0)[:, None], radii.take(big)[:, None],
+                              pts, radii, kind)
+            block[:, big] &= big > big[:, None]
+            row, col = np.nonzero(block)
+            row = big.take(row)
+            lo, hi = np.minimum(row, col), np.maximum(row, col)
+            keys = np.concatenate([i * n + j, lo * n + hi])
+            keys.sort()
+            i, j = np.divmod(keys, n)
+        rows = np.concatenate([i, j])
+        cols = np.concatenate([j, i])
         # Row keys in the smallest unsigned type holding n: numpy sorts
         # 16-bit keys by radix, in the same stable order as int64 keys and
         # several times faster.
-        keys = rows.astype(np.min_scalar_type(self.n))
-        order = np.argsort(keys, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cols.take(order).astype(np.int32), indptr
 
     @property
@@ -488,16 +472,10 @@ class BooleanWorld:
             )
         return self._labels
 
-    def _label_table(self, idx: np.ndarray) -> np.ndarray:
-        """Per component label: whether one of the grains ``idx`` is in it."""
-        labels = self.labels
-        table = np.zeros(self._components, dtype=bool)
-        table[labels[idx]] = True
-        return table
-
     def component_mask(self, idx: np.ndarray) -> np.ndarray:
         """Boolean mask of the grains in the components of the grains ``idx``."""
-        return self._label_table(idx)[self.labels]
+        labels = self.labels
+        return _label_table(labels, idx, self._components)[labels]
 
     # -- point queries -------------------------------------------------------
 
@@ -570,22 +548,48 @@ class BooleanWorld:
     def connected(self, idx_a: np.ndarray, idx_b: np.ndarray) -> bool:
         if len(idx_a) == 0 or len(idx_b) == 0:
             return False
-        return bool(self._label_table(idx_a)[self.labels[idx_b]].any())
+        labels = self.labels
+        table = _label_table(labels, idx_a, self._components)
+        return bool(table[labels[idx_b]].any())
 
     # -- raster layer --------------------------------------------------------
 
-    def cover_raster(self, resolution: float) -> np.ndarray:
-        """Coverage counts at cell centers of the rect grid."""
-        if resolution in self._raster_cache:
-            return self._raster_cache[resolution]
+    def occupancy_raster(self, resolution: float) -> np.ndarray:
+        """Whether each cell centre of the rect grid is covered k times."""
         counts = _paint_counts(
             self.points, self.radii, self.rect, resolution, self.model.grain.kind
         )
-        self._raster_cache[resolution] = counts
-        return counts
+        return counts >= self.model.k
 
-    def occupancy_raster(self, resolution: float) -> np.ndarray:
-        return self.cover_raster(resolution) >= self.model.k
+
+def _overlaps(pi, ri, pj, rj, kind: str) -> np.ndarray:
+    """The strict overlap test of grains (pi, ri) and (pj, rj), broadcast
+    against each other (the last axis of ``pi`` and ``pj`` is the
+    coordinate): balls meet when |d|^2, summed over the axes in order, is
+    below (r_i + r_j)^2, boxes when every |d_k| < r_i + r_j.  Swapping i
+    and j gives the same bits."""
+    rsum = ri + rj
+    if kind == "ball":
+        sq = pi[..., 0] - pj[..., 0]
+        sq *= sq
+        for k in range(1, pi.shape[-1]):
+            d = pi[..., k] - pj[..., k]
+            d *= d
+            sq += d
+        rsum *= rsum
+        return sq < rsum
+    hit = np.abs(pi[..., 0] - pj[..., 0]) < rsum
+    for k in range(1, pi.shape[-1]):
+        hit &= np.abs(pi[..., k] - pj[..., k]) < rsum
+    return hit
+
+
+def _label_table(labels: np.ndarray, idx, size: int) -> np.ndarray:
+    """Per label below ``size``: whether one of the entries ``labels[idx]``
+    carries it."""
+    table = np.zeros(size, dtype=bool)
+    table[labels[idx]] = True
+    return table
 
 
 def _gap(points: np.ndarray, lo, hi) -> np.ndarray:
@@ -701,7 +705,7 @@ class ConfettiWorld:
     def labels(self) -> np.ndarray:
         """Component label of every black cell (0 on white cells)."""
         if self._labels is None:
-            self._labels, _ = _raster_label(self.black, "tri")
+            self._labels, _ = ndimage.label(self.black, _TRIANGULAR)
         return self._labels
 
 
@@ -932,33 +936,25 @@ def sample_boolean_world(
     return BooleanWorld(sample_boolean_config(model, rect, rng), model, rect)
 
 
-_ADJACENCY = {
-    "four": None,
-    "eight": np.ones((3, 3), dtype=int),
-    # 4-neighbors plus the (+1,+1)/(-1,-1) diagonal pair: self-matching
-    # (triangular-lattice) adjacency, invariant under transposition
-    "tri": np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=int),
-}
+# 4-neighbors plus the (+1,+1)/(-1,-1) diagonal pair: self-matching
+# (triangular-lattice) adjacency, invariant under transposition
+_TRIANGULAR = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=int)
 
 
-def _raster_label(mask: np.ndarray, adjacency: str) -> tuple[np.ndarray, int]:
-    return ndimage.label(mask, structure=_ADJACENCY[adjacency])
-
-
-def _raster_crossing(mask: np.ndarray, axis: int, adjacency: str) -> bool:
-    if mask.shape[axis] == 0 or not mask.any():
-        return False
-    return _labels_cross(_raster_label(mask, adjacency)[0], axis)
+def _raster_linked(labels: np.ndarray, a, b) -> bool:
+    """Whether one component of a labeled raster (``ndimage.label``, so
+    the background is label 0) holds a cell of ``a`` and a cell of ``b``;
+    each is an index or a boolean mask of the raster."""
+    table = _label_table(labels, a, labels.max(initial=0) + 1)
+    table[0] = False
+    return bool(table[labels[b]].any())
 
 
 def _labels_cross(labels: np.ndarray, axis: int) -> bool:
-    """Whether one component label appears on both faces normal to ``axis``."""
-    first = labels.take(0, axis=axis)
-    last = labels.take(-1, axis=axis)
-    on_first = np.zeros(max(first.max(initial=0), last.max(initial=0)) + 1, dtype=bool)
-    on_first[first] = True
-    on_first[0] = False
-    return bool(on_first[last].any())
+    """Whether one component of a labeled raster meets both faces normal
+    to ``axis``."""
+    face = (slice(None),) * axis
+    return _raster_linked(labels, face + (0,), face + (-1,))
 
 
 def crossing(
@@ -973,9 +969,8 @@ def crossing(
         rect = world.rect
         a, b = world.grains_meeting_faces(axis, (rect.lo[axis], rect.hi[axis]))
         return world.connected(a, b)
-    if resolution is None:
-        resolution = _default_resolution(world.model)
-    return _raster_crossing(world.occupancy_raster(resolution), axis, "eight")
+    _, labels, _ = _occupied_labels(world, resolution)
+    return _labels_cross(labels, axis)
 
 
 def _default_resolution(model: BooleanModel) -> float:
@@ -992,6 +987,18 @@ def _default_resolution(model: BooleanModel) -> float:
     return r0 / 8.0
 
 
+def _occupied_labels(
+    world: BooleanWorld, h: Optional[float] = None
+) -> tuple[float, np.ndarray, tuple]:
+    """The raster cell h of a k >= 2 world (default: an eighth of the
+    smallest radius), the 8-adjacency labels of its occupied cells and the
+    cell centres (xs, ys)."""
+    if h is None:
+        h = _default_resolution(world.model)
+    labels, _ = ndimage.label(world.occupancy_raster(h), np.ones((3, 3), dtype=int))
+    return h, labels, _cell_centers(world.rect, h)
+
+
 def _require_fits(world: BooleanWorld, s: float) -> None:
     lo = np.asarray(world.rect.lo)
     hi = np.asarray(world.rect.hi)
@@ -1006,18 +1013,10 @@ def one_arm_event(world: BooleanWorld, s: float) -> bool:
         a = world.grains_covering(np.zeros(world.config.window.dim))
         b = world.grains_meeting_sphere(s)
         return world.connected(a, b)
-    h = _default_resolution(world.model)
-    mask = world.occupancy_raster(h)
-    labels, _ = _raster_label(mask, "eight")
-    xs, ys = _cell_centers(world.rect, h)
-    i0 = int(np.argmin(np.abs(xs)))
-    j0 = int(np.argmin(np.abs(ys)))
-    lab0 = labels[i0, j0]
-    if lab0 == 0:
-        return False
-    rr = np.hypot(xs[:, None], ys[None, :])
-    ring = np.abs(rr - s) <= h
-    return bool(np.any(labels[ring] == lab0))
+    h, labels, (xs, ys) = _occupied_labels(world)
+    origin = (int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys))))
+    ring = np.abs(np.hypot(xs[:, None], ys[None, :]) - s) <= h
+    return _raster_linked(labels, origin, ring)
 
 
 def arm_event(world: BooleanWorld, r: float, s: float) -> bool:
@@ -1032,16 +1031,9 @@ def arm_event(world: BooleanWorld, r: float, s: float) -> bool:
         a = world.grains_meeting_linf_box(r)
         b = world.grains_leaving_linf_box(s)
         return world.connected(a, b)
-    h = _default_resolution(world.model)
-    mask = world.occupancy_raster(h)
-    labels, _ = _raster_label(mask, "eight")
-    xs, ys = _cell_centers(world.rect, h)
-    inner = (np.abs(xs)[:, None] <= r) & (np.abs(ys)[None, :] <= r)
-    linf = np.maximum(np.abs(xs)[:, None], np.abs(ys)[None, :])
-    outer = linf >= s
-    la = np.unique(labels[inner & (labels > 0)])
-    lb = np.unique(labels[outer & (labels > 0)])
-    return bool(len(np.intersect1d(la, lb)) > 0)
+    _, labels, (xs, ys) = _occupied_labels(world)
+    ax, ay = np.abs(xs)[:, None], np.abs(ys)[None, :]
+    return _raster_linked(labels, (ax <= r) & (ay <= r), np.maximum(ax, ay) >= s)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,8 +1197,11 @@ def estimate_critical(
     ``prob_at(param, samples, round_idx)`` returns (estimate, se).  Sample
     size grows when the estimate is statistically indistinguishable from
     1/2; at most ``_MAX_ROUNDS`` estimates are made.  Returns (estimate,
-    half-width CI combining bracket and noise).
+    half-width CI combining bracket and noise).  The tolerance must be
+    positive and finite; it is checked before any estimate.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     p_lo, se_lo = prob_at(lo, base_samples, 0)
     p_hi, se_hi = prob_at(hi, base_samples, 1)
     if not (p_lo < 0.5 < p_hi):
@@ -1255,5 +1250,5 @@ def confetti_duality_check(world: ConfettiWorld) -> bool:
     cached ones; the white raster is labeled here.
     """
     black_lr = _labels_cross(world.labels, axis=0)
-    white_td = _raster_crossing(~world.black, axis=1, adjacency="tri")
+    white_td = _labels_cross(ndimage.label(~world.black, _TRIANGULAR)[0], axis=1)
     return black_lr != white_td

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,9 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("chaos", "audit", "--fixture", "sqrt-osss-empty-space", "--samples", "1"),
     ("chaos", "audit", "--fixture", "mehler-count", "--samples", "1"),
     ("chaos", "audit", "--fixture", "osss-empty-space", "--samples", "1"),
+    ("perc", "critical", "--tolerance", "0"),
+    ("perc", "critical", "--tolerance", "-1"),
+    ("perc", "critical", "--tolerance", "nan"),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")
@@ -299,13 +303,54 @@ KIND_ARGV = {
 }
 
 
+RECORDS = Path(__file__).resolve().parent / "cli_records"
+
+
+def without_provenance(text):
+    """A command's output with its ``provenance`` object removed: from the
+    JSON document, or from the JSON of a CSV's ``# poissonlab`` header."""
+    if not text.startswith("#"):
+        doc = json.loads(text)
+        doc.pop("provenance")
+        return doc
+    header, rest = text.split("\n", 1)
+    prefix, payload = header.split(" {", 1)
+    fields = json.loads("{" + payload)
+    fields.pop("provenance")
+    return prefix, fields, rest
+
+
+def assert_matches_record(path, record):
+    """The output equals its committed record up to the provenance, so a
+    numpy or scipy upgrade alone does not fail it."""
+    got = without_provenance(path.read_text())
+    assert got == without_provenance((RECORDS / record).read_text()), record
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.REGISTRY))
 def test_every_registry_entry_runs_through_its_command(tmp_path, name):
     # exit 0: the command ran and, for the audits, gave the fixture's
     # expected verdict (broken-nearest is expected to fail its axiom check)
     argv = KIND_ARGV[fixtures.REGISTRY[name]["kind"]]
     assert run(tmp_path, *argv, name, "-o", "out.txt") == 0
-    assert (tmp_path / "out.txt").exists()
+    assert_matches_record(tmp_path / "out.txt", f"{name}.txt")
+
+
+ONE_ARM_ARGV = ("perc", "scan", "--grid", "0.4:1.2:3", "--n", "4", "--samples", "40",
+                "--event", "one_arm", "--model")
+
+
+@pytest.mark.parametrize("model", ["boolean-k1", "boolean-k2"])
+def test_one_arm_scan_matches_its_record(tmp_path, model):
+    assert run(tmp_path, *ONE_ARM_ARGV, model, "-o", "out.txt") == 0
+    assert_matches_record(tmp_path / "out.txt", f"one_arm-{model}.txt")
+
+
+def test_every_cli_record_is_checked():
+    checked = {f"{name}.txt" for name in fixtures.REGISTRY} | {
+        "one_arm-boolean-k1.txt", "one_arm-boolean-k2.txt"
+    }
+    assert {p.name for p in RECORDS.iterdir()} == checked
 
 
 def test_outdir_env(tmp_path, monkeypatch):

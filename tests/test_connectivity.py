@@ -155,7 +155,9 @@ def graph_worlds(draw):
     """Worlds of 0-140 background grains (so on both sides of the dense
     cap of 100) plus planted pairs: exactly tangent along an axis or on a
     3-4-5 diagonal, or moved one ulp closer or farther.  Pareto laws put a
-    few large grains among the background."""
+    few large grains among the background, and may plant two grains larger
+    than all others among at least 101 grains: on the tree path, both above
+    the 0.99 reach quantile, so both are tested by dense rows."""
     kind = draw(st.sampled_from(["ball", "box"]))
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     a = draw(st.integers(1, 6))
@@ -166,7 +168,9 @@ def graph_worlds(draw):
         law = UniformRadius(a * FIFTH, b * FIFTH)
     else:
         law = ParetoRadius(a * FIFTH, 2.5)
-    n = draw(st.integers(0, 140))
+    # the big grains go on the tree path, among at least 101 grains
+    plant_big = law_kind == "pareto" and draw(st.booleans())
+    n = draw(st.integers(101 if plant_big else 0, 140))
     span = 16.0 * max(1.0, np.sqrt(n) / 4.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = [rng.uniform(0.0, span, (n, 2))]
@@ -195,6 +199,25 @@ def graph_worlds(draw):
             other = np.nextafter(other, other - toward * sign * np.inf)
         pts.append(np.array([c, other]))
         radii.append([r_i, r_j])
+    if plant_big:
+        # two big grains, larger than every other grain and overlapping each
+        # other, and a small grain exactly tangent to the first along an
+        # axis, or moved one ulp closer or farther
+        m = int(np.ceil(np.concatenate([[b * FIFTH], *radii]).max() / FIFTH))
+        r_1 = (m + draw(st.integers(1, 8))) * FIFTH
+        r_2 = r_1 + draw(st.integers(1, 4)) * FIFTH
+        r_s = draw(st.integers(a, b)) * FIFTH
+        c = np.array([draw(cell), draw(cell)])
+        axis = draw(st.integers(0, 1))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        big = c.copy()
+        big[1 - axis] += sign * (r_1 + r_2) / 2.0
+        small = c.copy()
+        small[axis] += sign * (r_1 + r_s)
+        toward = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        small[axis] = np.nextafter(small[axis], small[axis] - toward * sign * np.inf)
+        pts.append(np.array([c, big, small]))
+        radii.append([r_1, r_2, r_s])
     window = BoxWindow((0.0, 0.0), (span, span))
     config = PointConfig(window, np.concatenate(pts), {"radius": np.concatenate(radii)})
     return BooleanWorld(config, BooleanModel(1.0, GrainSpec(kind, law), k=1), window)
@@ -204,7 +227,15 @@ def graph_worlds(draw):
 @given(graph_worlds())
 def test_dense_and_tree_graphs_match_dense_reference(world):
     n = world.n
-    event("dense" if n * n <= _DENSE_MAX else "tree")
+    reach = world.radii * (np.sqrt(2.0) if world.model.grain.kind == "box" else 1.0)
+    if n * n <= _DENSE_MAX:
+        event("dense")
+    elif world.model.grain.max_radius is None and np.any(
+        reach > np.quantile(reach, 0.99)
+    ):
+        event("tree, big grains")
+    else:
+        event("tree")
     adj = dense_adjacency(world)
     comp = reference_partition(adj)
     for indices, indptr in (world._dense_csr(), world._tree_csr()):

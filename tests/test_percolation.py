@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from poissonlab.percolation import (
@@ -164,10 +166,11 @@ def test_crossing_examples():
     broken = world_from([[0.0, 0.5], [3.0, 0.5]], [1.0, 1.0], model, rect)
     assert not crossing(broken)
     # brute-force raster verification of both fixtures
-    from poissonlab.percolation import _raster_crossing
+    from poissonlab.percolation import _labels_cross
 
-    assert _raster_crossing(chain.occupancy_raster(0.05), 0, "eight")
-    assert not _raster_crossing(broken.occupancy_raster(0.05), 0, "eight")
+    for world, crossed in ((chain, True), (broken, False)):
+        labels, _ = ndimage.label(world.occupancy_raster(0.05), np.ones((3, 3)))
+        assert _labels_cross(labels, 0) == crossed
 
 
 def _matched_routes(world, model, pad_rect, h):
@@ -337,6 +340,99 @@ def test_estimate_critical_invalid_bracket():
 
     with pytest.raises(ValueError):
         estimate_critical(flat, 0.1, 0.9, 0.05)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_estimate_critical_needs_a_positive_finite_tolerance(tolerance):
+    def no_draw(p, samples, ridx):
+        raise AssertionError("an estimate was made before the tolerance check")
+
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        estimate_critical(no_draw, 0.2, 0.6, tolerance)
+
+
+# -- k >= 2 raster events ---------------------------------------------------------------
+
+SIDE = 3.0  # k = 2 worlds live on [-SIDE, SIDE]^2
+
+
+@st.composite
+def k2_worlds(draw):
+    """k = 2 worlds on [-SIDE, SIDE]^2: ball or box grains of fixed or
+    uniform radii in pairs, the second near the first one's centre, so that
+    doubly covered patches appear.  Optionally every grain covering the
+    origin cell's centre is dropped (an empty origin cell), or every grain
+    within one raster cell of the rect's boundary (faces that touch only
+    background)."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    if draw(st.booleans()):
+        law = FixedRadius(draw(st.sampled_from([0.5, 0.75, 1.0])))
+        h = law.r / 8.0
+    else:
+        law = UniformRadius(draw(st.sampled_from([0.5, 0.75])), 1.5)
+        h = law.lo / 8.0
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=2)
+    rect = BoxWindow((-SIDE, -SIDE), (SIDE, SIDE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.just(0), st.integers(30, 100)))
+    pts = rect.pad(model.grain.max_radius).sample_uniform(rng, n)
+    pts = np.concatenate([pts, pts + rng.uniform(-0.5, 0.5, (n, 2))])
+    radii = law.sample(rng, len(pts))
+    if draw(st.booleans()):
+        # the origin cell's centre, as the one-arm event finds it
+        xs = -SIDE + (np.arange(round(2 * SIDE / h)) + 0.5) * h
+        d = np.abs(pts - xs[np.argmin(np.abs(xs))])
+        far = d.max(axis=1) if kind == "box" else np.hypot(d[:, 0], d[:, 1])
+        pts, radii = pts[far > radii], radii[far > radii]
+    if draw(st.booleans()):
+        inside = np.abs(pts).max(axis=1) + radii < SIDE - h
+        pts, radii = pts[inside], radii[inside]
+    world = BooleanWorld(
+        PointConfig(rect.pad(model.grain.max_radius), pts, {"radius": radii}), model, rect
+    )
+    s = draw(st.sampled_from([1.0, 2.0, SIDE]))
+    r = draw(st.sampled_from([0.0, 0.5, 1.5])) * s / SIDE
+    return world, h, r, s
+
+
+def reference_raster_events(world, h, r, s):
+    """Both crossings, the one-arm and the arm event from the 8-adjacency
+    labels of the occupancy raster: two cell sets are linked when their
+    sets of nonzero labels intersect."""
+    labels, _ = ndimage.label(world.occupancy_raster(h), np.ones((3, 3)))
+    nx, ny = labels.shape
+    xs = world.rect.lo[0] + (np.arange(nx) + 0.5) * h
+    ys = world.rect.lo[1] + (np.arange(ny) + 0.5) * h
+
+    def linked(a, b):
+        a, b = labels[a], labels[b]
+        return np.intersect1d(a[a > 0], b[b > 0]).size > 0
+
+    origin = np.zeros_like(labels, dtype=bool)
+    origin[np.argmin(np.abs(xs)), np.argmin(np.abs(ys))] = True
+    ring = np.abs(np.hypot(xs[:, None], ys[None, :]) - s) <= h
+    linf = np.maximum(np.abs(xs)[:, None], np.abs(ys)[None, :])
+    inner = (np.abs(xs)[:, None] <= r) & (np.abs(ys)[None, :] <= r)
+    return (
+        linked(np.s_[0, :], np.s_[-1, :]),
+        linked(np.s_[:, 0], np.s_[:, -1]),
+        linked(origin, ring),
+        linked(inner, linf >= s),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(k2_worlds())
+def test_k2_raster_events_match_label_set_reference(case):
+    world, h, r, s = case
+    got = (
+        crossing(world, 0), crossing(world, 1), one_arm_event(world, s),
+        arm_event(world, r, s),
+    )
+    want = reference_raster_events(world, h, r, s)
+    for name, value in zip(("cross-0", "cross-1", "one-arm", "arm"), want):
+        event(f"{name} {value}")
+    assert got == want
 
 
 # -- confetti -----------------------------------------------------------------------------
