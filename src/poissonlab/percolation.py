@@ -132,8 +132,10 @@ class BooleanModel:
     k: int = 1
 
     def __post_init__(self):
-        if self.gamma < 0 or self.k < 1:
-            raise ValueError("need gamma >= 0 and k >= 1")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if self.k < 1:
+            raise ValueError(f"need k >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -336,6 +338,7 @@ def truncation_flips(
 # the dense test takes 70-90 us against 80-140 us for the sweep at about
 # 8,000 pairs, and from about 12,800 pairs on the sweep is faster.
 _DENSE_MAX = 10_000
+_EPS = float(np.finfo(float).eps)
 
 
 class BooleanWorld:
@@ -356,31 +359,54 @@ class BooleanWorld:
     ``adjacency`` stores both directions of every pair as a symmetric CSR
     matrix. k=1 components are its connected components (``labels``); both
     are cached for the world's lifetime.
+
+    The block form (:meth:`block`) is one world over the grains of many
+    configurations of the same model and rect. Grain i carries the index
+    ``replica[i]`` of its configuration (ascending, so each configuration's
+    grains are one slice, in the order its own world keeps them), and the
+    graph links only grains of the same configuration: the components of
+    each configuration are those of its own world, and the face and sphere
+    tests take one coordinate per grain. A world of one configuration has
+    ``replica`` None and builds exactly as before.
     """
 
-    def __init__(self, config: PointConfig, model: BooleanModel, rect: BoxWindow):
+    def __init__(self, config: PointConfig, model: BooleanModel, rect: BoxWindow,
+                 replica: Optional[np.ndarray] = None):
         self.model = model
         self.rect = rect
         self.config = config
         pts = np.atleast_2d(config.points)
         if pts.size == 0:
             pts = pts.reshape(0, config.window.dim)
-        radii = config.marks.get("radius")
-        if radii is None:
-            if config.size:
-                raise ValueError("config lacks radius marks")
-            radii = np.empty(0)
+        radii = _radius_marks(config)
         gap = _gap(pts, rect.lo_array, rect.hi_array)
         keep = _reaches(gap, radii, model.grain.kind)
         # take/compress gather rows several times faster than fancy indexing
         self.points = pts.compress(keep, axis=0)
         self.radii = np.asarray(radii).compress(keep)
         self.n = len(self.points)
+        self.replica = None if replica is None else replica.compress(keep)
         # per-axis gap of every kept grain to the rect, for the face tests
         self._gap = gap.compress(keep, axis=0)
         self._adjacency: Optional[csr_matrix] = None
         self._labels: Optional[np.ndarray] = None
         self._components = 0
+
+    @classmethod
+    def block(cls, configs: Sequence[PointConfig], model: BooleanModel,
+              rect: BoxWindow) -> "BooleanWorld":
+        """One world over the grains of ``configs`` (see the class
+        docstring); a block of one is the plain world."""
+        if len(configs) == 1:
+            return cls(configs[0], model, rect)
+        dim = rect.dim
+        joined = PointConfig._fresh(
+            configs[0].window,
+            np.concatenate([np.reshape(c.points, (c.size, dim)) for c in configs]),
+            {"radius": np.concatenate([_radius_marks(c) for c in configs])},
+        )
+        replica = np.repeat(np.arange(len(configs)), [c.size for c in configs])
+        return cls(joined, model, rect, replica)
 
     # -- intersection graph ------------------------------------------------
 
@@ -398,6 +424,8 @@ class BooleanWorld:
         pts = self.points
         hit = _overlaps(pts[:, None], r_row, pts, r_col, self.model.grain.kind)
         hit.flat[:: n + 1] = False
+        if self.replica is not None:
+            hit &= self.replica[:, None] == self.replica
         # row-major nonzeros: rows ascend, and columns ascend within a row;
         # int32 positions (n * n is far below 2**31 here) divide faster
         flat = np.flatnonzero(hit).astype(np.int32)
@@ -411,28 +439,45 @@ class BooleanWorld:
         ``query_pairs`` finds theirs.  Each grain above r_ref is tested
         against every grain in one dense row, a pair of two such grains in
         the row of its lower index, and the pairs (i < j) merge by one sort
-        of their ``i*n + j`` keys."""
+        of their ``i*n + j`` keys.
+
+        In a block world the search shifts configuration b by b*L along
+        axis 0, L = width + 4*r_ref + 1, so that grains of different
+        configurations are more than 2*r_ref apart, and widens its radius
+        by a relative 1e-9 plus a few ulps of the largest shifted
+        coordinate, which absorbs the rounding of the shift; the exact
+        test runs on the unshifted centres and keeps the pairs of one
+        configuration, and so do the dense rows."""
         n, kind = self.n, self.model.grain.kind
         if n < 2:
             return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
-        pts, radii = self.points, self.radii
+        pts, radii, replica = self.points, self.radii, self.replica
         reach = radii * math.sqrt(2.0) if kind == "box" else radii
         bound = self.model.grain.max_radius
         r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
         big, small = np.flatnonzero(reach > r_ref), np.flatnonzero(reach <= r_ref)
+        search, radius = pts.take(small, 0), 2.0 * r_ref
+        if replica is not None:
+            width = self.rect.hi[0] - self.rect.lo[0]
+            search[:, 0] += replica.take(small) * (width + 4.0 * r_ref + 1.0)
+            radius = radius * (1.0 + 1e-9) + 8.0 * _EPS * np.abs(search).max(initial=0.0)
         # Neither tree option changes the pairs found; both make the build
         # cheaper at a few hundred grains.
-        tree = cKDTree(pts.take(small, 0), balanced_tree=False, compact_nodes=False)
-        cand = small.take(tree.query_pairs(2.0 * r_ref, output_type="ndarray"))
+        tree = cKDTree(search, balanced_tree=False, compact_nodes=False)
+        cand = small.take(tree.query_pairs(radius, output_type="ndarray"))
         # take/compress gather rows several times faster than fancy indexing
         i, j = cand[:, 0], cand[:, 1]
         keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j),
                          kind)
+        if replica is not None:
+            keep &= replica.take(i) == replica.take(j)
         i, j = i.compress(keep), j.compress(keep)
         if len(big):
             block = _overlaps(pts.take(big, 0)[:, None], radii.take(big)[:, None],
                               pts, radii, kind)
             block[:, big] &= big > big[:, None]
+            if replica is not None:
+                block &= replica.take(big)[:, None] == replica
             row, col = np.nonzero(block)
             row = big.take(row)
             lo, hi = np.minimum(row, col), np.maximum(row, col)
@@ -488,9 +533,10 @@ class BooleanWorld:
             _reaches(_gap(self.points, x, x), self.radii, self.model.grain.kind)
         )
 
-    def grains_meeting_face(self, axis: int, coord: float) -> np.ndarray:
+    def grains_meeting_face(self, axis: int, coord) -> np.ndarray:
         """Grains intersecting the closed boundary face {x_axis = coord},
-        clipped to the rect's extent in the other axes."""
+        clipped to the rect's extent in the other axes; ``coord`` may hold
+        one coordinate per grain (a block world's per-configuration seeds)."""
         return self.grains_meeting_faces(axis, (coord,))[0]
 
     def grains_meeting_faces(
@@ -514,8 +560,9 @@ class BooleanWorld:
         side = np.all(gap <= radii[:, None], axis=1)
         return [np.flatnonzero((np.abs(along - c) <= radii) & side) for c in coords]
 
-    def grains_meeting_sphere(self, s: float) -> np.ndarray:
-        """Grains intersecting the sphere of radius s around the origin."""
+    def grains_meeting_sphere(self, s) -> np.ndarray:
+        """Grains intersecting the sphere of radius s around the origin; ``s``
+        may hold one radius per grain, as ``grains_meeting_face``'s coord."""
         if self.n == 0:
             return np.empty(0, dtype=int)
         if self.model.grain.kind == "ball":
@@ -582,6 +629,16 @@ def _overlaps(pi, ri, pj, rj, kind: str) -> np.ndarray:
     for k in range(1, pi.shape[-1]):
         hit &= np.abs(pi[..., k] - pj[..., k]) < rsum
     return hit
+
+
+def _radius_marks(config: PointConfig) -> np.ndarray:
+    """The radius of every grain of ``config`` (none for an empty one)."""
+    radii = config.marks.get("radius")
+    if radii is None:
+        if config.size:
+            raise ValueError("config lacks radius marks")
+        radii = np.empty(0)
+    return radii
 
 
 def _label_table(labels: np.ndarray, idx, size: int) -> np.ndarray:

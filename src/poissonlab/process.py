@@ -56,6 +56,8 @@ class BoxWindow:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi dimension mismatch")
+        if not all(map(math.isfinite, (*self.lo, *self.hi))):
+            raise ValueError(f"window bounds must be finite, got {self.lo} to {self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError("window box must be nonempty")
 

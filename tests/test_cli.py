@@ -279,6 +279,9 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("perc", "critical", "--tolerance", "0"),
     ("perc", "critical", "--tolerance", "-1"),
     ("perc", "critical", "--tolerance", "nan"),
+    ("perc", "duality", "--n", "inf"),
+    ("perc", "scan", "--grid", "nan:0.6:2"),
+    ("perc", "scan", "--n", "nan"),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "empty.csv").write_text("param,estimate,se\n")

@@ -11,6 +11,10 @@ did. Agreement must be exact, including on probes planted at exactly
 cases use 8 x 8 windows and so reach only the dense test; the grain-index
 case below also covers the sweep, on strip edges, on windows of span 1e4 and
 with a wide spread of radii.
+
+The block evaluation, one block world for many configurations, is checked
+against the oracle asked one configuration at a time, and the block
+world's components against each configuration's own world.
 """
 
 import math
@@ -24,10 +28,12 @@ from poissonlab.percolation import (
     BooleanWorld,
     FixedRadius,
     GrainSpec,
+    ParetoRadius,
     UniformRadius,
 )
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.stopping import (
+    _BLOCK,
     _DENSE_MAX,
     LineSeed,
     SphereSeed,
@@ -137,6 +143,107 @@ def test_contains_matches_dense_formula(data):
         got = oracle.contains(xs, cfg)
         assert got.shape == (len(xs),) and got.dtype == bool
         assert np.array_equal(got, dense_contains(oracle, xs, cfg))
+
+
+@st.composite
+def blocks(draw):
+    """(members, configs, probes): 1 to ``_BLOCK + 1`` configurations of
+    one model on the 8 x 8 window, with ball or box grains and fixed,
+    uniform or Pareto radii (those with an explicit dilation), of 0 to 30
+    grains each, so that about half the blocks take the tree path and
+    Pareto blocks there have grains above the reference reach; one
+    exploration per configuration, with its own line (possibly one that
+    meets no grain, at -100) or sphere seed, or one seed for all; and per
+    configuration random probes, its grain centres and probes at exactly
+    dilation + r from a centre."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
+    dyadic_coords = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def exact(x):
+        return np.round(x * 16.0) / 16.0 if dyadic_coords else x
+
+    if law_kind == "fixed":
+        law = FixedRadius(draw(st.sampled_from([0.25, 0.5, 1.0])))
+    elif law_kind == "uniform":
+        law = UniformRadius(0.25, draw(st.sampled_from([0.5, 1.0])))
+    else:
+        law = ParetoRadius(draw(st.sampled_from([0.125, 0.25])), 2.5)
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    dilation = draw(st.sampled_from([0.0, 0.5, 1.0])) if law_kind == "pareto" else (
+        draw(st.sampled_from([None, 0.0, 0.5])))
+    configs = []
+    for _ in range(draw(st.integers(1, _BLOCK + 1))):
+        n = draw(st.sampled_from([0, 1, 3, 12, 30]))
+        if law_kind == "fixed":
+            radii = np.full(n, law.r)
+        elif law_kind == "uniform":
+            radii = exact(rng.uniform(law.lo, law.hi, n))
+        else:
+            radii = exact(law.sample(rng, n))
+        points = exact(rng.uniform(0.0, SPAN, (n, 2)))
+        configs.append(PointConfig(WINDOW, points, {"radius": radii}))
+    line = st.one_of(coord, st.just(-100.0))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 1))
+        seeds = [LineSeed(axis, draw(line)) for _ in configs]
+    else:
+        seeds = [SphereSeed(draw(st.one_of(dyadic, st.floats(0.0, 1.5 * SPAN))))
+                 for _ in configs]
+    if draw(st.booleans()):
+        seeds = [seeds[0]] * len(configs)
+    members = [component_exploration(model, RECT, seed, dilation) for seed in seeds]
+    probes = []
+    for cfg in configs:
+        xs = [exact(rng.uniform(0.0, SPAN, (20, 2))), cfg.points]
+        if cfg.size:
+            idx = rng.integers(0, cfg.size, 6)
+            planted = cfg.points[idx].copy()
+            planted[np.arange(6), rng.integers(0, 2, 6)] += rng.choice(
+                [-1.0, 1.0], 6) * (members[0].dilation + cfg.marks["radius"][idx])
+            xs.append(planted)
+        probes.append(np.vstack(xs))
+    return members, configs, probes
+
+
+def partition(labels):
+    return labels[:, None] == labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks())
+def test_contains_block_matches_one_configuration_at_a_time(case):
+    members, configs, probes = case
+    oracle = members[0]
+    if all(m.seed == oracle.seed for m in members):
+        got = oracle.contains_block(probes, configs)
+    else:
+        got = oracle.contains_block(probes, configs, members)
+    assert len(got) == len(configs)
+    for m, xs, cfg, hit in zip(members, probes, configs, got):
+        assert hit.shape == (len(xs),) and hit.dtype == bool
+        assert np.array_equal(hit, m.contains(xs, cfg))
+        assert np.array_equal(hit, dense_contains(m, xs, cfg))
+
+    world = BooleanWorld.block(configs, oracle.model, oracle.rect)
+    tree = world.n * world.n > _DENSE_MAX
+    reach = world.radii * (np.sqrt(2.0) if oracle.model.grain.kind == "box" else 1.0)
+    big = tree and oracle.model.grain.law.bound is None and world.n > 1 and bool(
+        np.any(reach > np.quantile(reach, 0.99)))
+    event("tree path, big grains" if big else "tree path" if tree else "dense path")
+    own = [BooleanWorld(cfg, oracle.model, oracle.rect) for cfg in configs]
+    if len(configs) == 1:
+        assert world.replica is None
+        return
+    bounds = np.searchsorted(world.replica, np.arange(len(configs) + 1))
+    for b, w in enumerate(own):
+        part = slice(bounds[b], bounds[b + 1])
+        assert np.array_equal(world.points[part], w.points)
+        assert np.array_equal(world.radii[part], w.radii)
+        assert np.array_equal(partition(world.labels[part]), partition(w.labels))
+    # no component holds grains of two configurations
+    assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
 
 
 def dense_near(xs, centers, radii, thr):

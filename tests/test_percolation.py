@@ -254,6 +254,12 @@ def test_scaling_covariance():
 # -- arm / one-arm events --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+def test_boolean_model_rejects_a_gamma_not_finite_and_nonnegative(gamma):
+    with pytest.raises(ValueError, match=f"gamma must be finite and >= 0, got {gamma}"):
+        BooleanModel(gamma, GrainSpec("ball", FixedRadius(1.0)))
+
+
 def test_arm_event_validation_and_convention():
     model = BooleanModel(0.3, DISK1, k=1)
     rect = BoxWindow((-5.0, -5.0), (5.0, 5.0))

@@ -81,6 +81,13 @@ def test_infinite_mass_rejected():
         sample_poisson(HomogeneousIntensity(math.inf), UNIT_SQ, stream(5))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_box_window_rejects_non_finite_bounds(bad):
+    for lo, hi in (((0.0, 0.0), (bad, 1.0)), ((bad, 0.0), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="bounds must be finite.*" + str(bad)):
+            BoxWindow(lo, hi)
+
+
 # -- restrict / superpose algebra ---------------------------------------------
 
 

@@ -22,6 +22,7 @@ from poissonlab.process import (
 )
 from poissonlab.rng import stream
 from poissonlab.stopping import (
+    _BLOCK,
     BrokenNearestPointOracle,
     ConstantRegionSet,
     LineSeed,
@@ -293,6 +294,74 @@ def test_exploration_axiom_sphere_seed():
     )
     expl = component_exploration(model, rect, SphereSeed(1.5))
     assert verify_stopping_axiom(expl, process, 400, 60, stream(123)).passed
+
+
+# -- block loops against per-trial loops -------------------------------------------
+
+
+def per_trial_axiom(oracle, process, trials, probes, rng):
+    """The axiom check one trial at a time: mu, psi and the probes drawn in
+    that order, and every membership asked on its own."""
+    failures = []
+    for trial in range(trials):
+        mu = process.sample(rng)
+        psi = process.sample(rng)
+        xs = process.window.sample_uniform(rng, probes)
+        inside = restrict_to(oracle, mu)
+        outside = psi.take(~oracle.contains(psi.points, mu)) if psi.size else psi
+        composite = PointConfig(
+            mu.window, np.concatenate([inside.points, outside.points]),
+            {k: np.concatenate([inside.marks[k], outside.marks[k]]) for k in mu.marks})
+        flips = oracle.contains(xs, mu) != oracle.contains(xs, composite)
+        failures += [(trial, xs[b]) for b in np.flatnonzero(flips)]
+    return failures
+
+
+def per_sample_revealment(oracle, process, probes, samples, rng, randomized):
+    counts = np.zeros(len(probes))
+    for _ in range(samples):
+        eta = process.sample(rng)
+        member = oracle.member(oracle.draw(rng)) if randomized else oracle
+        counts += member.contains(probes, eta)
+    return counts / samples
+
+
+def block_loop_cases():
+    model, rect, process = crossing_setup(6)
+    box = BoxWindow((-3.0, -3.0), (3.0, 3.0))
+    sphere_process = ProcessSpec(process.intensity, box.pad(1.0))
+    family = randomize(lambda s: component_exploration(model, rect, LineSeed(0, s)),
+                       lambda rng: float(rng.uniform(0.0, 6.0)))
+    return {
+        "line": (component_exploration(model, rect, LineSeed(0, 3.0)), process, rect),
+        "sphere": (component_exploration(model, box, SphereSeed(1.5)), sphere_process,
+                   box),
+        "randomized-line": (family, process, rect),
+        "broken": (BrokenNearestPointOracle(), SPEC, WINDOW),
+    }
+
+
+@pytest.mark.parametrize("name", ["line", "sphere", "randomized-line", "broken"])
+def test_block_loops_draw_and_answer_as_a_per_trial_loop(name):
+    """Over two full blocks and a partial one, the block loops leave the
+    generator where a per-trial loop leaves it (its state holds arrays, so
+    it is compared by repr), with the same failures and the same
+    revealment probabilities bit for bit."""
+    oracle, process, rect = block_loop_cases()[name]
+    count = 2 * _BLOCK + 3
+    randomized = name == "randomized-line"
+    grid = probe_grid(rect, 0.5)
+    got_rng, want_rng = stream(131, 0), stream(131, 0)
+    if not randomized:
+        got = verify_stopping_axiom(oracle, process, count, 40, got_rng).failures
+        want = per_trial_axiom(oracle, process, count, 40, want_rng)
+        assert [(t, x.tolist()) for t, x in got] == [(t, x.tolist()) for t, x in want]
+        assert bool(got) == (name == "broken")
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    rep = revealment(oracle, process, grid, count, got_rng)
+    want = per_sample_revealment(oracle, process, grid, count, want_rng, randomized)
+    assert np.array_equal(rep.probabilities, want) and 0.0 < rep.delta
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
 # -- randomized stopping sets --------------------------------------------------------
