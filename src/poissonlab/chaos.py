@@ -29,7 +29,6 @@ from scipy.stats import poisson as poisson_dist
 from .dynamics import _ou_values
 from .process import (
     AuditReport,
-    DiscreteWindow,
     PointConfig,
     ProcessSpec,
     _at_most,
@@ -38,8 +37,9 @@ from .process import (
     _mean_se,
     _need_two,
     _var_se,
+    restrict,
 )
-from .stopping import StoppingSetOracle, restrict_to
+from .stopping import StoppingSetOracle
 
 __all__ = [
     "ChaosSpectrum",
@@ -117,10 +117,6 @@ class DiscreteOracleSpace:
     @property
     def num_cells(self) -> int:
         return len(self.masses)
-
-    @property
-    def window(self) -> DiscreteWindow:
-        return DiscreteWindow(self.num_cells)
 
     def expectation(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -358,7 +354,7 @@ def poincare_audit(
 def _check_determination(f, terminal: StoppingSetOracle, process, rng, n=200):
     for _ in range(n):
         eta = process.sample(rng)
-        if f(eta) != f(restrict_to(terminal, eta)):
+        if f(eta) != f(restrict(eta, lambda xs: terminal.contains(xs, eta))):
             raise ValueError("the decision tree does not determine f")
 
 

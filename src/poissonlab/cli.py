@@ -1,11 +1,12 @@
 """Reproducible experiment driver.
 
-Subcommands: sample, stopping, chaos, dynamics, perc, plot, acceptance,
-run.  All randomness funnels through --seed; outputs are deterministic
-given (arguments, seed) and carry a header with the resolved parameters
-and package version.  Each command takes only fixtures of its own kind
+Subcommands: sample, stopping, chaos, dynamics, perc, acceptance, run.
+All randomness funnels through --seed; outputs are deterministic given
+(arguments, seed) and carry a header with the resolved parameters and
+package version.  Each command takes only fixtures of its own kind
 (sample, stopping, chaos, dynamics or perc).  Bad input, such as a fixture
-of another kind, ends with one "error: ..." line and exit status 2.
+of another kind or a size too large to allocate, ends with one
+"error: ..." line and exit status 2.
 Environment: POISSONLAB_OUTDIR prefixes relative output paths,
 POISSONLAB_WORKERS sets the acceptance worker count.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, acceptance, chaos, dynamics, fixtures, svgplot
+from . import __version__, acceptance, chaos, dynamics, fixtures
 from .percolation import (
     BoxWindow,
     confetti_duality_counts,
@@ -189,6 +191,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
         raise ValueError(f"--grid must be lo:hi:num, got {spec!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--grid bounds must be finite, got {spec!r}")
     if num < 1:
         raise ValueError(f"--grid needs at least 1 value, got {num}")
     return np.linspace(lo, hi, num)
@@ -258,39 +262,6 @@ def cmd_perc_duality(args) -> int:
     _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
     print(f"duality XOR violations: {bad}/{args.samples}")
     return 0 if bad == 0 else 1
-
-
-def cmd_plot(args) -> int:
-    text = Path(args.csv).read_text()
-    rows = [
-        ln.split(",")
-        for ln in text.strip().splitlines()
-        if ln and not ln.startswith("#")
-    ]
-    if len(rows) < 2:
-        raise ValueError("empty CSV: nothing to plot")
-    header, data = rows[0], rows[1:]
-    if any(len(r) != len(header) for r in data):
-        raise ValueError("CSV rows must have as many fields as the header")
-    cols = {name: [float(r[j]) for r in data] for j, name in enumerate(header)}
-    if args.kind == "threshold":
-        if not {"param", "estimate", "se"} <= set(cols):
-            raise ValueError("threshold plot needs columns param,estimate,se")
-        svg = svgplot.line_plot(
-            [{"x": cols["param"], "y": cols["estimate"], "err": cols["se"],
-              "label": "estimate"}],
-            xlabel="parameter", ylabel="probability", title="threshold scan",
-        )
-    else:  # covariance
-        if not {"t", "cov"} <= set(cols):
-            raise ValueError("covariance plot needs columns t,cov")
-        svg = svgplot.line_plot(
-            [{"x": cols["t"], "y": cols["cov"], "err": cols.get("se"),
-              "label": "cov"}],
-            xlabel="t", ylabel="covariance", title="covariance decay", log_y=True,
-        )
-    _write(args.output, svg, None)
-    return 0
 
 
 def cmd_acceptance(args) -> int:
@@ -416,12 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", "-o", default="duality.json")
     pa.set_defaults(func=cmd_perc_duality)
 
-    p = sub.add_parser("plot", help="render a result CSV to static SVG")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--kind", default="threshold", choices=["threshold", "covariance"])
-    p.add_argument("--output", "-o", default="plot.svg")
-    p.set_defaults(func=cmd_plot)
-
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     p.add_argument("which", nargs="?", default="all")
     p.add_argument("--workers", type=int, default=0)
@@ -447,7 +412,7 @@ def main(argv=None) -> int:
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, FileNotFoundError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

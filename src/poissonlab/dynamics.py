@@ -24,7 +24,6 @@ from .process import (
     HomogeneousIntensity,
     PointConfig,
     ProcessSpec,
-    _at_most,
     _cov_se,
     _draw,
     thin,
@@ -229,13 +228,6 @@ class CovCurve:
     cov: np.ndarray
     se: np.ndarray
     samples: int
-
-    def nonincreasing_within(self) -> bool:
-        jump_se = np.hypot(self.se[1:], self.se[:-1])
-        return bool(np.all(_at_most(np.diff(self.cov), 0.0, jump_se)))
-
-    def nonnegative_within(self) -> bool:
-        return bool(np.all(_at_most(-self.cov, 0.0, self.se)))
 
 
 def covariance_curve(

@@ -524,9 +524,6 @@ class BooleanWorld:
 
     # -- point queries -------------------------------------------------------
 
-    def cover_count(self, x: np.ndarray) -> int:
-        return len(self.grains_covering(x))
-
     def grains_covering(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.flatnonzero(

@@ -38,7 +38,6 @@ __all__ = [
     "mecke_check",
     "AuditReport",
     "config_to_csv",
-    "config_from_csv",
 ]
 
 
@@ -79,10 +78,6 @@ class BoxWindow:
     @cached_property
     def volume(self) -> float:
         return float(np.prod(self.hi_array - self.lo_array))
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
 
     @cached_property
     def extent(self) -> np.ndarray:
@@ -644,21 +639,3 @@ def _fmt(v) -> str:
     if float(v).is_integer() and abs(float(v)) < 1e15:
         return str(int(v))
     return format(float(v), ".17g")
-
-
-def config_from_csv(text: str, window: Window) -> PointConfig:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    data = {
-        name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)
-    }
-    if isinstance(window, DiscreteWindow):
-        pts = data.pop("cell").astype(np.int64)
-    else:
-        pts = np.column_stack([data.pop(f"x{i}") for i in range(window.dim)])
-        if pts.size == 0:
-            pts = pts.reshape(0, window.dim)
-    if "color" in data:
-        data["color"] = data["color"].astype(np.uint8)
-    return PointConfig(window, pts, data)

@@ -63,7 +63,6 @@ __all__ = [
     "markov_property_check",
     "MarkovReport",
     "probe_grid",
-    "restrict_to",
 ]
 
 
@@ -83,13 +82,6 @@ class StoppingSetOracle:
         if members is None:
             members = [self] * len(configs)
         return [m.contains(xs, c) for m, xs, c in zip(members, xs_list, configs)]
-
-
-def restrict_to(oracle: StoppingSetOracle, config: PointConfig) -> PointConfig:
-    """Configuration restricted to Z(config)."""
-    if config.size == 0:
-        return config
-    return config.take(oracle.contains(config.points, config))
 
 
 class ConstantRegionSet(StoppingSetOracle):
@@ -369,15 +361,6 @@ class RandomizedStoppingSet:
     def member(self, y) -> StoppingSetOracle:
         return self.family(y)
 
-    def contains(self, xs, config, y):
-        return self.family(y).contains(xs, config)
-
-    def contains_block(self, xs_list, configs, ys) -> list[np.ndarray]:
-        """``contains(xs, config, y)`` for each triple of a block, the
-        members asked together through the first one's ``contains_block``."""
-        members = [self.family(y) for y in ys]
-        return members[0].contains_block(xs_list, configs, members) if members else []
-
 
 def randomize(
     family: Callable[[object], StoppingSetOracle],
@@ -398,7 +381,6 @@ class NonAttainableFixture(StoppingSetOracle):
         if len(masses) != 3 or any(m <= 0 for m in masses):
             raise ValueError("need three positive cell masses")
         self.masses = np.asarray(masses, dtype=float)
-        self.window = DiscreteWindow(3)
 
     def cells_mask(self, counts: np.ndarray) -> np.ndarray:
         x1, x2, x3 = (bool(c > 0) for c in counts)
@@ -600,7 +582,8 @@ def revealment(
     """Empirical P(x in Z(eta)) per probe; delta is the grid maximum.
 
     Randomized oracles get a fresh randomization draw per sample, after its
-    eta.  Blocks of ``_BLOCK`` samples are drawn, then evaluated at once.
+    eta, and that sample is asked of the drawn member.  Blocks of ``_BLOCK``
+    samples are drawn, then evaluated at once.
     """
     probes = np.atleast_2d(probes) if not isinstance(
         process.window, DiscreteWindow
@@ -608,17 +591,11 @@ def revealment(
     counts = np.zeros(len(probes))
     randomized = isinstance(oracle, RandomizedStoppingSet)
     for start in range(0, samples, _BLOCK):
-        etas, ys = [], []
+        etas, members = [], []
         for _ in range(min(_BLOCK, samples - start)):
             etas.append(process.sample(rng))
-            if randomized:
-                ys.append(oracle.draw(rng))
-        block = [probes] * len(etas)
-        if randomized:
-            hits = oracle.contains_block(block, etas, ys)
-        else:
-            hits = oracle.contains_block(block, etas)
-        for hit in hits:
+            members.append(oracle.member(oracle.draw(rng)) if randomized else oracle)
+        for hit in members[0].contains_block([probes] * len(etas), etas, members):
             counts += hit
     p = counts / samples
     ses = _bernoulli_se(p, samples)

@@ -159,7 +159,6 @@ def test_covariance_curve_count():
     )
     for t, c, s in zip(curve.times, curve.cov, curve.se):
         assert abs(c - 2.0 * math.exp(-t)) <= 3 * s
-    assert curve.nonincreasing_within() and curve.nonnegative_within()
 
 
 def test_covariance_curve_constant_and_t0():

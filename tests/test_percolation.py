@@ -107,10 +107,10 @@ def test_is_k_covered():
     model = BooleanModel(1.0, DISK1, k=2)
     rect = BoxWindow((0.0, 0.0), (3.0, 1.0))
     w = world_from([[1.0, 0.5], [1.8, 0.5]], [1.0, 1.0], model, rect)
-    assert w.cover_count(np.array([1.4, 0.5])) >= model.k
-    assert w.cover_count(np.array([0.05, 0.5])) < model.k
+    assert len(w.grains_covering(np.array([1.4, 0.5]))) >= model.k
+    assert len(w.grains_covering(np.array([0.05, 0.5]))) < model.k
     empty = world_from(np.empty((0, 2)), [], model, rect)
-    assert empty.cover_count(np.array([0.5, 0.5])) < model.k
+    assert len(empty.grains_covering(np.array([0.5, 0.5]))) < model.k
 
 
 def test_confetti_first_arrival_rule():
@@ -297,7 +297,7 @@ def _b_r(model, r, samples):
     hits = 0
     for i in range(samples):
         w = sample_boolean_world(model, rect, stream(412, i))
-        covered = all(w.cover_count(p) >= 1 for p in ring)
+        covered = all(len(w.grains_covering(p)) >= 1 for p in ring)
         hits += covered and one_arm_event(w, 2 * r)
     p = hits / samples
     return p, math.sqrt(max(p * (1 - p), 1e-9) / samples)

@@ -21,8 +21,6 @@ from poissonlab.process import (
     _cov_se,
     _mean_se,
     _var_se,
-    config_from_csv,
-    config_to_csv,
     mecke_check,
     restrict,
     sample_poisson,
@@ -290,25 +288,6 @@ def test_mecke_overflow_guard():
             10,
             stream(15),
         )
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_csv_round_trip_marked():
-    spec = ProcessSpec(
-        HomogeneousIntensity(3.0, RadiusMarks(UniformRadius(0.1, 0.5))), UNIT_SQ
-    )
-    cfg = spec.sample(stream(16))
-    back = config_from_csv(config_to_csv(cfg), UNIT_SQ)
-    assert np.allclose(cfg.points, back.points)
-    assert np.allclose(cfg.marks["radius"], back.marks["radius"])
-
-
-def test_csv_round_trip_discrete():
-    cfg = sample_poisson(CellIntensity((1.0, 2.0)), DiscreteWindow(2), stream(17))
-    back = config_from_csv(config_to_csv(cfg), DiscreteWindow(2))
-    assert np.array_equal(np.sort(cfg.points), np.sort(back.points))
 
 
 def test_duplicate_location_rate_zero():

@@ -19,6 +19,7 @@ from poissonlab.process import (
     PointConfig,
     ProcessSpec,
     RadiusMarks,
+    restrict,
 )
 from poissonlab.rng import stream
 from poissonlab.stopping import (
@@ -35,7 +36,6 @@ from poissonlab.stopping import (
     nonattainable_fixture,
     probe_grid,
     randomize,
-    restrict_to,
     revealment,
     verify_stopping_axiom,
 )
@@ -133,7 +133,7 @@ def test_ball_growth_determines_empty_indicator():
     f = lambda cfg: 1.0 if cfg.count_in(disk_region) == 0 else 0.0
     for i in range(2000):
         cfg = SPEC.sample(stream(107, i))
-        assert f(cfg) == f(restrict_to(term, cfg))
+        assert f(cfg) == f(restrict(cfg, lambda xs: term.contains(xs, cfg)))
 
 
 def test_ball_growth_terminal_membership_formula():
@@ -283,7 +283,7 @@ def test_exploration_determines_crossing():
     f = lambda cfg: crossing(BooleanWorld(cfg, model, rect))
     for i in range(600):
         cfg = process.sample(stream(119, i))
-        assert f(cfg) == f(restrict_to(expl, cfg))
+        assert f(cfg) == f(restrict(cfg, lambda xs: expl.contains(xs, cfg)))
 
 
 def test_exploration_axiom_sphere_seed():
@@ -307,7 +307,7 @@ def per_trial_axiom(oracle, process, trials, probes, rng):
         mu = process.sample(rng)
         psi = process.sample(rng)
         xs = process.window.sample_uniform(rng, probes)
-        inside = restrict_to(oracle, mu)
+        inside = restrict(mu, lambda pts: oracle.contains(pts, mu))
         outside = psi.take(~oracle.contains(psi.points, mu)) if psi.size else psi
         composite = PointConfig(
             mu.window, np.concatenate([inside.points, outside.points]),
@@ -364,6 +364,44 @@ def test_block_loops_draw_and_answer_as_a_per_trial_loop(name):
     assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
+class ForwardingOracle:
+    """A wrapper shaped like the benchmark's tracing oracle: its own
+    ``contains``, every other attribute read from the wrapped oracle."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def contains(self, xs, config):
+        return self._oracle.contains(xs, config)
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+@pytest.mark.parametrize("name", ["line", "randomized-line", "broken"])
+def test_forwarding_wrapper_leaves_the_loops_unchanged(name):
+    """Through the wrapper (around each member of a randomized family), the
+    axiom and revealment loops give the bare oracle's failures and
+    probabilities and leave the generator in the same state."""
+    oracle, process, rect = block_loop_cases()[name]
+    randomized = name == "randomized-line"
+    if randomized:
+        wrapped = randomize(lambda y: ForwardingOracle(oracle.member(y)), oracle.law)
+    else:
+        wrapped = ForwardingOracle(oracle)
+    count = _BLOCK + 3
+    grid = probe_grid(rect, 0.5)
+    got_rng, want_rng = stream(132, 0), stream(132, 0)
+    if not randomized:
+        got = verify_stopping_axiom(wrapped, process, count, 40, got_rng).failures
+        want = verify_stopping_axiom(oracle, process, count, 40, want_rng).failures
+        assert [(t, x.tolist()) for t, x in got] == [(t, x.tolist()) for t, x in want]
+    got = revealment(wrapped, process, grid, count, got_rng).probabilities
+    want = revealment(oracle, process, grid, count, want_rng).probabilities
+    assert np.array_equal(got, want)
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+
 # -- randomized stopping sets --------------------------------------------------------
 
 
@@ -375,7 +413,7 @@ def test_randomize_degenerate_equals_base():
     cfg = process.sample(stream(124))
     probes = rect.sample_uniform(stream(125), 100)
     y = rz.draw(stream(126))
-    assert np.array_equal(rz.contains(probes, cfg, y), base.contains(probes, cfg))
+    assert np.array_equal(rz.member(y).contains(probes, cfg), base.contains(probes, cfg))
 
 
 def test_randomize_two_point_law_average():
