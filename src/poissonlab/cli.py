@@ -264,10 +264,32 @@ def cmd_perc_duality(args) -> int:
     return 0 if bad == 0 else 1
 
 
+def _worker_count(args) -> int:
+    """The acceptance worker count: ``--workers``, else POISSONLAB_WORKERS,
+    else 1.  It must be an integer from 1 to the number of usable cores,
+    checked before any process starts: a process pool forks every worker
+    at its first task."""
+    if args.workers is not None:
+        name, text = "--workers", args.workers
+    else:
+        name, text = "POISSONLAB_WORKERS", os.environ.get("POISSONLAB_WORKERS", "1")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= cores:
+        raise ValueError(
+            f"{name} must be an integer from 1 to {cores} (the usable cores), "
+            f"got {text!r}"
+        )
+    return workers
+
+
 def cmd_acceptance(args) -> int:
     names = None if args.which == "all" else [args.which]
-    workers = args.workers or int(os.environ.get("POISSONLAB_WORKERS", "1"))
-    results = acceptance.run(names, workers=workers)
+    results = acceptance.run(names, workers=_worker_count(args))
     for res in results:
         print(res.line())
     summary = {
@@ -389,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     p.add_argument("which", nargs="?", default="all")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", default=None,
+                   help="worker processes, 1 to the usable cores")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_acceptance)
 

@@ -9,8 +9,9 @@ Connectivity conventions
   intersection graph.  ``_overlaps`` is the one strict overlap test
   (balls meet when |d|^2 < (r_i + r_j)^2, boxes when every |d_k| < r_i +
   r_j): up to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
-  one n x n block, above it on kd-tree candidates plus dense rows for the
-  grains above the reference reach.  Both give the same CSR matrix.
+  one n x n block, above it on the candidate pairs of one integer cell
+  table plus dense rows for the grains above the reference reach.  Both
+  give the same CSR matrix.
   Crossing events inside a rectangle use the grains meeting the
   rectangle; chains may overlap slightly outside it (within one grain
   diameter).  Sphere-reaching events (one-arm) are exact.  A raster layer
@@ -42,6 +43,7 @@ Connectivity conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -50,7 +52,6 @@ import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .process import (
     BoxWindow,
@@ -329,16 +330,88 @@ def truncation_flips(
 # Boolean worlds (grain graph + optional raster layer)
 
 # Pair tests up to this many pairs take one dense broadcast; larger ones an
-# index (the kd-tree candidates of the grain graph, the strip sweep of the
+# index (the cell table of the grain graph, the strip sweep of the
 # exploration oracles' membership).  Measured crossovers, unit disks on a
-# 2-core x86 VM with numpy 2.4: the dense grain graph builds in 53-59 us
-# against 106-109 us for the tree path at about 53 grains (2,800 ordered
-# pairs), 100-116 against 122-141 us at about 92 grains (8,400 pairs), and
-# both take about 160 us at about 117 grains (13,600 pairs); for probe sets
-# the dense test takes 70-90 us against 80-140 us for the sweep at about
-# 8,000 pairs, and from about 12,800 pairs on the sweep is faster.
+# 2-core x86 VM with numpy 2.4: the dense grain graph builds in 39-45 us
+# against 92-108 us for the cell table at about 51 grains (2,600 ordered
+# pairs), 78-94 against 114-170 us at about 93 grains (8,700 pairs), and
+# 111-133 against 132-185 us at about 117 grains (13,600 pairs); for probe
+# sets the dense test takes 70-90 us against 80-140 us for the sweep at
+# about 8,000 pairs, and from about 12,800 pairs on the sweep is faster.
 _DENSE_MAX = 10_000
 _EPS = float(np.finfo(float).eps)
+
+
+def _cell_pairs(pts: np.ndarray, replica: Optional[np.ndarray], rect: BoxWindow,
+                r_ref: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (i, j) of ``pts``, each unordered pair once, among them
+    every pair of centres within 2*r_ref of each other on every axis, from
+    one integer cell table; with ``replica`` (ascending configuration
+    indices) only pairs of one configuration.  The rows are the centres of
+    grains of reach up to r_ref that meet ``rect``.
+
+    Cells are cubes of side >= 2*r_ref*(1 + 1e-9) + 8*eps*scale, scale =
+    max |coordinate of rect.lo or rect.hi| + 2*r_ref, on a grid anchored
+    one cell below ``rect.lo`` whose last cell on every axis stays empty.
+    Keys (replica, c_0, ..., c_{d-1}) in mixed radix sort the rows once
+    (stable; radix on 16-bit keys) into a start table (``bincount``,
+    ``cumsum``).  The row at sorted position p takes the positions from
+    p + 1 through the cell above its own on the last axis, and cells
+    c_{d-1} - 1 .. c_{d-1} + 1 of every neighbouring line with a
+    lexicographically positive offset (in the plane: the rest of its column
+    and three cells of the next column), so every pair of neighbouring
+    cells is visited once; an index one past either end of an axis lands in
+    an empty cell of the same configuration.
+
+    Rounding: a kept centre lies within about r_ref of the rect, so
+    |x - x0| <= 2*scale with x0 = lo - side, and computing (x - x0) / side
+    moves the difference of two centres by under 4*eps*scale / side cells,
+    while a pair that passes ``_overlaps`` lies within 2*r_ref*(1 + 4*eps)
+    on every axis: the margin keeps it within one cell per axis.  Clipping
+    the indices to the table only moves cells closer.  Where the rect would
+    need more cells than there are rows per configuration, the side grows
+    to the largest extent over (rows per configuration)^(1/d); the table
+    stays O(rows), and a larger side is still correct."""
+    m, dim = pts.shape
+    reps = 1 if replica is None or m == 0 else int(replica[-1]) + 1
+    extent = [h - l for l, h in zip(rect.lo, rect.hi)]
+    scale = max(map(abs, rect.lo + rect.hi)) + 2.0 * r_ref
+    side = max(2.0 * r_ref * (1.0 + 1e-9) + 8.0 * _EPS * scale,
+               max(extent) / max(1.0, (m / reps) ** (1.0 / dim)))
+    shape = [int(e / side) + 4 for e in extent]
+    strides = [1] * dim
+    for a in range(dim - 1, 0, -1):
+        strides[a - 1] = strides[a] * shape[a]
+    cells = strides[0] * shape[0]
+    # truncation is the floor on [0, shape - 2]
+    u = pts - (rect.lo_array - side)
+    u /= side
+    np.minimum(u, np.subtract(shape, 2), out=u)
+    np.maximum(u, 0.0, out=u)
+    key = u.astype(np.intp) @ strides
+    if replica is not None:
+        key += replica * cells
+        cells *= reps
+    order = np.argsort(key.astype(np.min_scalar_type(cells)), kind="stable")
+    start = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=cells), out=start[1:])
+    # per sorted row, [first, end) of its own line and of each later line
+    lines = [0] + [sum(o * s for o, s in zip(off, strides))
+                   for off in itertools.product((-1, 0, 1), repeat=dim - 1)
+                   if off > (0,) * (dim - 1)]
+    first, count = start.take(np.add.outer((-1, 2), lines)[:, None, :]
+                              + key.take(order)[:, None])
+    first[:, 0] = np.arange(1, m + 1)
+    count -= first
+    per_row = count.sum(axis=1)
+    first, count = first.ravel(), count.ravel()
+    # position k of range r is first[r] + k - (pairs before range r)
+    end = np.cumsum(count)
+    first += count
+    first -= end
+    pos = np.repeat(first, count)
+    pos += np.arange(len(pos))
+    return order.repeat(per_row), order.take(pos)
 
 
 class BooleanWorld:
@@ -352,9 +425,10 @@ class BooleanWorld:
       pair is tested at once in an n x n mask; its row-major nonzeros are
       the CSR column indices and its row counts the index pointer;
     * above that, candidate pairs among the grains of reach up to a
-      reference reach come from a kd-tree query at twice that reach, and
-      each grain above it (only unbounded laws have such grains) is tested
-      against every grain in one dense row block.
+      reference reach come from one integer cell table of cells wider than
+      twice that reach (:func:`_cell_pairs`), and each grain above it (only
+      unbounded laws have such grains) is tested against every grain in
+      one dense row block.
 
     ``adjacency`` stores both directions of every pair as a symmetric CSR
     matrix. k=1 components are its connected components (``labels``); both
@@ -433,21 +507,16 @@ class BooleanWorld:
         return flat % np.int32(n), indptr.astype(np.int32)
 
     def _tree_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_dense_csr`` from kd-tree candidate pairs.  Grains of reach up
-        to r_ref (the law's bound, else the reaches' 0.99 quantile; a box of
-        half-side r reaches r*sqrt(2)) meet only within 2*r_ref, so one
-        ``query_pairs`` finds theirs.  Each grain above r_ref is tested
+        """``_dense_csr`` from cell-table candidate pairs.  Grains of reach
+        up to r_ref (the law's bound, else the reaches' 0.99 quantile; a box
+        of half-side r reaches r*sqrt(2)) overlap only where every axis gap
+        is below 2*r_ref, so :func:`_cell_pairs` finds their pairs among the
+        grains of neighbouring cells.  Each grain above r_ref is tested
         against every grain in one dense row, a pair of two such grains in
-        the row of its lower index, and the pairs (i < j) merge by one sort
-        of their ``i*n + j`` keys.
-
-        In a block world the search shifts configuration b by b*L along
-        axis 0, L = width + 4*r_ref + 1, so that grains of different
-        configurations are more than 2*r_ref apart, and widens its radius
-        by a relative 1e-9 plus a few ulps of the largest shifted
-        coordinate, which absorbs the rounding of the shift; the exact
-        test runs on the unshifted centres and keeps the pairs of one
-        configuration, and so do the dense rows."""
+        the row of its lower index, and the pairs (i, j) merge by one sort
+        of their ``i*n + j`` keys.  In a block world the table's leading key
+        is the configuration index, so every candidate pair lies in one
+        configuration; the dense rows keep only such pairs."""
         n, kind = self.n, self.model.grain.kind
         if n < 2:
             return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
@@ -455,22 +524,18 @@ class BooleanWorld:
         reach = radii * math.sqrt(2.0) if kind == "box" else radii
         bound = self.model.grain.max_radius
         r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
-        big, small = np.flatnonzero(reach > r_ref), np.flatnonzero(reach <= r_ref)
-        search, radius = pts.take(small, 0), 2.0 * r_ref
-        if replica is not None:
-            width = self.rect.hi[0] - self.rect.lo[0]
-            search[:, 0] += replica.take(small) * (width + 4.0 * r_ref + 1.0)
-            radius = radius * (1.0 + 1e-9) + 8.0 * _EPS * np.abs(search).max(initial=0.0)
-        # Neither tree option changes the pairs found; both make the build
-        # cheaper at a few hundred grains.
-        tree = cKDTree(search, balanced_tree=False, compact_nodes=False)
-        cand = small.take(tree.query_pairs(radius, output_type="ndarray"))
+        big = np.flatnonzero(reach > r_ref)
         # take/compress gather rows several times faster than fancy indexing
-        i, j = cand[:, 0], cand[:, 1]
+        if len(big):
+            small = np.flatnonzero(reach <= r_ref)
+            i, j = _cell_pairs(pts.take(small, 0),
+                               None if replica is None else replica.take(small),
+                               self.rect, r_ref)
+            i, j = small.take(i), small.take(j)
+        else:
+            i, j = _cell_pairs(pts, replica, self.rect, r_ref)
         keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j),
                          kind)
-        if replica is not None:
-            keep &= replica.take(i) == replica.take(j)
         i, j = i.compress(keep), j.compress(keep)
         if len(big):
             block = _overlaps(pts.take(big, 0)[:, None], radii.take(big)[:, None],

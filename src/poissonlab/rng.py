@@ -35,9 +35,12 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     ``stream(s, i)`` is the stream of replica ``i``; deeper paths
     (``stream(s, i, j)``) address further substreams.  The same tuple
     always yields the same stream, but two different tuples may too (see
-    the note on ``_MIX``).
+    the note on ``_MIX``).  The seed is a Philox key, so it must lie in
+    [0, 2**128).
     """
-    key = int(seed) & _MASK
+    key = int(seed)
+    if not 0 <= key <= _MASK:
+        raise ValueError(f"seed {seed} is outside [0, 2**128)")
     for idx in path:
         if idx < 0:
             raise ValueError("stream path indices must be nonnegative")

@@ -274,6 +274,16 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("perc", "scan", "--n", "1e7", "--grid", "0.4:0.6:1"),
     ("perc", "critical", "--n", "1e7"),
     ("perc", "scan", "--event", "one_arm", "--n", "1e7", "--grid", "0.4:0.6:1"),
+    # a seed outside [0, 2**128), the range of a Philox key
+    ("sample", "--seed", "-1"),
+    ("stopping", "audit", "--seed", "-1"),
+    ("chaos", "audit", "--seed", "-1"),
+    ("dynamics", "run", "--seed", "-1"),
+    ("dynamics", "exceptional", "--seed", "-1"),
+    ("perc", "scan", "--seed", "-1"),
+    ("perc", "critical", "--seed", "-1"),
+    ("perc", "duality", "--seed", "-1"),
+    ("sample", "--seed", str(2**128)),
 ])
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "-o", "out.txt") == 2
@@ -281,6 +291,46 @@ def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err[len("error: ")] not in "'\""
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("flag, env, name", [
+    ("-1", None, "--workers"),
+    ("0", None, "--workers"),
+    ("1.5", None, "--workers"),
+    ("two", None, "--workers"),
+    ("100000", None, "--workers"),
+    (None, "-3", "POISSONLAB_WORKERS"),
+    (None, "2.0", "POISSONLAB_WORKERS"),
+    (None, "100000", "POISSONLAB_WORKERS"),
+])
+def test_acceptance_rejects_bad_worker_counts_before_any_process(
+        tmp_path, capsys, monkeypatch, flag, env, name):
+    import concurrent.futures
+
+    from poissonlab import acceptance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker count was used before it was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(acceptance, "_run_one", refuse)
+    if env is None:
+        monkeypatch.delenv("POISSONLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("POISSONLAB_WORKERS", env)
+    argv = ("acceptance", "3") + (("--workers", flag) if flag is not None else ())
+    assert run(tmp_path, *argv, "-o", "acc.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be an integer from 1 to ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "acc.json").exists()
+
+
+def test_acceptance_flag_overrides_worker_variable(tmp_path, monkeypatch):
+    """``--workers 1`` runs serially even where POISSONLAB_WORKERS names a
+    count that would be refused."""
+    monkeypatch.setenv("POISSONLAB_WORKERS", "100000")
+    assert run(tmp_path, "acceptance", "3", "--workers", "1", "-o", "acc.json") == 0
 
 
 # the smallest counts at which each command runs every fixture of its kind

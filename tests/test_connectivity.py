@@ -3,8 +3,10 @@ and the grain queries against dense references: every pair of grains
 tested for overlap, every grain tested against the rect's faces, a point
 or a box through its nearest point, and a plain breadth-first search over
 the resulting matrix. The grain graph's two builds, the dense n x n test
-and the kd-tree candidates, are each checked against the dense reference
-on both sides of the grain count that selects between them."""
+and the candidate pairs of the integer cell table, are each checked
+against the dense reference on both sides of the grain count that selects
+between them; the cell table also on its own, on rects offset far from the
+origin, on wide sparse rects and in block worlds."""
 
 import numpy as np
 from hypothesis import event, given, settings
@@ -246,6 +248,173 @@ def test_dense_and_tree_graphs_match_dense_reference(world):
     used = world.adjacency
     assert np.array_equal(csr_entries(n, used.indices, used.indptr), adj)
     assert same_partition(world.labels, comp)
+
+
+@st.composite
+def cell_table_worlds(draw):
+    """Worlds for the cell table behind ``_tree_csr``: one configuration,
+    or a block world of two to four.  The rect sits near the origin, is
+    offset to 1e6, or spans 1e4 with a few dozen grains (where the table's
+    size rule sets the cell side).  Ball or box grains with fixed, uniform
+    or Pareto radii, drawn around r_hi, the largest reach of a bounded ball
+    law.  Each configuration holds random grains, chains planted from the
+    rect's lower side along an axis, whose links are r_i + r_j or one ulp
+    either side, and pairs of grains of radius r_hi exactly 2*r_hi apart
+    along an axis, or one ulp either side, whose first grain lies within a
+    few ulps of an edge of the grid of side 2*r_hi anchored one cell below
+    the rect: near the origin, rounding moves about one such overlapping
+    pair in fifty two cells apart on a grid without the table's margin.  A
+    block's configurations may share their chains and pairs: coincident
+    grains of different configurations, which only the configuration key
+    keeps apart.  Pareto worlds may add two grains above every other, on
+    the dense rows."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
+    r_hi = draw(st.floats(0.2, 1.5))
+    if law_kind == "fixed":
+        law = FixedRadius(r_hi)
+    elif law_kind == "uniform":
+        law = UniformRadius(r_hi / 3.0, r_hi)
+    else:
+        law = ParetoRadius(r_hi / 3.0, 2.5)
+    place = draw(st.sampled_from(["origin", "offset", "wide"]))
+    if place == "wide":
+        lo = np.array([draw(st.floats(-5e3, 5e3)), draw(st.floats(-5e3, 5e3))])
+        extent = np.array([1e4, 1e4])
+    else:
+        corner = draw(st.floats(-3.0, 3.0)) + (1e6 if place == "offset" else 0.0)
+        lo = np.array([corner, corner + draw(st.floats(0.0, 1.0))])
+        extent = np.array([draw(st.floats(4.0, 12.0)), draw(st.floats(4.0, 12.0))])
+    rect = BoxWindow(tuple(lo), tuple(lo + extent))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def radius(size):
+        if law_kind == "fixed":
+            return np.full(size, r_hi)
+        if law_kind == "uniform":
+            return rng.uniform(law.lo, law.hi, size)
+        return np.minimum(law.sample(rng, size), r_hi)
+
+    def chains():
+        pts, radii = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            axis = draw(st.integers(0, 1))
+            c = np.array([0.0, 0.0])
+            c[axis] = lo[axis] - draw(st.sampled_from([0.0, r_hi]))
+            c[1 - axis] = lo[1 - axis] + rng.uniform(0.0, extent[1 - axis])
+            r = r_hi if draw(st.booleans()) else radius(1)[0]
+            for _ in range(min(40, int(extent[axis] / (2.0 * r_hi)) + 2)):
+                pts.append(c.copy())
+                radii.append(r)
+                r_next = r_hi if rng.random() < 0.7 else radius(1)[0]
+                step = r + r_next
+                c[axis] += np.nextafter(step, step + rng.integers(-1, 2))
+                r = r_next
+        return pts, radii
+
+    def edge_pairs():
+        pts = []
+        for _ in range(draw(st.integers(0, 12))):
+            axis = rng.integers(0, 2)
+            k = rng.integers(1, int(extent[axis] / (2.0 * r_hi)) + 2)
+            edge = lo[axis] - 2.0 * r_hi + k * (2.0 * r_hi)
+            c = lo + rng.uniform(0.0, 1.0, 2) * extent
+            c[axis] = edge + rng.integers(-4, 5) * np.spacing(edge)
+            other = c.copy()
+            step = 2.0 * r_hi
+            other[axis] += np.nextafter(step, step + rng.integers(-1, 2))
+            pts += [c, other]
+        return pts, [r_hi] * len(pts)
+
+    def planted():
+        a, b = chains(), edge_pairs()
+        return a[0] + b[0], a[1] + b[1]
+
+    shared = planted()
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 60))
+        pts = [lo - r_hi + rng.uniform(0.0, 1.0, (n, 2)) * (extent + 2.0 * r_hi)]
+        radii = [radius(n)]
+        own = shared if draw(st.booleans()) else planted()
+        if own[0]:
+            pts.append(np.array(own[0]))
+            radii.append(own[1])
+        if law_kind == "pareto" and draw(st.booleans()):
+            # two grains above every other, one on a planted chain grain
+            anchor = pts[-1][rng.integers(0, len(pts[-1]))] if len(pts[-1]) else lo
+            pts.append(np.array([anchor, lo + rng.uniform(0.0, 1.0, 2) * extent]))
+            radii.append([3.0 * r_hi, 4.0 * r_hi])
+        blocks.append(PointConfig(rect.pad(4.0 * r_hi), np.concatenate(pts),
+                                  {"radius": np.concatenate(radii)}))
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    return BooleanWorld.block(blocks, model, rect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_table_worlds())
+def test_cell_table_graph_matches_dense_reference(world):
+    """``_tree_csr`` on any number of grains (the dense path's cap does not
+    apply here) against the dense reference restricted to pairs of one
+    configuration."""
+    n = world.n
+    reach = world.radii * (np.sqrt(2.0) if world.model.grain.kind == "box" else 1.0)
+    if world.replica is not None:
+        event("block world")
+    if n > 1 and world.model.grain.max_radius is None and np.any(
+        reach > np.quantile(reach, 0.99)
+    ):
+        event("big grains")
+    adj = dense_adjacency(world)
+    if world.replica is not None:
+        adj &= world.replica[:, None] == world.replica
+    indices, indptr = world._tree_csr()
+    assert np.array_equal(csr_entries(n, indices, indptr), adj)
+
+
+def test_cell_table_keeps_pairs_on_cell_edges():
+    """Thousands of ball pairs exactly 2*r apart along an axis, or one ulp
+    either side, the first within a few ulps of an edge of the grid of side
+    2*r anchored one cell below the rect, for rects near the origin and
+    offset to 1e6: ``_tree_csr`` keeps exactly the overlapping ones."""
+    rng = np.random.default_rng(19)
+    for r in rng.uniform(0.2, 1.5, 12):
+        for corner in (0.0, 1.0, -3.3, 1e6):
+            lo, extent = np.array([corner, corner]), np.array([9.0, 7.0])
+            rect = BoxWindow(tuple(lo), tuple(lo + extent))
+            axis = rng.integers(0, 2, 300)
+            k = rng.integers(1, 6, 300)
+            edge = lo[axis] - 2.0 * r + k * (2.0 * r)
+            first = lo + rng.uniform(0.0, 1.0, (300, 2)) * extent
+            first[np.arange(300), axis] = edge + rng.integers(-4, 5, 300) * np.spacing(edge)
+            second = first.copy()
+            step = np.nextafter(2.0 * r, 2.0 * r + rng.integers(-1, 2, 300))
+            second[np.arange(300), axis] += step
+            points = np.concatenate([first, second])
+            model = BooleanModel(1.0, GrainSpec("ball", FixedRadius(r)), k=1)
+            config = PointConfig(rect.pad(r), points, {"radius": np.full(600, r)})
+            world = BooleanWorld(config, model, rect)
+            indices, indptr = world._tree_csr()
+            assert np.array_equal(csr_entries(world.n, indices, indptr),
+                                  dense_adjacency(world)), (r, corner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["ball", "box"]), st.integers(0, 2**32 - 1))
+def test_cell_table_matches_dense_reference_in_any_dimension(dim, kind, seed):
+    """The cell table's stencil on lines and in space, where its
+    lexicographically positive neighbour lines are none and four."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.2, 1.0)
+    lo = rng.uniform(-3.0, 3.0, dim)
+    rect = BoxWindow(tuple(lo), tuple(lo + rng.uniform(2.0, 6.0, dim)))
+    n = rng.integers(0, 150)
+    points = rect.pad(r).sample_uniform(rng, n)
+    model = BooleanModel(1.0, GrainSpec(kind, FixedRadius(r)), k=1)
+    world = BooleanWorld(PointConfig(rect.pad(r), points, {"radius": np.full(n, r)}),
+                         model, rect)
+    indices, indptr = world._tree_csr()
+    assert np.array_equal(csr_entries(world.n, indices, indptr), dense_adjacency(world))
 
 
 def dense_face(world, axis, coord):

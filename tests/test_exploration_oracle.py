@@ -14,7 +14,9 @@ with a wide spread of radii.
 
 The block evaluation, one block world for many configurations, is checked
 against the oracle asked one configuration at a time, and the block
-world's components against each configuration's own world.
+world's components against each configuration's own world, also when the
+block repeats a configuration, so that coincident grains of different
+configurations meet in one grain-graph cell table.
 """
 
 import math
@@ -243,6 +245,60 @@ def test_contains_block_matches_one_configuration_at_a_time(case):
         assert np.array_equal(world.radii[part], w.radii)
         assert np.array_equal(partition(world.labels[part]), partition(w.labels))
     # no component holds grains of two configurations
+    assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
+
+
+@st.composite
+def coincident_blocks(draw):
+    """(oracle, configs, probes): 2 to ``_BLOCK`` configurations that repeat
+    one to three base configurations, so that their block world holds
+    coincident grains of different configurations, which only the
+    configuration key of the grain graph's cell table keeps apart.  Each
+    base holds 6 to 30 random ball or box grains (fixed or uniform radii up
+    to r_hi) and a chain from RECT's lower side along axis 0 whose links
+    are 2*r_hi or one ulp either side; most blocks take the tree path.  One
+    line seed for all; per configuration random probes and its grain
+    centres."""
+    kind = draw(st.sampled_from(["ball", "box"]))
+    r_hi = draw(st.floats(0.25, 1.0))
+    law = FixedRadius(r_hi) if draw(st.booleans()) else UniformRadius(r_hi / 2.0, r_hi)
+    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(6, 30))
+        points = [rng.uniform(0.0, SPAN, (n, 2))]
+        radii = [np.full(n, r_hi) if isinstance(law, FixedRadius)
+                 else rng.uniform(law.lo, law.hi, n)]
+        x, y = RECT.lo[0], rng.uniform(RECT.lo[1], RECT.hi[1])
+        for _ in range(int((RECT.hi[0] - RECT.lo[0]) / (2.0 * r_hi)) + 2):
+            points.append([[x, y]])
+            radii.append([r_hi])
+            x += np.nextafter(2.0 * r_hi, 2.0 * r_hi + rng.integers(-1, 2))
+        bases.append(PointConfig(WINDOW, np.concatenate(points),
+                                 {"radius": np.concatenate(radii)}))
+    configs = [bases[i] for i in rng.integers(0, len(bases), draw(st.integers(2, _BLOCK)))]
+    oracle = component_exploration(model, RECT, LineSeed(draw(st.integers(0, 1)),
+                                                         draw(coord)),
+                                   draw(st.sampled_from([None, 0.0, 0.5])))
+    probes = [np.vstack([rng.uniform(0.0, SPAN, (20, 2)), cfg.points]) for cfg in configs]
+    return oracle, configs, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(coincident_blocks())
+def test_block_world_keeps_coincident_configurations_apart(case):
+    oracle, configs, probes = case
+    got = oracle.contains_block(probes, configs)
+    for xs, cfg, hit in zip(probes, configs, got):
+        assert np.array_equal(hit, dense_contains(oracle, xs, cfg))
+    world = BooleanWorld.block(configs, oracle.model, oracle.rect)
+    event("tree path" if world.n * world.n > _DENSE_MAX else "dense path")
+    bounds = np.searchsorted(world.replica, np.arange(len(configs) + 1))
+    own = [BooleanWorld(cfg, oracle.model, oracle.rect) for cfg in configs]
+    for b, w in enumerate(own):
+        assert np.array_equal(partition(world.labels[bounds[b]:bounds[b + 1]]),
+                              partition(w.labels))
     assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
 
 
