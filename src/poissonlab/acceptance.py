@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -569,7 +571,22 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200):
     return ok, details
 
 
+def check_workers(workers, name: str = "workers") -> int:
+    """``workers`` if it is an integer from 1 to the usable cores, else a
+    ``ValueError`` naming ``name``: a process pool forks every worker at its
+    first task, so the count is checked before any pool exists."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if not isinstance(workers, numbers.Integral) or not 1 <= workers <= cores:
+        raise ValueError(
+            f"{name} must be an integer from 1 to {cores} (the usable cores), "
+            f"got {workers!r}"
+        )
+    return int(workers)
+
+
 def run(names=None, workers: int = 1) -> list[CriterionResult]:
+    workers = check_workers(workers)
     names = list(names or ALL_CRITERIA)
     unknown = [n for n in names if n not in ALL_CRITERIA]
     if unknown:

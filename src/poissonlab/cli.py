@@ -266,25 +266,17 @@ def cmd_perc_duality(args) -> int:
 
 def _worker_count(args) -> int:
     """The acceptance worker count: ``--workers``, else POISSONLAB_WORKERS,
-    else 1.  It must be an integer from 1 to the number of usable cores,
-    checked before any process starts: a process pool forks every worker
-    at its first task."""
+    else 1, checked by ``acceptance.check_workers`` under the name it came
+    from."""
     if args.workers is not None:
         name, text = "--workers", args.workers
     else:
         name, text = "POISSONLAB_WORKERS", os.environ.get("POISSONLAB_WORKERS", "1")
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
     try:
         workers = int(text)
     except ValueError:
-        workers = 0
-    if not 1 <= workers <= cores:
-        raise ValueError(
-            f"{name} must be an integer from 1 to {cores} (the usable cores), "
-            f"got {text!r}"
-        )
-    return workers
+        workers = text
+    return acceptance.check_workers(workers, name)
 
 
 def cmd_acceptance(args) -> int:

@@ -4,8 +4,11 @@
 probability exp(-t) and an independent Poisson((1-exp(-t)) lambda) layer is
 added.  ``simulate_path`` realizes the same semigroup as an event-driven
 Markov path: unit-rate exponential lifetimes, births at the total intensity
-mass, stationary start.  Functional evaluation along a path happens only at
-event times; there is no time discretization anywhere.
+mass, stationary start.  A path is one configuration of every point that
+lives on it plus a birth and a death time per point, so the state at t is
+the mask birth <= t < death and the event log is read off the two arrays.
+Functional evaluation along a path happens only at event times; there is no
+time discretization anywhere.
 
 ``_ou_values`` draws the paired values (f(eta), f(eta^t)) once for both
 covariance routes: ``covariance_curve`` here and the Mehler chaos-weight
@@ -66,13 +69,7 @@ def resample(
         newcomers = _draw(intensity, window, mass, rng)
     else:
         newcomers = process.scaled(1.0 - keep).sample(rng)
-    if survivors.marks.keys() != newcomers.marks.keys():
-        raise ValueError("mark columns must match")
-    return PointConfig._fresh(
-        survivors.window,
-        np.concatenate([survivors.points, newcomers.points]),
-        {k: np.concatenate([v, newcomers.marks[k]]) for k, v in survivors.marks.items()},
-    )
+    return PointConfig.join((survivors, newcomers))
 
 
 # ---------------------------------------------------------------------------
@@ -81,66 +78,61 @@ def resample(
 
 @dataclass
 class BirthDeathPath:
-    """Event log of the free birth-death process on [0, horizon].
+    """The free birth-death process on [0, horizon] as point lifetimes.
 
-    ``events`` is time-ordered; each entry is (time, kind, point_id) with
-    kind +1 for a birth and -1 for a death.  Point data lives in
-    ``locations``/``marks`` indexed by point_id; ids below ``n_initial``
-    are alive at time zero.
+    Point i of ``config`` is alive on [birth[i], death[i]).  Points alive
+    at time zero come first and are born at -inf; a death past the horizon
+    is stored as +inf.  ``events`` lists the births and deaths inside
+    [0, horizon] in time order as (time, kind, point_id), kind +1 for a
+    birth and -1 for a death.
     """
 
     process: ProcessSpec
     horizon: float
-    n_initial: int
-    locations: np.ndarray
-    marks: dict[str, np.ndarray]
-    events: list[tuple[float, int, int]]
+    config: PointConfig
+    birth: np.ndarray
+    death: np.ndarray
 
     def initial(self) -> PointConfig:
-        return self._config(np.arange(self.n_initial))
-
-    def _config(self, ids: np.ndarray) -> PointConfig:
-        ids = np.asarray(ids, dtype=int)
-        return PointConfig(
-            self.process.window,
-            self.locations[ids],
-            {k: v[ids] for k, v in self.marks.items()},
-        )
+        return self.config.take(self.birth == -np.inf)
 
     def alive_at(self, t: float) -> PointConfig:
-        alive = set(range(self.n_initial))
-        for time, kind, pid in self.events:
-            if time > t:
-                break
-            if kind > 0:
-                alive.add(pid)
-            else:
-                alive.discard(pid)
-        return self._config(sorted(alive))
+        return self.config.take((self.birth <= t) & (t < self.death))
+
+    @property
+    def events(self) -> list[tuple[float, int, int]]:
+        # a point's birth, then its death, in point order; a stable sort on
+        # time keeps that order among equal times
+        times = np.column_stack([self.birth, self.death]).ravel()
+        kinds = np.tile([1, -1], len(self.birth))
+        ids = np.arange(len(self.birth)).repeat(2)
+        on = np.isfinite(times)
+        times, kinds, ids = times[on], kinds[on], ids[on]
+        order = np.argsort(times, kind="stable")
+        return list(zip(times[order].tolist(), kinds[order].tolist(),
+                        ids[order].tolist()))
 
     def iter_states(self):
         """Yield (event_time, config_after_event); starts with (0, initial)."""
-        alive = set(range(self.n_initial))
-        yield 0.0, self._config(sorted(alive))
+        alive = self.birth == -np.inf
+        yield 0.0, self.config.take(alive)
         for time, kind, pid in self.events:
-            if kind > 0:
-                alive.add(pid)
-            else:
-                alive.discard(pid)
-            yield time, self._config(sorted(alive))
+            alive[pid] = kind > 0
+            yield time, self.config.take(alive)
 
     def to_csv(self) -> str:
-        dim = 1 if self.locations.ndim == 1 else self.locations.shape[1]
-        mark_names = sorted(self.marks)
+        pts, marks = self.config.points, self.config.marks
+        dim = 1 if pts.ndim == 1 else pts.shape[1]
+        mark_names = sorted(marks)
         cols = ["time", "kind", "point_id"]
         cols += [f"x{i}" for i in range(dim)]
         cols += mark_names
         lines = [",".join(cols)]
         for time, kind, pid in self.events:
-            loc = np.atleast_1d(self.locations[pid])
+            loc = np.atleast_1d(pts[pid])
             row = [f"{time:.17g}", "birth" if kind > 0 else "death", str(pid)]
             row += [f"{v:.17g}" for v in loc]
-            row += [f"{float(self.marks[k][pid]):.17g}" for k in mark_names]
+            row += [f"{float(marks[k][pid]):.17g}" for k in mark_names]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -149,7 +141,11 @@ def simulate_path(
     process: ProcessSpec, horizon: float, rng: np.random.Generator
 ) -> BirthDeathPath:
     """Stationary free birth-death path: Poisson(lambda) start, unit-rate
-    exponential lifetimes, births at rate lambda(X) with fresh marks."""
+    exponential lifetimes, births at rate lambda(X) with fresh marks.
+
+    The draws come in this order: the initial configuration, the number of
+    births, their sorted times, locations and marks, the initial points'
+    lifetimes, then the newborns' lifetimes."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     mass = process.mass
@@ -157,45 +153,20 @@ def simulate_path(
         raise ValueError("path simulation needs finite intensity mass")
 
     initial = process.sample(rng)
-    n0 = initial.size
     n_births = rng.poisson(mass * horizon)
     birth_times = np.sort(rng.uniform(0.0, horizon, size=n_births))
-    born = process.sample_locations(rng, n_births)
-    born_marks = (
+    born = PointConfig._fresh(
+        process.window,
+        process.sample_locations(rng, n_births),
         process.intensity.marks.sample(rng, n_births)
-        if process.intensity.marks is not None
-        else {}
+        if process.intensity.marks is not None else {},
     )
-
-    locations = np.concatenate([initial.points, born]) if n0 or n_births else (
-        initial.points
-    )
-    marks = {
-        k: np.concatenate([initial.marks[k], born_marks[k]])
-        for k in initial.marks
-    }
-
-    events: list[tuple[float, int, int]] = []
-    death_initial = rng.exponential(1.0, size=n0)
-    for pid in range(n0):
-        if death_initial[pid] <= horizon:
-            events.append((float(death_initial[pid]), -1, pid))
-    lifetimes = rng.exponential(1.0, size=n_births)
-    for j in range(n_births):
-        pid = n0 + j
-        events.append((float(birth_times[j]), +1, pid))
-        d = float(birth_times[j] + lifetimes[j])
-        if d <= horizon:
-            events.append((d, -1, pid))
-    events.sort(key=lambda e: e[0])
-    return BirthDeathPath(
-        process=process,
-        horizon=horizon,
-        n_initial=n0,
-        locations=locations,
-        marks=marks,
-        events=events,
-    )
+    birth = np.concatenate([np.full(initial.size, -np.inf), birth_times])
+    death = np.concatenate([rng.exponential(1.0, size=initial.size),
+                            birth_times + rng.exponential(1.0, size=n_births)])
+    death[death > horizon] = np.inf
+    return BirthDeathPath(process, horizon, PointConfig.join((initial, born)),
+                          birth, death)
 
 
 # ---------------------------------------------------------------------------

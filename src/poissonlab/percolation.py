@@ -57,11 +57,14 @@ from .process import (
     BoxWindow,
     ConfettiMarks,
     FixedRadius,
+    HomogeneousIntensity,
     ParetoRadius,
     PointConfig,
     RadiusLaw,
+    RadiusMarks,
     UniformRadius,
     _bernoulli_se,
+    sample_poisson,
 )
 from .rng import replicate
 
@@ -214,11 +217,8 @@ def sample_boolean_config(
     grain = model.grain
     bound = grain.max_radius
     if bound is not None:
-        padded = rect.pad(bound)
-        n = rng.poisson(model.gamma * padded.volume)
-        pts = padded.sample_uniform(rng, n)
-        radii = grain.law.sample(rng, n)
-        return PointConfig(padded, pts, {"radius": radii})
+        return sample_poisson(HomogeneousIntensity(model.gamma, RadiusMarks(grain.law)),
+                              rect.pad(bound), rng)
 
     law = grain.law
     if not isinstance(law, ParetoRadius):
@@ -239,7 +239,8 @@ def sample_boolean_config(
         cand = cand[cand <= r_split]
         radii_small[filled : filled + len(cand)] = cand
         filled += len(cand)
-    pts_small = padded.sample_uniform(rng, n_small)
+    small = PointConfig._fresh(padded, padded.sample_uniform(rng, n_small),
+                               {"radius": radii_small})
 
     # exact tail: grains with radius > r_split touching rect
     lo = np.asarray(rect.lo)
@@ -256,11 +257,8 @@ def sample_boolean_config(
         radii_big[i] = cut * rng.random() ** (-1.0 / (shape - j))
         pts_big[i] = _sample_rounded_rect(rng, lo, hi, radii_big[i])
 
-    return PointConfig(
-        padded,
-        np.concatenate([pts_small, pts_big]),
-        {"radius": np.concatenate([radii_small, radii_big])},
-    )
+    big = PointConfig._fresh(padded, pts_big, {"radius": radii_big})
+    return PointConfig.join((small, big))
 
 
 def truncate_radii(
@@ -473,14 +471,8 @@ class BooleanWorld:
         docstring); a block of one is the plain world."""
         if len(configs) == 1:
             return cls(configs[0], model, rect)
-        dim = rect.dim
-        joined = PointConfig._fresh(
-            configs[0].window,
-            np.concatenate([np.reshape(c.points, (c.size, dim)) for c in configs]),
-            {"radius": np.concatenate([_radius_marks(c) for c in configs])},
-        )
         replica = np.repeat(np.arange(len(configs)), [c.size for c in configs])
-        return cls(joined, model, rect, replica)
+        return cls(PointConfig.join(configs), model, rect, replica)
 
     # -- intersection graph ------------------------------------------------
 
@@ -995,7 +987,7 @@ def sample_confetti_world(
     the painter tests a later chunk only against the cells still open.
     Painting stops once every cell is colored, or fails with the required
     horizon if the declared horizon is exhausted first.  The record of all
-    chunks, one concatenation per column, repaints to the same raster with
+    chunks, their ``PointConfig.join``, repaints to the same raster with
     ``confetti_world_from_config``.
     """
     horizon = model.horizon
@@ -1031,13 +1023,9 @@ def sample_confetti_world(
         t_lo = t_hi
         if not np.any(np.isinf(best_time)):
             break
-    config = PointConfig(
-        padded,
-        np.concatenate([c.points for c in chunks]),
-        {k: np.concatenate([c.marks[k] for c in chunks]) for k in chunks[0].marks},
-    )
     return _painted_world(
-        model, rect, resolution, best_time, best_black, config, f"horizon {horizon:g}"
+        model, rect, resolution, best_time, best_black, PointConfig.join(chunks),
+        f"horizon {horizon:g}"
     )
 
 
@@ -1084,7 +1072,7 @@ def crossing(
     """Side-to-side crossing of the world's rectangle along ``axis``."""
     if isinstance(world, ConfettiWorld):
         return _labels_cross(world.labels, axis)
-    if world.model.k == 1 and world.model.grain.kind in ("ball", "box"):
+    if world.model.k == 1:
         rect = world.rect
         a, b = world.grains_meeting_faces(axis, (rect.lo[axis], rect.hi[axis]))
         return world.connected(a, b)

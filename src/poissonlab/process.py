@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -369,11 +369,27 @@ class PointConfig:
             {k: v[mask] for k, v in self.marks.items()},
         )
 
+    @classmethod
+    def join(cls, configs: Sequence["PointConfig"]) -> "PointConfig":
+        """The points of ``configs`` in order, on the first one's window, with
+        every mark column concatenated in the same order: the one place
+        where configurations are concatenated."""
+        first = configs[0]
+        if any(c.marks.keys() != first.marks.keys() for c in configs):
+            raise ValueError("mark columns must match")
+        return cls._fresh(
+            first.window,
+            np.concatenate([c.points for c in configs]),
+            {k: np.concatenate([c.marks[k] for c in configs]) for k in first.marks},
+        )
+
     def add_points(
         self, pts: np.ndarray, marks: Optional[dict[str, np.ndarray]] = None
     ) -> "PointConfig":
         """New config with extra points appended: eta + delta_x in the Mecke
-        check and the chaos audits."""
+        check and the chaos audits.  It appends on its own, not through
+        :meth:`join`, because ``pts`` and ``marks`` are the caller's arrays,
+        checked and converted here."""
         pts = np.atleast_2d(pts) if not self.is_discrete else np.atleast_1d(pts)
         marks = marks or {}
         if marks.keys() != self.marks.keys() and self.size > 0:
@@ -462,13 +478,7 @@ def superpose(a: PointConfig, b: PointConfig) -> PointConfig:
     """Multiset union of two configurations on the same window."""
     if a.window != b.window:
         raise ValueError("cannot superpose configs on different windows")
-    if set(a.marks) != set(b.marks):
-        raise ValueError("mark columns must match")
-    return PointConfig(
-        a.window,
-        np.concatenate([a.points, b.points]),
-        {k: np.concatenate([a.marks[k], b.marks[k]]) for k in a.marks},
-    )
+    return PointConfig.join((a, b))
 
 
 def thin(

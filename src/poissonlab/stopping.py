@@ -6,6 +6,11 @@ arbitrary configuration -- is verified empirically by
 :func:`verify_stopping_axiom`; the distributional consequence (the region
 outside Z(eta) can be resampled freely) by :func:`markov_property_check`.
 
+The component exploration reveals the occupied components meeting a seed
+and answers "x is inside" when x lies within the dilation of the seed or of
+a revealed grain, measured as the Euclidean distance to the grain itself:
+|x - c| - r for a ball, and the distance to the box for a box grain.
+
 Oracles also answer a block of (probes, configuration) pairs at once
 (``contains_block``; ``contains`` is the block of one).  The component
 exploration builds one block world (``BooleanWorld.block``) for the whole
@@ -195,10 +200,17 @@ class SphereSeed:
 Seed = LineSeed | SphereSeed
 
 
-def _within(dx: np.ndarray, dy: np.ndarray, radii, thr) -> np.ndarray:
-    """``|d| - r <= thr`` for planar offsets ``d = (dx, dy)``, rounded as
+def _within(dx: np.ndarray, dy: np.ndarray, radii, thr, kind: str) -> np.ndarray:
+    """Whether the planar offset ``d = (dx, dy)`` from a grain's centre lies
+    within ``thr`` of the grain.  A ball tests ``|d| - r <= thr``, rounded as
     ``np.linalg.norm(d) - r <= thr`` is: a sum of two squares has one
-    rounding whatever the order."""
+    rounding whatever the order.  A box of half-side r tests the Euclidean
+    distance to the box, ``|max(|d| - r, 0)| <= thr`` with the maximum taken
+    per axis."""
+    if kind == "box":
+        dx = np.maximum(np.abs(dx) - radii, 0.0)
+        dy = np.maximum(np.abs(dy) - radii, 0.0)
+        radii = 0.0
     s = dx * dx
     s += dy * dy
     np.sqrt(s, out=s)
@@ -214,15 +226,18 @@ class _GrainIndex:
         self.radii = radii
         self.r_max = float(radii.max()) if len(radii) else 0.0
 
-    def near(self, xs: np.ndarray, thr: float) -> np.ndarray:
-        """Mask of the rows x of ``xs`` with |x - c| - r <= thr for some grain.
+    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
+        """Mask of the rows x of ``xs`` within ``thr`` of some grain of shape
+        ``kind``: |x - c| - r <= thr for balls, and the distance to the box
+        for boxes.
 
         Every pair that is tested is tested by :func:`_within`, the formula
         of a dense probes x grains norm, so the answer is the same bit for
         bit.  Up to ``_DENSE_MAX`` pairs (or when thr + r_max <= 0) every
         pair is tested in one broadcast.  Otherwise the probes are sorted
         once by the key ``s * band + y``, with s the index of the probe's
-        x-strip of width ``strip`` >= thr + r_max, and each grain is tested
+        x-strip of width ``strip`` >= thr + r_max (a grain of either kind
+        reaches at most thr + r along each axis), and each grain is tested
         only against the probes of its own and both neighbouring strips
         within ``strip`` of its own y: three ``searchsorted`` windows.  The
         strip width carries a margin that scales with the coordinates and
@@ -235,7 +250,7 @@ class _GrainIndex:
         reach = thr + self.r_max
         if len(xs) * len(radii) <= _DENSE_MAX or reach <= 0:
             return _within(xs[:, :1] - centers[:, 0], xs[:, 1:2] - centers[:, 1],
-                           radii, thr).any(axis=1)
+                           radii, thr, kind).any(axis=1)
         x, y = np.ascontiguousarray(xs.T)
         cx, cy = centers.T
         x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
@@ -261,7 +276,7 @@ class _GrainIndex:
         pos = np.arange(per_grain.sum()) + np.repeat(skip, count)
         hit = _within(x.take(pos) - cx.repeat(per_grain),
                       y.take(pos) - cy.repeat(per_grain),
-                      radii.repeat(per_grain), thr)
+                      radii.repeat(per_grain), thr, kind)
         out = np.zeros(len(xs), dtype=bool)
         out[order.take(pos.compress(hit))] = True
         return out
@@ -274,8 +289,9 @@ class ExplorationOracle(StoppingSetOracle):
     A block of configurations is answered from one block world
     (``BooleanWorld.block``): each grain is tested against its own
     configuration's seed, and each configuration's probes against its own
-    revealed grains by the exact distance test of ``_GrainIndex.near``.
-    Members of a randomized family that share the model, rect, dilation and
+    revealed grains by the exact distance test of ``_GrainIndex.near`` (to
+    the ball, or to the box for box grains).  ``dilation`` must be finite
+    and >= 0; it defaults to the grains' bound.  Members of a randomized family that share the model, rect, dilation and
     kind of seed (line axis) form one block with one seed each.
     """
 
@@ -295,6 +311,8 @@ class ExplorationOracle(StoppingSetOracle):
                 raise ValueError("unbounded grains need an explicit dilation")
             dilation = r
         self.dilation = float(dilation)
+        if not (math.isfinite(self.dilation) and self.dilation >= 0.0):
+            raise ValueError(f"dilation must be finite and >= 0, got {dilation!r}")
         self._block_key = (model, rect, self.dilation, type(seed),
                            getattr(seed, "axis", None))
 
@@ -322,7 +340,7 @@ class ExplorationOracle(StoppingSetOracle):
                                  world.radii[lo:hi].compress(keep))
             xs = np.atleast_2d(xs)
             hit = seed.distance(xs) <= self.dilation
-            hit |= grains.near(xs, self.dilation)
+            hit |= grains.near(xs, self.dilation, self.model.grain.kind)
             out.append(hit)
         return out
 

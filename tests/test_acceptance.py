@@ -11,6 +11,7 @@ move the random draws regenerates the record.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,22 @@ def test_criterion(name):
         f"{_provenance()}, of the record {RECORD['provenance']}"
     )
     assert result.passed, json.dumps(result.details, indent=2, default=str)
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("workers", [0, -1, CORES + 1, 1.5, "2"])
+def test_run_rejects_bad_worker_counts_before_any_process(monkeypatch, workers):
+    """A library caller's count is checked before a pool or a criterion
+    runs: the pool would fork every worker at its first task."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker count was used before it was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(acceptance, "_run_one", refuse)
+    with pytest.raises(ValueError, match=f"^workers must be an integer from 1 to {CORES} "):
+        acceptance.run(["3"], workers=workers)

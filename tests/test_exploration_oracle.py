@@ -6,7 +6,8 @@ The library answers membership through ``_GrainIndex.near``: one broadcast
 test of every pair for small probe sets, and a sweep over probes sorted by
 (x-strip, y) for large ones. The references here rebuild the world on every
 call and take the minimum of the full distance matrix, as the oracle once
-did. Agreement must be exact, including on probes planted at exactly
+did: the distance to a ball, or to the box itself for box grains.
+Agreement must be exact, including on probes planted at exactly
 ``dilation + r`` from a centre and on the edge of the seed band. The oracle
 cases use 8 x 8 windows and so reach only the dense test; the grain-index
 case below also covers the sweep, on strip edges, on windows of span 1e4 and
@@ -51,6 +52,16 @@ dyadic = st.integers(0, int(16 * SPAN)).map(lambda k: k / 16.0)
 coord = st.one_of(dyadic, st.floats(0.0, SPAN, allow_nan=False))
 
 
+def grain_gaps(xs, centers, radii, kind):
+    """Distance from each probe (row) to each grain (column) by
+    ``np.linalg.norm``: |x - c| - r to a ball, and the Euclidean distance to
+    a box of half-side r, which is 0 inside it."""
+    d = xs[:, None, :] - centers[None, :, :]
+    if kind == "box":
+        return np.linalg.norm(np.maximum(np.abs(d) - radii[None, :, None], 0.0), axis=2)
+    return np.linalg.norm(d, axis=2) - radii[None, :]
+
+
 def dense_contains(oracle, xs, config):
     """Membership by the dense formula: seed band, or within ``dilation`` of
     a grain of the components meeting the seed."""
@@ -59,9 +70,7 @@ def dense_contains(oracle, xs, config):
     out = oracle.seed.distance(xs) <= oracle.dilation
     comp = np.flatnonzero(world.component_mask(oracle.seed.touching(world)))
     if len(comp):
-        d = np.linalg.norm(
-            xs[:, None, :] - world.points[None, comp, :], axis=2
-        ) - world.radii[comp][None, :]
+        d = grain_gaps(xs, world.points[comp], world.radii[comp], oracle.model.grain.kind)
         out |= d.min(axis=1) <= oracle.dilation
     return out
 
@@ -73,7 +82,8 @@ def models(draw):
     else:
         lo = draw(st.sampled_from([0.125, 0.25, 0.5]))
         law = UniformRadius(lo, lo * draw(st.sampled_from([1.5, 2.0, 4.0])))
-    return BooleanModel(1.0, GrainSpec("ball", law), k=1)
+    kind = draw(st.sampled_from(["ball", "box"]))
+    return BooleanModel(1.0, GrainSpec(kind, law), k=1)
 
 
 @st.composite
@@ -302,18 +312,17 @@ def test_block_world_keeps_coincident_configurations_apart(case):
     assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
 
 
-def dense_near(xs, centers, radii, thr):
-    """Rows x of ``xs`` with |x - c| - r <= thr for some grain, every pair
-    tested by ``np.linalg.norm``."""
+def dense_near(xs, centers, radii, thr, kind):
+    """Rows x of ``xs`` within ``thr`` of some grain, every pair tested by
+    ``grain_gaps``."""
     if len(xs) == 0 or len(radii) == 0:
         return np.zeros(len(xs), dtype=bool)
-    d = np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
-    return (d - radii[None, :] <= thr).any(axis=1)
+    return (grain_gaps(xs, centers, radii, kind) <= thr).any(axis=1)
 
 
 @st.composite
 def grain_index_cases(draw):
-    """(xs, centers, radii, thr): up to 200 grains in a square of side 8 or
+    """(xs, centers, radii, thr, kind): up to 200 ball or box grains in a square of side 8 or
     1e4 with dyadic or arbitrary coordinates, and up to about 1,700 probes
     (grid or uniform) plus probes planted at exactly ``thr + r`` from a
     centre, on the edges of the sweep's x-strips, duplicated and far outside."""
@@ -381,24 +390,24 @@ def grain_index_cases(draw):
                 edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
         ys = xs[rng.integers(0, len(xs), len(edges)), 1]
         xs = np.vstack([xs, np.column_stack([edges, ys])])
-    return xs, centers, radii, thr
+    return xs, centers, radii, thr, draw(st.sampled_from(["ball", "box"]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(grain_index_cases())
 def test_grain_index_near_matches_dense_norm(case):
-    xs, centers, radii, thr = case
+    xs, centers, radii, thr, kind = case
     event("sweep" if len(xs) * len(radii) > _DENSE_MAX else "dense")
-    got = _GrainIndex(centers, radii).near(xs, thr)
+    got = _GrainIndex(centers, radii).near(xs, thr, kind)
     assert got.shape == (len(xs),) and got.dtype == bool
-    assert np.array_equal(got, dense_near(xs, centers, radii, thr))
+    assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind))
 
 
 def test_grain_index_near_on_a_wide_window():
     """A 1e4 window of unit-scale grains puts the sweep's sort keys near 1e8,
     where one rounding (about 1.5e-8) is far above a relative 1e-9 of the
     reach; probes planted at thr + r from every centre, along both axes,
-    must still be found."""
+    must still be found, for ball and box grains."""
     rng = np.random.default_rng(41)
     for thr in rng.uniform(0.0, 2.0, 12):
         centers = rng.uniform(0.0, 1e4, (200, 2))
@@ -410,5 +419,6 @@ def test_grain_index_near_on_a_wide_window():
                 x[:, axis] += sign * (thr + radii)
                 planted.append(x)
         xs = np.vstack([rng.uniform(0.0, 1e4, (1600, 2)), *planted])
-        got = _GrainIndex(centers, radii).near(xs, thr)
-        assert np.array_equal(got, dense_near(xs, centers, radii, thr)), thr
+        for kind in ("ball", "box"):
+            got = _GrainIndex(centers, radii).near(xs, thr, kind)
+            assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind)), thr

@@ -1,6 +1,7 @@
 """List the functions of ``src/poissonlab`` that no entry point of the lab reaches.
 
-    python3 tools/reach.py
+    python3 tools/reach.py            # functions never called
+    python3 tools/reach.py --lines    # statements never executed
 
 Run from the root of a source checkout. ``sys.setprofile`` records every
 Python function called while these entry points run, in this one process:
@@ -20,6 +21,14 @@ function defined in ``src/poissonlab`` that was never called, with its line
 count (decorators included); a function nested in an unreached one is
 counted with it, not listed. A function reached only by tests is listed:
 that is what the report is for.
+
+``--lines`` runs the same entry points under ``sys.settrace`` with line
+events in ``src/poissonlab`` only, and lists the statements inside called
+functions that never ran, one line per run of consecutive statements, with
+its function. Docstrings and ``raise`` statements are left out (an error
+path is meant to be rare), and so are compound statements' headers, whose
+bodies are listed instead. Functions never called are the default mode's
+report.
 """
 
 import ast
@@ -116,24 +125,106 @@ def functions(path: Path):
     return out
 
 
+COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith,
+            ast.Try, ast.Match, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def statements(path: Path):
+    """(enclosing function's first line, its qualified name, first line, last
+    line) of every simple statement inside a ``def``, docstrings (any bare
+    string), ``raise``, ``global`` and ``nonlocal`` left out."""
+    out = []
+
+    def visit(node, prefix, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                visit(child, name + ".", (first, name))
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", func)
+                continue
+            bare_string = isinstance(child, ast.Expr) and isinstance(
+                child.value, ast.Constant) and isinstance(child.value.value, str)
+            if (func and isinstance(child, ast.stmt) and not isinstance(child, COMPOUND)
+                    and not bare_string
+                    and not isinstance(child, (ast.Raise, ast.Global, ast.Nonlocal))):
+                out.append((*func, child.lineno, child.end_lineno))
+            visit(child, prefix, func)
+
+    visit(ast.parse(path.read_text()), "", None)
+    return out
+
+
+def traced(hook, tracer) -> None:
+    """Run the entry points in a temporary directory with stdout discarded,
+    under ``hook(tracer)`` (``sys.setprofile`` or ``sys.settrace``)."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null:
+        os.chdir(tmp)
+        hook(tracer)
+        try:
+            with contextlib.redirect_stdout(null):
+                run_entry_points()
+        finally:
+            hook(None)
+            os.chdir(old)
+
+
+def report_lines() -> int:
+    src = {str(p) for p in SRC.glob("*.py")}
+    codes, lines = set(), set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename in src:
+            codes.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            return local
+        return None
+
+    traced(sys.settrace, trace)
+    total, runs = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        name = str(path)
+        last = None
+        for first, func, lo, hi in statements(path):
+            if (name, first) not in codes:
+                continue
+            total += 1
+            if any((name, k) in lines for k in range(lo, hi + 1)):
+                last = None
+                continue
+            if last is not None and last[2] == func:
+                last[1], last[3] = hi, last[3] + 1
+            else:
+                last = [lo, hi, func, 1]
+                runs.append((path.name, last))
+    for fname, (lo, hi, func, count) in runs:
+        span = f"{lo}" if lo == hi else f"{lo}-{hi}"
+        print(f"{fname}:{span}  {func}  {count} statement{'s' * (count > 1)}")
+    print(f"{sum(r[1][3] for r in runs)} of {total} statements in called functions "
+          f"never ran, in {len(runs)} runs")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--lines"]:
+        return report_lines()
+    if sys.argv[1:]:
+        print("usage: python3 tools/reach.py [--lines]", file=sys.stderr)
+        return 2
     codes = set()
 
     def profile(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
-    old = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null:
-        os.chdir(tmp)
-        sys.setprofile(profile)
-        try:
-            with contextlib.redirect_stdout(null):
-                run_entry_points()
-        finally:
-            sys.setprofile(None)
-            os.chdir(old)
-
+    traced(sys.setprofile, profile)
     reached = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
     total, unreached = 0, []
     for path in sorted(SRC.glob("*.py")):
