@@ -622,12 +622,7 @@ class BooleanWorld:
         if self.model.grain.kind == "ball":
             dist = np.linalg.norm(self.points, axis=1)
             return np.flatnonzero(np.abs(dist - s) <= self.radii)
-        # boxes intersect the sphere iff the nearest and farthest box points
-        # straddle the radius
-        offset = np.abs(self.points)
-        near = np.linalg.norm(np.maximum(0.0, offset - self.radii[:, None]), axis=1)
-        far = np.linalg.norm(offset + self.radii[:, None], axis=1)
-        return np.flatnonzero((near <= s) & (s <= far))
+        return np.flatnonzero(_box_meets_sphere(self.points, self.radii[:, None], s))
 
     def grains_meeting_linf_box(self, half: float) -> np.ndarray:
         """Grains intersecting the closed box [-half, half]^d."""
@@ -661,6 +656,15 @@ class BooleanWorld:
             self.points, self.radii, self.rect, resolution, self.model.grain.kind
         )
         return counts >= self.model.k
+
+
+def _box_meets_sphere(centers: np.ndarray, half, s) -> np.ndarray:
+    """Whether boxes of half-side ``half`` meet the sphere of radius s
+    about the origin: their nearest and farthest points straddle s."""
+    offset = np.abs(centers)
+    near = np.linalg.norm(np.maximum(0.0, offset - half), axis=1)
+    far = np.linalg.norm(offset + half, axis=1)
+    return (near <= s) & (s <= far)
 
 
 def _overlaps(pi, ri, pj, rj, kind: str) -> np.ndarray:

@@ -7,9 +7,9 @@ arbitrary configuration -- is verified empirically by
 outside Z(eta) can be resampled freely) by :func:`markov_property_check`.
 
 The component exploration reveals the occupied components meeting a seed
-and answers "x is inside" when x lies within the dilation of the seed or of
-a revealed grain, measured as the Euclidean distance to the grain itself:
-|x - c| - r for a ball, and the distance to the box for a box grain.
+and answers "x is inside" when a grain of size ``dilation`` centred at x
+could meet the seed or a revealed grain: |x - c| - r <= dilation for a
+ball, max_k |x_k - c_k| <= r + dilation for a box of half-side r.
 
 Oracles also answer a block of (probes, configuration) pairs at once
 (``contains_block``; ``contains`` is the block of one).  The component
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .percolation import _DENSE_MAX, _EPS, BooleanModel, BooleanWorld
+from .percolation import _DENSE_MAX, _EPS, BooleanModel, BooleanWorld, _box_meets_sphere
 from .process import (
     BoxWindow,
     DiscreteWindow,
@@ -169,8 +169,9 @@ class LineSeed:
     axis: int
     coord: float
 
-    def distance(self, xs: np.ndarray) -> np.ndarray:
-        return np.abs(np.atleast_2d(xs)[:, self.axis] - self.coord)
+    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
+        """Whether a ball or box of size ``thr`` at each row meets the line."""
+        return np.abs(xs[:, self.axis] - self.coord) <= thr
 
     def touching(self, world: BooleanWorld, seeds=None) -> np.ndarray:
         """Grains meeting the section; in a block world each grain meets the
@@ -187,8 +188,12 @@ class SphereSeed:
 
     s: float
 
-    def distance(self, xs: np.ndarray) -> np.ndarray:
-        return np.abs(np.linalg.norm(np.atleast_2d(xs), axis=1) - self.s)
+    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
+        """Whether a grain of size ``thr`` at each row meets the sphere; a
+        box reaches up to sqrt(d) thr off it, along a diagonal."""
+        if kind == "box":
+            return _box_meets_sphere(xs, thr, self.s)
+        return np.abs(np.linalg.norm(xs, axis=1) - self.s) <= thr
 
     def touching(self, world: BooleanWorld, seeds=None) -> np.ndarray:
         """Grains meeting the sphere; ``seeds`` as for ``LineSeed``."""
@@ -201,16 +206,13 @@ Seed = LineSeed | SphereSeed
 
 
 def _within(dx: np.ndarray, dy: np.ndarray, radii, thr, kind: str) -> np.ndarray:
-    """Whether the planar offset ``d = (dx, dy)`` from a grain's centre lies
-    within ``thr`` of the grain.  A ball tests ``|d| - r <= thr``, rounded as
-    ``np.linalg.norm(d) - r <= thr`` is: a sum of two squares has one
-    rounding whatever the order.  A box of half-side r tests the Euclidean
-    distance to the box, ``|max(|d| - r, 0)| <= thr`` with the maximum taken
-    per axis."""
+    """Whether a grain of size ``thr`` at offset ``d = (dx, dy)`` from a
+    grain of size r can meet it: ``|d| - r <= thr`` for balls, rounded as
+    ``np.linalg.norm(d) - r <= thr`` is (a sum of two squares has one
+    rounding whatever the order), and ``max|d_k| <= r + thr`` for boxes,
+    rounded as ``percolation._overlaps``' ``|d_k| < r_i + r_j`` is."""
     if kind == "box":
-        dx = np.maximum(np.abs(dx) - radii, 0.0)
-        dy = np.maximum(np.abs(dy) - radii, 0.0)
-        radii = 0.0
+        return np.maximum(np.abs(dx), np.abs(dy)) <= radii + thr
     s = dx * dx
     s += dy * dy
     np.sqrt(s, out=s)
@@ -218,81 +220,73 @@ def _within(dx: np.ndarray, dy: np.ndarray, radii, thr, kind: str) -> np.ndarray
     return s <= thr
 
 
-class _GrainIndex:
-    """Centres and radii of a planar grain set, with the largest radius."""
+def _near(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray, thr: float,
+          kind: str) -> np.ndarray:
+    """Mask of the rows x of ``xs`` where a grain of size ``thr`` and shape
+    ``kind`` could meet some planar grain (``centers``, ``radii``):
+    |x - c| - r <= thr for balls, max_k |x_k - c_k| <= r + thr for boxes.
 
-    def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        self.centers = centers
-        self.radii = radii
-        self.r_max = float(radii.max()) if len(radii) else 0.0
-
-    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
-        """Mask of the rows x of ``xs`` within ``thr`` of some grain of shape
-        ``kind``: |x - c| - r <= thr for balls, and the distance to the box
-        for boxes.
-
-        Every pair that is tested is tested by :func:`_within`, the formula
-        of a dense probes x grains norm, so the answer is the same bit for
-        bit.  Up to ``_DENSE_MAX`` pairs (or when thr + r_max <= 0) every
-        pair is tested in one broadcast.  Otherwise the probes are sorted
-        once by the key ``s * band + y``, with s the index of the probe's
-        x-strip of width ``strip`` >= thr + r_max (a grain of either kind
-        reaches at most thr + r along each axis), and each grain is tested
-        only against the probes of its own and both neighbouring strips
-        within ``strip`` of its own y: three ``searchsorted`` windows.  The
-        strip width carries a margin that scales with the coordinates and
-        the windows one that scales with the largest key, so rounding drops
-        no pair.
-        """
-        centers, radii = self.centers, self.radii
-        if len(xs) == 0 or len(radii) == 0:
-            return np.zeros(len(xs), dtype=bool)
-        reach = thr + self.r_max
-        if len(xs) * len(radii) <= _DENSE_MAX or reach <= 0:
-            return _within(xs[:, :1] - centers[:, 0], xs[:, 1:2] - centers[:, 1],
-                           radii, thr, kind).any(axis=1)
-        x, y = np.ascontiguousarray(xs.T)
-        cx, cy = centers.T
-        x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-        scale = max(abs(x0), abs(x1), abs(y0), abs(y1)) + abs(thr) + self.r_max
-        strip = reach * (1.0 + 1e-9) + 8.0 * _EPS * scale
-        band = y1 - y0 + 4.0 * strip
-        s_probe = np.floor((x - x0) / strip)
-        key = s_probe * band + (y - y0)
-        order = np.argsort(key)
-        key, x, y = key[order], x[order], y[order]
-        s_last = float(s_probe.max())
-        # a grain outside the probes' box is pulled to its edge, which only
-        # adds candidates
-        s_grain = np.clip(np.floor((cx - x0) / strip), -1.0, s_last + 1.0)
-        y_grain = np.clip(cy - y0, -strip, y1 - y0 + strip)
-        half = strip + 8.0 * _EPS * (s_last + 3.0) * band
-        mid = (s_grain[:, None] + (-1.0, 0.0, 1.0)) * band + y_grain[:, None]
-        first = np.searchsorted(key, mid - half, side="left")
-        count = np.searchsorted(key, mid + half, side="right") - first
-        per_grain = count.sum(axis=1)
-        first, count = first.ravel(), count.ravel()
-        skip = first - (np.cumsum(count) - count)
-        pos = np.arange(per_grain.sum()) + np.repeat(skip, count)
-        hit = _within(x.take(pos) - cx.repeat(per_grain),
-                      y.take(pos) - cy.repeat(per_grain),
-                      radii.repeat(per_grain), thr, kind)
-        out = np.zeros(len(xs), dtype=bool)
-        out[order.take(pos.compress(hit))] = True
-        return out
+    Every pair that is tested is tested by :func:`_within`, the formula of
+    a dense probes x grains test, so the answer is the same bit for bit.
+    Up to ``_DENSE_MAX`` pairs (or when thr + r_max <= 0, r_max the largest
+    radius) every pair is tested in one broadcast.  Otherwise the probes are
+    sorted once by the key ``s * band + y``, with s the index of the
+    probe's x-strip of width ``strip`` >= thr + r_max (a grain of either
+    kind reaches at most thr + r along each axis), and each grain is tested
+    only against the probes of its own and both neighbouring strips within
+    ``strip`` of its own y: three ``searchsorted`` windows.  The strip
+    width carries a margin that scales with the coordinates and the windows
+    one that scales with the largest key, so rounding drops no pair.
+    """
+    if len(xs) == 0 or len(radii) == 0:
+        return np.zeros(len(xs), dtype=bool)
+    r_max = float(radii.max())
+    reach = thr + r_max
+    if len(xs) * len(radii) <= _DENSE_MAX or reach <= 0:
+        return _within(xs[:, :1] - centers[:, 0], xs[:, 1:2] - centers[:, 1],
+                       radii, thr, kind).any(axis=1)
+    x, y = np.ascontiguousarray(xs.T)
+    cx, cy = centers.T
+    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+    scale = max(abs(x0), abs(x1), abs(y0), abs(y1)) + abs(thr) + r_max
+    strip = reach * (1.0 + 1e-9) + 8.0 * _EPS * scale
+    band = y1 - y0 + 4.0 * strip
+    s_probe = np.floor((x - x0) / strip)
+    key = s_probe * band + (y - y0)
+    order = np.argsort(key)
+    key, x, y = key[order], x[order], y[order]
+    s_last = float(s_probe.max())
+    # a grain outside the probes' box is pulled to its edge, which only
+    # adds candidates
+    s_grain = np.clip(np.floor((cx - x0) / strip), -1.0, s_last + 1.0)
+    y_grain = np.clip(cy - y0, -strip, y1 - y0 + strip)
+    half = strip + 8.0 * _EPS * (s_last + 3.0) * band
+    mid = (s_grain[:, None] + (-1.0, 0.0, 1.0)) * band + y_grain[:, None]
+    first = np.searchsorted(key, mid - half, side="left")
+    count = np.searchsorted(key, mid + half, side="right") - first
+    per_grain = count.sum(axis=1)
+    first, count = first.ravel(), count.ravel()
+    skip = first - (np.cumsum(count) - count)
+    pos = np.arange(per_grain.sum()) + np.repeat(skip, count)
+    hit = _within(x.take(pos) - cx.repeat(per_grain),
+                  y.take(pos) - cy.repeat(per_grain),
+                  radii.repeat(per_grain), thr, kind)
+    out = np.zeros(len(xs), dtype=bool)
+    out[order.take(pos.compress(hit))] = True
+    return out
 
 
 class ExplorationOracle(StoppingSetOracle):
-    """(S u seed) dilated by ``dilation``, with S the union of occupied
-    components meeting the seed.
+    """The centres where a grain of size ``dilation`` could meet the seed
+    or S, the union of occupied components meeting the seed.
 
     A block of configurations is answered from one block world
     (``BooleanWorld.block``): each grain is tested against its own
     configuration's seed, and each configuration's probes against its own
-    revealed grains by the exact distance test of ``_GrainIndex.near`` (to
-    the ball, or to the box for box grains).  ``dilation`` must be finite
-    and >= 0; it defaults to the grains' bound.  Members of a randomized family that share the model, rect, dilation and
-    kind of seed (line axis) form one block with one seed each.
+    seed and revealed grains (``near``).  ``dilation`` must be finite and
+    >= 0; it defaults to the radius law's bound.  Members of a randomized
+    family that share the model, rect, dilation and kind of seed (line
+    axis) form one block with one seed each.
     """
 
     def __init__(
@@ -305,11 +299,10 @@ class ExplorationOracle(StoppingSetOracle):
         self.model = model
         self.rect = rect
         self.seed = seed
-        r = model.grain.max_radius
         if dilation is None:
-            if r is None:
+            dilation = model.grain.law.bound
+            if dilation is None:
                 raise ValueError("unbounded grains need an explicit dilation")
-            dilation = r
         self.dilation = float(dilation)
         if not (math.isfinite(self.dilation) and self.dilation >= 0.0):
             raise ValueError(f"dilation must be finite and >= 0, got {dilation!r}")
@@ -332,15 +325,14 @@ class ExplorationOracle(StoppingSetOracle):
         comp = world.component_mask(seeds[0].touching(world, seeds))
         bounds = (0, world.n) if world.replica is None else np.searchsorted(
             world.replica, np.arange(len(configs) + 1))
-        out = []
+        out, kind = [], self.model.grain.kind
         for b, (xs, seed) in enumerate(zip(xs_list, seeds)):
             lo, hi = bounds[b], bounds[b + 1]
             keep = comp[lo:hi]
-            grains = _GrainIndex(world.points[lo:hi].compress(keep, axis=0),
-                                 world.radii[lo:hi].compress(keep))
             xs = np.atleast_2d(xs)
-            hit = seed.distance(xs) <= self.dilation
-            hit |= grains.near(xs, self.dilation, self.model.grain.kind)
+            hit = seed.near(xs, self.dilation, kind)
+            hit |= _near(xs, world.points[lo:hi].compress(keep, axis=0),
+                         world.radii[lo:hi].compress(keep), self.dilation, kind)
             out.append(hit)
         return out
 

@@ -2,16 +2,21 @@
 behind it, against the dense probes x grains distance formulas they
 replace.
 
-The library answers membership through ``_GrainIndex.near``: one broadcast
+The library answers membership through ``stopping._near``: one broadcast
 test of every pair for small probe sets, and a sweep over probes sorted by
 (x-strip, y) for large ones. The references here rebuild the world on every
-call and take the minimum of the full distance matrix, as the oracle once
-did: the distance to a ball, or to the box itself for box grains.
+call and test the full probes x grains matrix, as the oracle once did: the
+distance to a ball, and for box grains the box of half-side r + dilation
+(two boxes meet when every axis gap is below the sum of their half-sides).
 Agreement must be exact, including on probes planted at exactly
-``dilation + r`` from a centre and on the edge of the seed band. The oracle
-cases use 8 x 8 windows and so reach only the dense test; the grain-index
-case below also covers the sweep, on strip edges, on windows of span 1e4 and
-with a wide spread of radii.
+``dilation + r`` from a centre, along an axis or at a box's corner, and on
+the edge of the seed band. The oracle cases use 8 x 8 windows and so reach
+only the dense test; the grain-index case below also covers the sweep, on
+strip edges, on windows of span 1e4 and with a wide spread of radii.
+
+What the references encode is checked by what the set must mean: a grain
+of size ``dilation`` dropped at a probe outside the set joins no revealed
+component.
 
 The block evaluation, one block world for many configurations, is checked
 against the oracle asked one configuration at a time, and the block
@@ -40,7 +45,7 @@ from poissonlab.stopping import (
     _DENSE_MAX,
     LineSeed,
     SphereSeed,
-    _GrainIndex,
+    _near,
     component_exploration,
 )
 
@@ -52,26 +57,41 @@ dyadic = st.integers(0, int(16 * SPAN)).map(lambda k: k / 16.0)
 coord = st.one_of(dyadic, st.floats(0.0, SPAN, allow_nan=False))
 
 
-def grain_gaps(xs, centers, radii, kind):
-    """Distance from each probe (row) to each grain (column) by
-    ``np.linalg.norm``: |x - c| - r to a ball, and the Euclidean distance to
-    a box of half-side r, which is 0 inside it."""
+def dense_within(xs, centers, radii, thr, kind):
+    """Whether a grain of size ``thr`` at each probe (row) can meet each
+    grain (column): |x - c| - r <= thr by ``np.linalg.norm`` for balls, and
+    for boxes the Chebyshev gap max_k |x_k - c_k| <= r + thr."""
     d = xs[:, None, :] - centers[None, :, :]
     if kind == "box":
-        return np.linalg.norm(np.maximum(np.abs(d) - radii[None, :, None], 0.0), axis=2)
-    return np.linalg.norm(d, axis=2) - radii[None, :]
+        return np.abs(d).max(axis=2) <= radii[None, :] + thr
+    return np.linalg.norm(d, axis=2) - radii[None, :] <= thr
+
+
+def seed_band(seed, xs, thr, kind):
+    """Whether a grain of size ``thr`` at each probe can meet the seed: a
+    line within thr along its axis; a sphere within thr of its radius for a
+    ball, and for a box when the box's nearest and farthest points straddle
+    the radius."""
+    if isinstance(seed, LineSeed):
+        return np.abs(xs[:, seed.axis] - seed.coord) <= thr
+    if kind == "box":
+        nearest = np.linalg.norm(np.maximum(np.abs(xs) - thr, 0.0), axis=1)
+        farthest = np.linalg.norm(np.abs(xs) + thr, axis=1)
+        return (nearest <= seed.s) & (seed.s <= farthest)
+    return np.abs(np.linalg.norm(xs, axis=1) - seed.s) <= thr
 
 
 def dense_contains(oracle, xs, config):
-    """Membership by the dense formula: seed band, or within ``dilation`` of
+    """Membership by the dense formulas: seed band, or within ``dilation`` of
     a grain of the components meeting the seed."""
     xs = np.atleast_2d(xs)
+    kind = oracle.model.grain.kind
     world = BooleanWorld(config, oracle.model, oracle.rect)
-    out = oracle.seed.distance(xs) <= oracle.dilation
+    out = seed_band(oracle.seed, xs, oracle.dilation, kind)
     comp = np.flatnonzero(world.component_mask(oracle.seed.touching(world)))
     if len(comp):
-        d = grain_gaps(xs, world.points[comp], world.radii[comp], oracle.model.grain.kind)
-        out |= d.min(axis=1) <= oracle.dilation
+        out |= dense_within(xs, world.points[comp], world.radii[comp],
+                            oracle.dilation, kind).any(axis=1)
     return out
 
 
@@ -110,18 +130,20 @@ seeds = st.one_of(
 
 
 def planted_probes(draw, config, seed, dilation):
-    """Random probes plus probes at exactly ``dilation + r`` from a centre
-    (offset along an axis) and exactly on the edge of the seed band."""
+    """Random probes plus probes at exactly ``dilation + r`` from a centre,
+    or 7/8 of that (offset along one axis, or along both: at or inside a
+    box's corner), and exactly on the edge of the seed band."""
     k = draw(st.integers(0, 30))
     xs = [draw(st.tuples(coord, coord)) for _ in range(k)]
     planted = st.lists(st.integers(0, config.size - 1), max_size=8)
     for i in draw(planted) if config.size else []:
         c = config.points[i]
         reach = dilation + config.marks["radius"][i]
-        axis = draw(st.integers(0, 1))
-        sign = draw(st.sampled_from([-1.0, 1.0]))
+        axes = draw(st.sampled_from([[0], [1], [0, 1]]))
+        depth = draw(st.sampled_from([1.0, 0.875]))
         x = c.copy()
-        x[axis] += sign * reach
+        for axis in axes:
+            x[axis] += draw(st.sampled_from([-1.0, 1.0])) * reach * depth
         xs.append(tuple(x))
     for _ in range(draw(st.integers(0, 4))):
         along = draw(coord)
@@ -155,6 +177,28 @@ def test_contains_matches_dense_formula(data):
         got = oracle.contains(xs, cfg)
         assert got.shape == (len(xs),) and got.dtype == bool
         assert np.array_equal(got, dense_contains(oracle, xs, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_grain_dropped_outside_joins_no_revealed_component(data):
+    """The stopping-set property behind the formulas: a grain of the
+    largest size (the default dilation) centred at a probe outside the set
+    meets neither the seed nor a revealed grain, so it is not revealed.
+    A box dilated as its inscribed ball, or by the Euclidean distance to
+    the box, or a sphere band of width ``dilation`` for boxes, fails this on
+    the corner and diagonal probes."""
+    model = data.draw(models())
+    seed = data.draw(seeds)
+    oracle = component_exploration(model, RECT, seed)
+    a = data.draw(configs(model))
+    xs = planted_probes(data.draw, a, seed, oracle.dilation)
+    world = BooleanWorld(a, model, RECT)
+    revealed = np.count_nonzero(world.component_mask(seed.touching(world)))
+    for x in xs[~oracle.contains(xs, a)]:
+        one = PointConfig(WINDOW, x[None], {"radius": np.array([oracle.dilation])})
+        joined = BooleanWorld(PointConfig.join([a, one]), model, RECT)
+        assert np.count_nonzero(joined.component_mask(seed.touching(joined))) == revealed, x
 
 
 @st.composite
@@ -314,10 +358,10 @@ def test_block_world_keeps_coincident_configurations_apart(case):
 
 def dense_near(xs, centers, radii, thr, kind):
     """Rows x of ``xs`` within ``thr`` of some grain, every pair tested by
-    ``grain_gaps``."""
+    ``dense_within``."""
     if len(xs) == 0 or len(radii) == 0:
         return np.zeros(len(xs), dtype=bool)
-    return (grain_gaps(xs, centers, radii, kind) <= thr).any(axis=1)
+    return dense_within(xs, centers, radii, thr, kind).any(axis=1)
 
 
 @st.composite
@@ -398,7 +442,7 @@ def grain_index_cases(draw):
 def test_grain_index_near_matches_dense_norm(case):
     xs, centers, radii, thr, kind = case
     event("sweep" if len(xs) * len(radii) > _DENSE_MAX else "dense")
-    got = _GrainIndex(centers, radii).near(xs, thr, kind)
+    got = _near(xs, centers, radii, thr, kind)
     assert got.shape == (len(xs),) and got.dtype == bool
     assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind))
 
@@ -420,5 +464,5 @@ def test_grain_index_near_on_a_wide_window():
                 planted.append(x)
         xs = np.vstack([rng.uniform(0.0, 1e4, (1600, 2)), *planted])
         for kind in ("ball", "box"):
-            got = _GrainIndex(centers, radii).near(xs, thr, kind)
+            got = _near(xs, centers, radii, thr, kind)
             assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind)), thr

@@ -25,6 +25,7 @@ from poissonlab.process import (
 from poissonlab.rng import stream
 from poissonlab.stopping import (
     _BLOCK,
+    _outside_resampled,
     BrokenNearestPointOracle,
     ConstantRegionSet,
     LineSeed,
@@ -301,18 +302,52 @@ def test_exploration_axiom_sphere_seed():
                          ids=["fixed", "uniform"])
 @pytest.mark.parametrize("seed", ["line", "sphere"])
 def test_exploration_axiom_box_grains(seed, law):
-    """Box grains are dilated by the distance to the box.  Dilating the
-    inscribed ball instead misses probes near a revealed box's corners, and
-    the axiom then failed in 4 to 16 of these 300 trials."""
-    model = BooleanModel(0.36, GrainSpec("box", law), k=1)
+    """A box exploration holds the centres where a box of half-side
+    ``dilation`` (by default the half-side bound, 1) meets the seed or a
+    revealed box.  At gamma = 0.2 the boxes are subcritical (mean covered
+    area 0.8 or 0.47 per unit), so the revealed set leaves room outside.
+    Dilating each box as its inscribed ball by r sqrt(2) failed in 1 to 28
+    of these 300 trials; by the Euclidean distance to the box with
+    dilation 1, in 8 to 77."""
+    model = BooleanModel(0.2, GrainSpec("box", law), k=1)
     if seed == "line":
         rect, start = BoxWindow((0.0, 0.0), (6.0, 6.0)), LineSeed(0, 3.0)
     else:
         rect, start = BoxWindow((-3.0, -3.0), (3.0, 3.0)), SphereSeed(1.5)
-    process = ProcessSpec(HomogeneousIntensity(0.36, RadiusMarks(law)), rect.pad(1.0))
+    process = ProcessSpec(HomogeneousIntensity(0.2, RadiusMarks(law)), rect.pad(1.0))
     expl = component_exploration(model, rect, start)
+    assert expl.dilation == 1.0
     rep = verify_stopping_axiom(expl, process, 300, 200, stream(2020, 1))
     assert rep.failures == []
+
+
+def _unit_boxes(rect, centers):
+    centers = np.array(centers, dtype=float).reshape(-1, 2)
+    return PointConfig(rect.pad(1.0), centers, {"radius": np.ones(len(centers))})
+
+
+@pytest.mark.parametrize("seed", ["line", "sphere"])
+def test_exploration_box_corner_and_diagonal(seed):
+    """Planted single boxes of half-side 1, dilation 1.  Line: mu is the box
+    at (3, 3) on the seed x = 3; psi's box at (4.9, 4.9) overlaps it (every
+    axis gap 1.9 < 2), though its centre is 1.27 from that box and 1.9 from
+    the seed, so a Euclidean dilation by 1 leaves it outside.  Sphere s =
+    1.5: psi's box at (1.91, 1.91) comes within 1.29 of the origin, so it
+    meets the sphere, though its centre is 1.2 off it.  Either way the
+    revealed set, and the probe beyond psi, must be inside Z(mu) already."""
+    model = BooleanModel(0.2, GrainSpec("box", FixedRadius(1.0)), k=1)
+    if seed == "line":
+        rect = BoxWindow((0.0, 0.0), (6.0, 6.0))
+        expl = component_exploration(model, rect, LineSeed(0, 3.0), 1.0)
+        mu, psi, probe = [[3.0, 3.0]], [[4.9, 4.9]], [[5.5, 5.5]]
+    else:
+        rect = BoxWindow((-3.0, -3.0), (3.0, 3.0))
+        expl = component_exploration(model, rect, SphereSeed(1.5), 1.0)
+        mu, psi, probe = [], [[1.91, 1.91]], [[2.8, 2.8]]
+    mu, psi = _unit_boxes(rect, mu), _unit_boxes(rect, psi)
+    composite = _outside_resampled(expl, mu, psi)
+    assert np.array_equal(expl.contains(probe, composite), expl.contains(probe, mu))
+    assert bool(expl.contains(psi.points, mu)[0])
 
 
 @pytest.mark.parametrize("dilation", [math.nan, math.inf, -1.0, -0.5])
