@@ -417,6 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # replica counts; every command that takes one divides or loops by it
 _POSITIVE = ("samples", "trials", "probes")
+_FINITE = ("n", "lo", "hi", "p")
 
 
 def main(argv=None) -> int:
@@ -426,6 +427,12 @@ def main(argv=None) -> int:
         for name in _POSITIVE:
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+        for name in _FINITE:
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
+        if getattr(args, "n", 1.0) <= 0:
+            raise ValueError(f"--n must be positive, got {args.n}")
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

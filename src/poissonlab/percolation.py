@@ -3,12 +3,13 @@
 
 Connectivity conventions
 ------------------------
-* k = 1 with ball/box grains: exact via the grain intersection graph
-  (``scipy.sparse.csgraph`` connected components).  For convex grains,
-  connectivity of the occupied union equals connectivity of the
-  intersection graph.  ``_overlaps`` is the one strict overlap test
-  (balls meet when |d|^2 < (r_i + r_j)^2, boxes when every |d_k| < r_i +
-  r_j): up to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
+* Boolean grains are balls (the paper's Boolean-model results are for
+  balls with random radii; boxes are confetti grains only).
+* k = 1: exact via the grain intersection graph (``scipy.sparse.csgraph``
+  connected components).  For convex grains, connectivity of the occupied
+  union equals connectivity of the intersection graph.  ``_overlaps`` is
+  the one strict overlap test (balls meet when |d|^2 < (r_i + r_j)^2): up
+  to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
   one n x n block, above it on the candidate pairs of one integer cell
   table plus dense rows for the grains above the reference reach.  Both
   give the same CSR matrix.
@@ -105,7 +106,8 @@ class GrainSpec:
     """Grain shape and size law.
 
     ``kind``: "ball" (Euclidean ball of the sampled radius) or "box"
-    (axis-aligned cube of half-side = sampled radius).
+    (axis-aligned cube of half-side = sampled radius).  A box is a confetti
+    grain only: ``BooleanModel`` takes balls.
     """
 
     kind: str
@@ -140,6 +142,8 @@ class BooleanModel:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got {self.k}")
+        if self.grain.kind != "ball":
+            raise ValueError(f"Boolean grains are balls, got kind {self.grain.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def sample_boolean_config(
     law = grain.law
     if not isinstance(law, ParetoRadius):
         raise TypeError("unbounded sampling implemented for Pareto radii")
-    if rect.dim != 2 or grain.kind != "ball":
-        raise NotImplementedError("unbounded grains: planar balls only")
+    if rect.dim != 2:
+        raise NotImplementedError("unbounded grains: planar only")
     if r_split is None:
         raise ValueError("unbounded radius law needs r_split")
 
@@ -452,7 +456,7 @@ class BooleanWorld:
             pts = pts.reshape(0, config.window.dim)
         radii = _radius_marks(config)
         gap = _gap(pts, rect.lo_array, rect.hi_array)
-        keep = _reaches(gap, radii, model.grain.kind)
+        keep = _reaches(gap, radii)
         # take/compress gather rows several times faster than fancy indexing
         self.points = pts.compress(keep, axis=0)
         self.radii = np.asarray(radii).compress(keep)
@@ -488,7 +492,7 @@ class BooleanWorld:
         else:
             r_row = r_col = radii[0]
         pts = self.points
-        hit = _overlaps(pts[:, None], r_row, pts, r_col, self.model.grain.kind)
+        hit = _overlaps(pts[:, None], r_row, pts, r_col)
         hit.flat[:: n + 1] = False
         if self.replica is not None:
             hit &= self.replica[:, None] == self.replica
@@ -499,39 +503,36 @@ class BooleanWorld:
         return flat % np.int32(n), indptr.astype(np.int32)
 
     def _tree_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_dense_csr`` from cell-table candidate pairs.  Grains of reach
-        up to r_ref (the law's bound, else the reaches' 0.99 quantile; a box
-        of half-side r reaches r*sqrt(2)) overlap only where every axis gap
-        is below 2*r_ref, so :func:`_cell_pairs` finds their pairs among the
-        grains of neighbouring cells.  Each grain above r_ref is tested
+        """``_dense_csr`` from cell-table candidate pairs.  Grains of radius
+        up to r_ref (the law's bound, else the radii's 0.99 quantile) overlap
+        only where every axis gap is below 2*r_ref, so :func:`_cell_pairs`
+        finds their pairs among the grains of neighbouring cells.  Each grain above r_ref is tested
         against every grain in one dense row, a pair of two such grains in
         the row of its lower index, and the pairs (i, j) merge by one sort
         of their ``i*n + j`` keys.  In a block world the table's leading key
         is the configuration index, so every candidate pair lies in one
         configuration; the dense rows keep only such pairs."""
-        n, kind = self.n, self.model.grain.kind
+        n = self.n
         if n < 2:
             return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
         pts, radii, replica = self.points, self.radii, self.replica
-        reach = radii * math.sqrt(2.0) if kind == "box" else radii
         bound = self.model.grain.max_radius
-        r_ref = bound if bound is not None else float(np.quantile(reach, 0.99))
-        big = np.flatnonzero(reach > r_ref)
+        r_ref = bound if bound is not None else float(np.quantile(radii, 0.99))
+        big = np.flatnonzero(radii > r_ref)
         # take/compress gather rows several times faster than fancy indexing
         if len(big):
-            small = np.flatnonzero(reach <= r_ref)
+            small = np.flatnonzero(radii <= r_ref)
             i, j = _cell_pairs(pts.take(small, 0),
                                None if replica is None else replica.take(small),
                                self.rect, r_ref)
             i, j = small.take(i), small.take(j)
         else:
             i, j = _cell_pairs(pts, replica, self.rect, r_ref)
-        keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j),
-                         kind)
+        keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j))
         i, j = i.compress(keep), j.compress(keep)
         if len(big):
             block = _overlaps(pts.take(big, 0)[:, None], radii.take(big)[:, None],
-                              pts, radii, kind)
+                              pts, radii)
             block[:, big] &= big > big[:, None]
             if replica is not None:
                 block &= replica.take(big)[:, None] == replica
@@ -583,9 +584,7 @@ class BooleanWorld:
 
     def grains_covering(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.flatnonzero(
-            _reaches(_gap(self.points, x, x), self.radii, self.model.grain.kind)
-        )
+        return np.flatnonzero(_reaches(_gap(self.points, x, x), self.radii))
 
     def grains_meeting_face(self, axis: int, coord) -> np.ndarray:
         """Grains intersecting the closed boundary face {x_axis = coord},
@@ -600,41 +599,33 @@ class BooleanWorld:
 
         The faces reuse the clipped gap kept at construction, with their
         own axis zeroed; each face then adds only its own axis, and closed
-        contact counts.  In the plane the ball test ``d*d + g*g <= r*r``
-        must round as ``_reaches`` on the two-column gap does, which holds
-        because a sum of two squares rounds once whatever the order."""
-        radii = self.radii
+        contact counts.  In the plane the test ``d*d + g*g <= r*r`` must
+        round as ``_reaches`` on the two-column gap does, which holds because
+        a sum of two squares rounds once whatever the order."""
         gap = self._gap.copy()
         gap[:, axis] = 0.0
         along = self.points[:, axis]
-        if self.model.grain.kind == "ball":
-            g2 = np.einsum("ij,ij->i", gap, gap)
-            r2 = radii * radii
-            return [np.flatnonzero((along - c) ** 2 + g2 <= r2) for c in coords]
-        side = np.all(gap <= radii[:, None], axis=1)
-        return [np.flatnonzero((np.abs(along - c) <= radii) & side) for c in coords]
+        g2 = np.einsum("ij,ij->i", gap, gap)
+        r2 = self.radii * self.radii
+        return [np.flatnonzero((along - c) ** 2 + g2 <= r2) for c in coords]
 
     def grains_meeting_sphere(self, s) -> np.ndarray:
         """Grains intersecting the sphere of radius s around the origin; ``s``
         may hold one radius per grain, as ``grains_meeting_face``'s coord."""
         if self.n == 0:
             return np.empty(0, dtype=int)
-        if self.model.grain.kind == "ball":
-            dist = np.linalg.norm(self.points, axis=1)
-            return np.flatnonzero(np.abs(dist - s) <= self.radii)
-        return np.flatnonzero(_box_meets_sphere(self.points, self.radii[:, None], s))
+        dist = np.linalg.norm(self.points, axis=1)
+        return np.flatnonzero(np.abs(dist - s) <= self.radii)
 
     def grains_meeting_linf_box(self, half: float) -> np.ndarray:
         """Grains intersecting the closed box [-half, half]^d."""
-        return np.flatnonzero(
-            _reaches(_gap(self.points, -half, half), self.radii, self.model.grain.kind)
-        )
+        return np.flatnonzero(_reaches(_gap(self.points, -half, half), self.radii))
 
     def grains_leaving_linf_box(self, half: float) -> np.ndarray:
         """Grains meeting the complement of the open box (-half, half)^d.
 
-        For both grain kinds the farthest l_inf coordinate of the grain is
-        the center's plus the radius/half-side.
+        The farthest l_inf coordinate of a grain is the center's plus the
+        radius.
         """
         if self.n == 0:
             return np.empty(0, dtype=int)
@@ -652,41 +643,24 @@ class BooleanWorld:
 
     def occupancy_raster(self, resolution: float) -> np.ndarray:
         """Whether each cell centre of the rect grid is covered k times."""
-        counts = _paint_counts(
-            self.points, self.radii, self.rect, resolution, self.model.grain.kind
-        )
+        counts = _paint_counts(self.points, self.radii, self.rect, resolution)
         return counts >= self.model.k
 
 
-def _box_meets_sphere(centers: np.ndarray, half, s) -> np.ndarray:
-    """Whether boxes of half-side ``half`` meet the sphere of radius s
-    about the origin: their nearest and farthest points straddle s."""
-    offset = np.abs(centers)
-    near = np.linalg.norm(np.maximum(0.0, offset - half), axis=1)
-    far = np.linalg.norm(offset + half, axis=1)
-    return (near <= s) & (s <= far)
-
-
-def _overlaps(pi, ri, pj, rj, kind: str) -> np.ndarray:
-    """The strict overlap test of grains (pi, ri) and (pj, rj), broadcast
+def _overlaps(pi, ri, pj, rj) -> np.ndarray:
+    """The strict overlap test of balls (pi, ri) and (pj, rj), broadcast
     against each other (the last axis of ``pi`` and ``pj`` is the
-    coordinate): balls meet when |d|^2, summed over the axes in order, is
-    below (r_i + r_j)^2, boxes when every |d_k| < r_i + r_j.  Swapping i
-    and j gives the same bits."""
+    coordinate): they meet when |d|^2, summed over the axes in order, is
+    below (r_i + r_j)^2.  Swapping i and j gives the same bits."""
     rsum = ri + rj
-    if kind == "ball":
-        sq = pi[..., 0] - pj[..., 0]
-        sq *= sq
-        for k in range(1, pi.shape[-1]):
-            d = pi[..., k] - pj[..., k]
-            d *= d
-            sq += d
-        rsum *= rsum
-        return sq < rsum
-    hit = np.abs(pi[..., 0] - pj[..., 0]) < rsum
+    sq = pi[..., 0] - pj[..., 0]
+    sq *= sq
     for k in range(1, pi.shape[-1]):
-        hit &= np.abs(pi[..., k] - pj[..., k]) < rsum
-    return hit
+        d = pi[..., k] - pj[..., k]
+        d *= d
+        sq += d
+    rsum *= rsum
+    return sq < rsum
 
 
 def _radius_marks(config: PointConfig) -> np.ndarray:
@@ -715,12 +689,9 @@ def _gap(points: np.ndarray, lo, hi) -> np.ndarray:
     return np.maximum(0.0, gap, out=gap)
 
 
-def _reaches(gap: np.ndarray, radii: np.ndarray, kind: str) -> np.ndarray:
-    """Mask of the grains whose closed ball or box reaches across ``gap``."""
-    radii = np.asarray(radii)
-    if kind == "ball":
-        return np.einsum("ij,ij->i", gap, gap) <= radii**2
-    return np.all(gap <= radii[:, None], axis=1)
+def _reaches(gap: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Mask of the grains whose closed ball reaches across ``gap``."""
+    return np.einsum("ij,ij->i", gap, gap) <= np.asarray(radii) ** 2
 
 
 def _cell_shape(rect: BoxWindow, h: float) -> tuple[int, int]:
@@ -738,27 +709,22 @@ def _cell_centers(rect: BoxWindow, h: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _paint_counts(pts, radii, rect, h, kind) -> np.ndarray:
+def _paint_counts(pts, radii, rect, h) -> np.ndarray:
     xs, ys = _cell_centers(rect, h)
     counts = np.zeros((len(xs), len(ys)), dtype=np.int32)
     lo = np.asarray(rect.lo)
     for g in range(len(pts)):
         c = pts[g]
         r = radii[g]
-        reach = r if kind == "ball" else r * math.sqrt(2.0)
-        i0 = max(0, int((c[0] - reach - lo[0]) / h))
-        i1 = min(len(xs), int((c[0] + reach - lo[0]) / h) + 1)
-        j0 = max(0, int((c[1] - reach - lo[1]) / h))
-        j1 = min(len(ys), int((c[1] + reach - lo[1]) / h) + 1)
+        i0 = max(0, int((c[0] - r - lo[0]) / h))
+        i1 = min(len(xs), int((c[0] + r - lo[0]) / h) + 1)
+        j0 = max(0, int((c[1] - r - lo[1]) / h))
+        j1 = min(len(ys), int((c[1] + r - lo[1]) / h) + 1)
         if i0 >= i1 or j0 >= j1:
             continue
         dx = xs[i0:i1, None] - c[0]
         dy = ys[None, j0:j1] - c[1]
-        if kind == "ball":
-            mask = dx * dx + dy * dy <= r * r
-        else:
-            mask = (np.abs(dx) <= r) & (np.abs(dy) <= r)
-        counts[i0:i1, j0:j1] += mask
+        counts[i0:i1, j0:j1] += dx * dx + dy * dy <= r * r
     return counts
 
 
@@ -1309,10 +1275,13 @@ def estimate_critical(
     size grows when the estimate is statistically indistinguishable from
     1/2; at most ``_MAX_ROUNDS`` estimates are made.  Returns (estimate,
     half-width CI combining bracket and noise).  The tolerance must be
-    positive and finite; it is checked before any estimate.
+    positive and finite, and the bracket finite with lo < hi; both are
+    checked before any estimate.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"the bracket must be finite with lo < hi, got [{lo}, {hi}]")
     p_lo, se_lo = prob_at(lo, base_samples, 0)
     p_hi, se_hi = prob_at(hi, base_samples, 1)
     if not (p_lo < 0.5 < p_hi):

@@ -7,9 +7,9 @@ arbitrary configuration -- is verified empirically by
 outside Z(eta) can be resampled freely) by :func:`markov_property_check`.
 
 The component exploration reveals the occupied components meeting a seed
-and answers "x is inside" when a grain of size ``dilation`` centred at x
-could meet the seed or a revealed grain: |x - c| - r <= dilation for a
-ball, max_k |x_k - c_k| <= r + dilation for a box of half-side r.
+and answers "x is inside" when a ball of radius ``dilation`` centred at x
+could meet the seed or a revealed grain (a ball of radius r at c):
+|x - c| - r <= dilation.
 
 Oracles also answer a block of (probes, configuration) pairs at once
 (``contains_block``; ``contains`` is the block of one).  The component
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .percolation import _DENSE_MAX, _EPS, BooleanModel, BooleanWorld, _box_meets_sphere
+from .percolation import _DENSE_MAX, _EPS, BooleanModel, BooleanWorld
 from .process import (
     BoxWindow,
     DiscreteWindow,
@@ -169,8 +169,8 @@ class LineSeed:
     axis: int
     coord: float
 
-    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
-        """Whether a ball or box of size ``thr`` at each row meets the line."""
+    def near(self, xs: np.ndarray, thr: float) -> np.ndarray:
+        """Whether a ball of radius ``thr`` at each row meets the line."""
         return np.abs(xs[:, self.axis] - self.coord) <= thr
 
     def touching(self, world: BooleanWorld, seeds=None) -> np.ndarray:
@@ -188,11 +188,8 @@ class SphereSeed:
 
     s: float
 
-    def near(self, xs: np.ndarray, thr: float, kind: str) -> np.ndarray:
-        """Whether a grain of size ``thr`` at each row meets the sphere; a
-        box reaches up to sqrt(d) thr off it, along a diagonal."""
-        if kind == "box":
-            return _box_meets_sphere(xs, thr, self.s)
+    def near(self, xs: np.ndarray, thr: float) -> np.ndarray:
+        """Whether a ball of radius ``thr`` at each row meets the sphere."""
         return np.abs(np.linalg.norm(xs, axis=1) - self.s) <= thr
 
     def touching(self, world: BooleanWorld, seeds=None) -> np.ndarray:
@@ -205,14 +202,11 @@ class SphereSeed:
 Seed = LineSeed | SphereSeed
 
 
-def _within(dx: np.ndarray, dy: np.ndarray, radii, thr, kind: str) -> np.ndarray:
-    """Whether a grain of size ``thr`` at offset ``d = (dx, dy)`` from a
-    grain of size r can meet it: ``|d| - r <= thr`` for balls, rounded as
+def _within(dx: np.ndarray, dy: np.ndarray, radii, thr) -> np.ndarray:
+    """Whether a ball of radius ``thr`` at offset ``d = (dx, dy)`` from a
+    ball of radius r can meet it: ``|d| - r <= thr``, rounded as
     ``np.linalg.norm(d) - r <= thr`` is (a sum of two squares has one
-    rounding whatever the order), and ``max|d_k| <= r + thr`` for boxes,
-    rounded as ``percolation._overlaps``' ``|d_k| < r_i + r_j`` is."""
-    if kind == "box":
-        return np.maximum(np.abs(dx), np.abs(dy)) <= radii + thr
+    rounding whatever the order)."""
     s = dx * dx
     s += dy * dy
     np.sqrt(s, out=s)
@@ -220,19 +214,18 @@ def _within(dx: np.ndarray, dy: np.ndarray, radii, thr, kind: str) -> np.ndarray
     return s <= thr
 
 
-def _near(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray, thr: float,
-          kind: str) -> np.ndarray:
-    """Mask of the rows x of ``xs`` where a grain of size ``thr`` and shape
-    ``kind`` could meet some planar grain (``centers``, ``radii``):
-    |x - c| - r <= thr for balls, max_k |x_k - c_k| <= r + thr for boxes.
+def _near(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+          thr: float) -> np.ndarray:
+    """Mask of the rows x of ``xs`` where a ball of radius ``thr`` could
+    meet some planar ball (``centers``, ``radii``): |x - c| - r <= thr.
 
     Every pair that is tested is tested by :func:`_within`, the formula of
     a dense probes x grains test, so the answer is the same bit for bit.
     Up to ``_DENSE_MAX`` pairs (or when thr + r_max <= 0, r_max the largest
     radius) every pair is tested in one broadcast.  Otherwise the probes are
     sorted once by the key ``s * band + y``, with s the index of the
-    probe's x-strip of width ``strip`` >= thr + r_max (a grain of either
-    kind reaches at most thr + r along each axis), and each grain is tested
+    probe's x-strip of width ``strip`` >= thr + r_max (a pair within
+    reach is at most thr + r apart along each axis), and each grain is tested
     only against the probes of its own and both neighbouring strips within
     ``strip`` of its own y: three ``searchsorted`` windows.  The strip
     width carries a margin that scales with the coordinates and the windows
@@ -244,7 +237,7 @@ def _near(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray, thr: float,
     reach = thr + r_max
     if len(xs) * len(radii) <= _DENSE_MAX or reach <= 0:
         return _within(xs[:, :1] - centers[:, 0], xs[:, 1:2] - centers[:, 1],
-                       radii, thr, kind).any(axis=1)
+                       radii, thr).any(axis=1)
     x, y = np.ascontiguousarray(xs.T)
     cx, cy = centers.T
     x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
@@ -270,14 +263,14 @@ def _near(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray, thr: float,
     pos = np.arange(per_grain.sum()) + np.repeat(skip, count)
     hit = _within(x.take(pos) - cx.repeat(per_grain),
                   y.take(pos) - cy.repeat(per_grain),
-                  radii.repeat(per_grain), thr, kind)
+                  radii.repeat(per_grain), thr)
     out = np.zeros(len(xs), dtype=bool)
     out[order.take(pos.compress(hit))] = True
     return out
 
 
 class ExplorationOracle(StoppingSetOracle):
-    """The centres where a grain of size ``dilation`` could meet the seed
+    """The centres where a ball of radius ``dilation`` could meet the seed
     or S, the union of occupied components meeting the seed.
 
     A block of configurations is answered from one block world
@@ -325,14 +318,14 @@ class ExplorationOracle(StoppingSetOracle):
         comp = world.component_mask(seeds[0].touching(world, seeds))
         bounds = (0, world.n) if world.replica is None else np.searchsorted(
             world.replica, np.arange(len(configs) + 1))
-        out, kind = [], self.model.grain.kind
+        out = []
         for b, (xs, seed) in enumerate(zip(xs_list, seeds)):
             lo, hi = bounds[b], bounds[b + 1]
             keep = comp[lo:hi]
             xs = np.atleast_2d(xs)
-            hit = seed.near(xs, self.dilation, kind)
+            hit = seed.near(xs, self.dilation)
             hit |= _near(xs, world.points[lo:hi].compress(keep, axis=0),
-                         world.radii[lo:hi].compress(keep), self.dilation, kind)
+                         world.radii[lo:hi].compress(keep), self.dilation)
             out.append(hit)
         return out
 

@@ -244,7 +244,7 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown criteria: ['nope']\n"
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUT = [
     ("perc", "duality", "--model", "boolean-k1"),
     ("acceptance", "99"),
     ("perc", "scan", "--model", "poisson-square"),
@@ -284,12 +284,30 @@ def test_acceptance_unknown_name(tmp_path, capsys):
     ("perc", "critical", "--seed", "-1"),
     ("perc", "duality", "--seed", "-1"),
     ("sample", "--seed", str(2**128)),
-])
+    ("perc", "critical", "--lo", "0.6", "--hi", "0.2"),
+]
+# numeric flags that cli.main checks before any command runs, each with its
+# invalid values, given as --flag=value (argparse reads a bare -1 as an
+# option); the error names the flag.  Model ranges, such as gamma >= 0 or p
+# in [0, 1], keep the model's own messages.
+BAD_NUMBERS = {"--n": ("nan", "inf", "-inf", "-1", "0"),
+               "--lo": ("nan", "inf", "-inf"), "--hi": ("nan", "inf", "-inf"),
+               "--p": ("nan", "inf", "-inf")}
+COMMAND_NUMBERS = {("perc", "scan"): ("--n",), ("perc", "critical"): ("--n", "--lo", "--hi"),
+                   ("perc", "duality"): ("--n", "--p")}
+BAD_INPUT += [(*command, f"{flag}={value}") for command, flags in COMMAND_NUMBERS.items()
+              for flag in flags for value in BAD_NUMBERS[flag]]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT)
 def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "-o", "out.txt") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err[len("error: ")] not in "'\""
+    flag, _, value = argv[-1].partition("=")
+    if value in BAD_NUMBERS.get(flag, ()):
+        assert err.startswith(f"error: {flag} must be ")
     assert not (tmp_path / "out.txt").exists()
 
 

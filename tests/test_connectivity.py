@@ -1,8 +1,8 @@
 """Differential tests of the grain-graph connectivity, the k = 1 crossing
-and the grain queries against dense references: every pair of grains
-tested for overlap, every grain tested against the rect's faces, a point
-or a box through its nearest point, and a plain breadth-first search over
-the resulting matrix. The grain graph's two builds, the dense n x n test
+and the grain queries against dense references: every pair of balls
+tested for overlap, every ball tested against the rect's faces, a point
+or an l_inf box through its nearest point, and a plain breadth-first search
+over the resulting matrix. The grain graph's two builds, the dense n x n test
 and the candidate pairs of the integer cell table, are each checked
 against the dense reference on both sides of the grain count that selects
 between them; the cell table also on its own, on rects offset far from the
@@ -35,15 +35,11 @@ coord = st.floats(0.0, SPAN, allow_nan=False)
 
 
 def dense_adjacency(world):
-    """Overlap of every grain pair, with the strict conventions of the
-    grain graph: balls meet when |d|^2 < (r_i + r_j)^2, boxes when every
-    axis gap is below r_i + r_j."""
+    """Overlap of every grain pair, with the strict convention of the
+    grain graph: balls meet when |d|^2 < (r_i + r_j)^2."""
     d = world.points[:, None, :] - world.points[None, :, :]
     rsum = world.radii[:, None] + world.radii[None, :]
-    if world.model.grain.kind == "ball":
-        adj = np.einsum("ijk,ijk->ij", d, d) < rsum**2
-    else:
-        adj = np.all(np.abs(d) < rsum[:, :, None], axis=2)
+    adj = np.einsum("ijk,ijk->ij", d, d) < rsum**2
     np.fill_diagonal(adj, False)
     return adj
 
@@ -77,7 +73,6 @@ def reference_partition(adj):
 
 @st.composite
 def worlds(draw):
-    kind = draw(st.sampled_from(["ball", "box"]))
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     n = draw(st.integers(0, 40))
     points = np.array(
@@ -91,7 +86,7 @@ def worlds(draw):
         hi = lo * draw(st.floats(1.0, 5.0))
         law = UniformRadius(lo, hi) if law_kind == "uniform" else ParetoRadius(lo, 3.5)
         radii = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
     window = BoxWindow((0.0, 0.0), (SPAN, SPAN))
     world = BooleanWorld(PointConfig(window, points, {"radius": radii}), model, RECT)
     seed = draw(
@@ -159,8 +154,7 @@ def graph_worlds(draw):
     3-4-5 diagonal, or moved one ulp closer or farther.  Pareto laws put a
     few large grains among the background, and may plant two grains larger
     than all others among at least 101 grains: on the tree path, both above
-    the 0.99 reach quantile, so both are tested by dense rows."""
-    kind = draw(st.sampled_from(["ball", "box"]))
+    the 0.99 radius quantile, so both are tested by dense rows."""
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     a = draw(st.integers(1, 6))
     b = a + draw(st.integers(0, 6))
@@ -222,18 +216,17 @@ def graph_worlds(draw):
         radii.append([r_1, r_2, r_s])
     window = BoxWindow((0.0, 0.0), (span, span))
     config = PointConfig(window, np.concatenate(pts), {"radius": np.concatenate(radii)})
-    return BooleanWorld(config, BooleanModel(1.0, GrainSpec(kind, law), k=1), window)
+    return BooleanWorld(config, BooleanModel(1.0, GrainSpec("ball", law), k=1), window)
 
 
 @settings(max_examples=200, deadline=None)
 @given(graph_worlds())
 def test_dense_and_tree_graphs_match_dense_reference(world):
-    n = world.n
-    reach = world.radii * (np.sqrt(2.0) if world.model.grain.kind == "box" else 1.0)
+    n, radii = world.n, world.radii
     if n * n <= _DENSE_MAX:
         event("dense")
     elif world.model.grain.max_radius is None and np.any(
-        reach > np.quantile(reach, 0.99)
+        radii > np.quantile(radii, 0.99)
     ):
         event("tree, big grains")
     else:
@@ -255,9 +248,8 @@ def cell_table_worlds(draw):
     """Worlds for the cell table behind ``_tree_csr``: one configuration,
     or a block world of two to four.  The rect sits near the origin, is
     offset to 1e6, or spans 1e4 with a few dozen grains (where the table's
-    size rule sets the cell side).  Ball or box grains with fixed, uniform
-    or Pareto radii, drawn around r_hi, the largest reach of a bounded ball
-    law.  Each configuration holds random grains, chains planted from the
+    size rule sets the cell side).  Ball grains with fixed, uniform or
+    Pareto radii, drawn around r_hi, the largest radius of a bounded law.  Each configuration holds random grains, chains planted from the
     rect's lower side along an axis, whose links are r_i + r_j or one ulp
     either side, and pairs of grains of radius r_hi exactly 2*r_hi apart
     along an axis, or one ulp either side, whose first grain lies within a
@@ -268,7 +260,6 @@ def cell_table_worlds(draw):
     grains of different configurations, which only the configuration key
     keeps apart.  Pareto worlds may add two grains above every other, on
     the dense rows."""
-    kind = draw(st.sampled_from(["ball", "box"]))
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     r_hi = draw(st.floats(0.2, 1.5))
     if law_kind == "fixed":
@@ -347,7 +338,7 @@ def cell_table_worlds(draw):
             radii.append([3.0 * r_hi, 4.0 * r_hi])
         blocks.append(PointConfig(rect.pad(4.0 * r_hi), np.concatenate(pts),
                                   {"radius": np.concatenate(radii)}))
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
     return BooleanWorld.block(blocks, model, rect)
 
 
@@ -357,12 +348,11 @@ def test_cell_table_graph_matches_dense_reference(world):
     """``_tree_csr`` on any number of grains (the dense path's cap does not
     apply here) against the dense reference restricted to pairs of one
     configuration."""
-    n = world.n
-    reach = world.radii * (np.sqrt(2.0) if world.model.grain.kind == "box" else 1.0)
+    n, radii = world.n, world.radii
     if world.replica is not None:
         event("block world")
     if n > 1 and world.model.grain.max_radius is None and np.any(
-        reach > np.quantile(reach, 0.99)
+        radii > np.quantile(radii, 0.99)
     ):
         event("big grains")
     adj = dense_adjacency(world)
@@ -400,8 +390,8 @@ def test_cell_table_keeps_pairs_on_cell_edges():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.sampled_from(["ball", "box"]), st.integers(0, 2**32 - 1))
-def test_cell_table_matches_dense_reference_in_any_dimension(dim, kind, seed):
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_cell_table_matches_dense_reference_in_any_dimension(dim, seed):
     """The cell table's stencil on lines and in space, where its
     lexicographically positive neighbour lines are none and four."""
     rng = np.random.default_rng(seed)
@@ -410,7 +400,7 @@ def test_cell_table_matches_dense_reference_in_any_dimension(dim, kind, seed):
     rect = BoxWindow(tuple(lo), tuple(lo + rng.uniform(2.0, 6.0, dim)))
     n = rng.integers(0, 150)
     points = rect.pad(r).sample_uniform(rng, n)
-    model = BooleanModel(1.0, GrainSpec(kind, FixedRadius(r)), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", FixedRadius(r)), k=1)
     world = BooleanWorld(PointConfig(rect.pad(r), points, {"radius": np.full(n, r)}),
                          model, rect)
     indices, indptr = world._tree_csr()
@@ -423,9 +413,7 @@ def dense_face(world, axis, coord):
     near = np.clip(world.points, world.rect.lo, world.rect.hi)
     near[:, axis] = coord
     d = world.points - near
-    if world.model.grain.kind == "ball":
-        return np.flatnonzero((d**2).sum(axis=1) <= world.radii**2)
-    return np.flatnonzero(np.all(np.abs(d) <= world.radii[:, None], axis=1))
+    return np.flatnonzero((d**2).sum(axis=1) <= world.radii**2)
 
 
 @st.composite
@@ -433,7 +421,6 @@ def crossing_worlds(draw):
     """Random grains plus chains that start exactly tangent to a face of
     RECT (gap to the face equal to the radius) and run across it with each
     centre step at r_i + r_j or one ulp either side."""
-    kind = draw(st.sampled_from(["ball", "box"]))
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     if law_kind == "fixed":
         law = FixedRadius(draw(st.floats(0.2, 1.5)))
@@ -469,7 +456,7 @@ def crossing_worlds(draw):
             c += heading * float(step)
             r = r_next
     points = np.array(pts, dtype=float).reshape(len(pts), 2)
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
     window = BoxWindow((-SPAN, -SPAN), (2 * SPAN, 2 * SPAN))
     return BooleanWorld(PointConfig(window, points, {"radius": np.array(radii)}), model, RECT)
 
@@ -488,13 +475,11 @@ def test_crossing_matches_dense_reference(world):
         assert crossing(world, axis) == bool(reached[faces[1]].any())
 
 
-def dense_meets(points, radii, lo, hi, kind):
-    """Grains whose closed grain meets the closed box [lo, hi] (a point when
+def dense_meets(points, radii, lo, hi):
+    """Grains whose closed ball meets the closed box [lo, hi] (a point when
     lo = hi): the box point nearest to each centre, found by clipping."""
     d = points - np.clip(points, lo, hi)
-    if kind == "ball":
-        return np.flatnonzero((d**2).sum(axis=1) <= radii**2)
-    return np.flatnonzero(np.all(np.abs(d) <= radii[:, None], axis=1))
+    return np.flatnonzero((d**2).sum(axis=1) <= radii**2)
 
 
 dyadic = st.integers(0, 8 * 16).map(lambda i: i / 16.0)
@@ -531,16 +516,15 @@ def tangent_worlds(draw):
 @given(tangent_worlds())
 def test_grain_queries_match_dense_references(case):
     config, model, x, half = case
-    kind = model.grain.kind
     world = BooleanWorld(config, model, RECT)
-    kept = dense_meets(config.points, config.marks["radius"], RECT.lo, RECT.hi, kind)
+    kept = dense_meets(config.points, config.marks["radius"], RECT.lo, RECT.hi)
     assert np.array_equal(world.points, config.points[kept])
     assert np.array_equal(world.radii, config.marks["radius"][kept])
-    covering = dense_meets(world.points, world.radii, x, x, kind)
+    covering = dense_meets(world.points, world.radii, x, x)
     assert np.array_equal(world.grains_covering(x), covering)
     assert np.array_equal(
         world.grains_meeting_linf_box(half),
-        dense_meets(world.points, world.radii, -half, half, kind),
+        dense_meets(world.points, world.radii, -half, half),
     )
 
 
@@ -557,10 +541,7 @@ def test_face_tests_match_two_column_gap_formula(case):
         for c, got in zip(coords, world.grains_meeting_faces(axis, coords)):
             gap = _gap(world.points, RECT.lo, RECT.hi)
             gap[:, axis] = np.abs(world.points[:, axis] - c)
-            want = _reaches(gap, world.radii, model.grain.kind)
+            want = _reaches(gap, world.radii)
             assert np.array_equal(got, np.flatnonzero(want))
-            if model.grain.kind == "ball":
-                touching = np.einsum("ij,ij->i", gap, gap) == world.radii**2
-            else:
-                touching = np.any(gap == world.radii[:, None], axis=1) & want
+            touching = np.einsum("ij,ij->i", gap, gap) == world.radii**2
             assert set(np.flatnonzero(touching)) <= set(got)

@@ -6,16 +6,15 @@ The library answers membership through ``stopping._near``: one broadcast
 test of every pair for small probe sets, and a sweep over probes sorted by
 (x-strip, y) for large ones. The references here rebuild the world on every
 call and test the full probes x grains matrix, as the oracle once did: the
-distance to a ball, and for box grains the box of half-side r + dilation
-(two boxes meet when every axis gap is below the sum of their half-sides).
-Agreement must be exact, including on probes planted at exactly
-``dilation + r`` from a centre, along an axis or at a box's corner, and on
-the edge of the seed band. The oracle cases use 8 x 8 windows and so reach
-only the dense test; the grain-index case below also covers the sweep, on
-strip edges, on windows of span 1e4 and with a wide spread of radii.
+distance to a ball (Boolean grains are balls). Agreement must be exact,
+including on probes planted at exactly ``dilation + r`` from a centre, along
+an axis or along both, and on the edge of the seed band. The oracle cases
+use 8 x 8 windows and so reach only the dense test; the grain-index case
+below also covers the sweep, on strip edges, on windows of span 1e4 and
+with a wide spread of radii.
 
-What the references encode is checked by what the set must mean: a grain
-of size ``dilation`` dropped at a probe outside the set joins no revealed
+What the references encode is checked by what the set must mean: a ball
+of radius ``dilation`` dropped at a probe outside the set joins no revealed
 component.
 
 The block evaluation, one block world for many configurations, is checked
@@ -57,27 +56,18 @@ dyadic = st.integers(0, int(16 * SPAN)).map(lambda k: k / 16.0)
 coord = st.one_of(dyadic, st.floats(0.0, SPAN, allow_nan=False))
 
 
-def dense_within(xs, centers, radii, thr, kind):
-    """Whether a grain of size ``thr`` at each probe (row) can meet each
-    grain (column): |x - c| - r <= thr by ``np.linalg.norm`` for balls, and
-    for boxes the Chebyshev gap max_k |x_k - c_k| <= r + thr."""
+def dense_within(xs, centers, radii, thr):
+    """Whether a ball of radius ``thr`` at each probe (row) can meet each
+    grain (column): |x - c| - r <= thr by ``np.linalg.norm``."""
     d = xs[:, None, :] - centers[None, :, :]
-    if kind == "box":
-        return np.abs(d).max(axis=2) <= radii[None, :] + thr
     return np.linalg.norm(d, axis=2) - radii[None, :] <= thr
 
 
-def seed_band(seed, xs, thr, kind):
-    """Whether a grain of size ``thr`` at each probe can meet the seed: a
-    line within thr along its axis; a sphere within thr of its radius for a
-    ball, and for a box when the box's nearest and farthest points straddle
-    the radius."""
+def seed_band(seed, xs, thr):
+    """Whether a ball of radius ``thr`` at each probe can meet the seed: a
+    line within thr along its axis, a sphere within thr of its radius."""
     if isinstance(seed, LineSeed):
         return np.abs(xs[:, seed.axis] - seed.coord) <= thr
-    if kind == "box":
-        nearest = np.linalg.norm(np.maximum(np.abs(xs) - thr, 0.0), axis=1)
-        farthest = np.linalg.norm(np.abs(xs) + thr, axis=1)
-        return (nearest <= seed.s) & (seed.s <= farthest)
     return np.abs(np.linalg.norm(xs, axis=1) - seed.s) <= thr
 
 
@@ -85,13 +75,12 @@ def dense_contains(oracle, xs, config):
     """Membership by the dense formulas: seed band, or within ``dilation`` of
     a grain of the components meeting the seed."""
     xs = np.atleast_2d(xs)
-    kind = oracle.model.grain.kind
     world = BooleanWorld(config, oracle.model, oracle.rect)
-    out = seed_band(oracle.seed, xs, oracle.dilation, kind)
+    out = seed_band(oracle.seed, xs, oracle.dilation)
     comp = np.flatnonzero(world.component_mask(oracle.seed.touching(world)))
     if len(comp):
         out |= dense_within(xs, world.points[comp], world.radii[comp],
-                            oracle.dilation, kind).any(axis=1)
+                            oracle.dilation).any(axis=1)
     return out
 
 
@@ -102,8 +91,7 @@ def models(draw):
     else:
         lo = draw(st.sampled_from([0.125, 0.25, 0.5]))
         law = UniformRadius(lo, lo * draw(st.sampled_from([1.5, 2.0, 4.0])))
-    kind = draw(st.sampled_from(["ball", "box"]))
-    return BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    return BooleanModel(1.0, GrainSpec("ball", law), k=1)
 
 
 @st.composite
@@ -131,8 +119,8 @@ seeds = st.one_of(
 
 def planted_probes(draw, config, seed, dilation):
     """Random probes plus probes at exactly ``dilation + r`` from a centre,
-    or 7/8 of that (offset along one axis, or along both: at or inside a
-    box's corner), and exactly on the edge of the seed band."""
+    or 7/8 of that (offset along one axis, or along both), and exactly on
+    the edge of the seed band."""
     k = draw(st.integers(0, 30))
     xs = [draw(st.tuples(coord, coord)) for _ in range(k)]
     planted = st.lists(st.integers(0, config.size - 1), max_size=8)
@@ -184,10 +172,7 @@ def test_contains_matches_dense_formula(data):
 def test_a_grain_dropped_outside_joins_no_revealed_component(data):
     """The stopping-set property behind the formulas: a grain of the
     largest size (the default dilation) centred at a probe outside the set
-    meets neither the seed nor a revealed grain, so it is not revealed.
-    A box dilated as its inscribed ball, or by the Euclidean distance to
-    the box, or a sphere band of width ``dilation`` for boxes, fails this on
-    the corner and diagonal probes."""
+    meets neither the seed nor a revealed grain, so it is not revealed."""
     model = data.draw(models())
     seed = data.draw(seeds)
     oracle = component_exploration(model, RECT, seed)
@@ -204,15 +189,14 @@ def test_a_grain_dropped_outside_joins_no_revealed_component(data):
 @st.composite
 def blocks(draw):
     """(members, configs, probes): 1 to ``_BLOCK + 1`` configurations of
-    one model on the 8 x 8 window, with ball or box grains and fixed,
-    uniform or Pareto radii (those with an explicit dilation), of 0 to 30
+    one model on the 8 x 8 window, with ball grains and fixed, uniform or
+    Pareto radii (those with an explicit dilation), of 0 to 30
     grains each, so that about half the blocks take the tree path and
     Pareto blocks there have grains above the reference reach; one
     exploration per configuration, with its own line (possibly one that
     meets no grain, at -100) or sphere seed, or one seed for all; and per
     configuration random probes, its grain centres and probes at exactly
     dilation + r from a centre."""
-    kind = draw(st.sampled_from(["ball", "box"]))
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     dyadic_coords = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -226,7 +210,7 @@ def blocks(draw):
         law = UniformRadius(0.25, draw(st.sampled_from([0.5, 1.0])))
     else:
         law = ParetoRadius(draw(st.sampled_from([0.125, 0.25])), 2.5)
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
     dilation = draw(st.sampled_from([0.0, 0.5, 1.0])) if law_kind == "pareto" else (
         draw(st.sampled_from([None, 0.0, 0.5])))
     configs = []
@@ -284,9 +268,9 @@ def test_contains_block_matches_one_configuration_at_a_time(case):
 
     world = BooleanWorld.block(configs, oracle.model, oracle.rect)
     tree = world.n * world.n > _DENSE_MAX
-    reach = world.radii * (np.sqrt(2.0) if oracle.model.grain.kind == "box" else 1.0)
+    radii = world.radii
     big = tree and oracle.model.grain.law.bound is None and world.n > 1 and bool(
-        np.any(reach > np.quantile(reach, 0.99)))
+        np.any(radii > np.quantile(radii, 0.99)))
     event("tree path, big grains" if big else "tree path" if tree else "dense path")
     own = [BooleanWorld(cfg, oracle.model, oracle.rect) for cfg in configs]
     if len(configs) == 1:
@@ -308,15 +292,14 @@ def coincident_blocks(draw):
     one to three base configurations, so that their block world holds
     coincident grains of different configurations, which only the
     configuration key of the grain graph's cell table keeps apart.  Each
-    base holds 6 to 30 random ball or box grains (fixed or uniform radii up
+    base holds 6 to 30 random ball grains (fixed or uniform radii up
     to r_hi) and a chain from RECT's lower side along axis 0 whose links
     are 2*r_hi or one ulp either side; most blocks take the tree path.  One
     line seed for all; per configuration random probes and its grain
     centres."""
-    kind = draw(st.sampled_from(["ball", "box"]))
     r_hi = draw(st.floats(0.25, 1.0))
     law = FixedRadius(r_hi) if draw(st.booleans()) else UniformRadius(r_hi / 2.0, r_hi)
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=1)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bases = []
     for _ in range(draw(st.integers(1, 3))):
@@ -356,18 +339,18 @@ def test_block_world_keeps_coincident_configurations_apart(case):
     assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
 
 
-def dense_near(xs, centers, radii, thr, kind):
+def dense_near(xs, centers, radii, thr):
     """Rows x of ``xs`` within ``thr`` of some grain, every pair tested by
     ``dense_within``."""
     if len(xs) == 0 or len(radii) == 0:
         return np.zeros(len(xs), dtype=bool)
-    return dense_within(xs, centers, radii, thr, kind).any(axis=1)
+    return dense_within(xs, centers, radii, thr).any(axis=1)
 
 
 @st.composite
 def grain_index_cases(draw):
-    """(xs, centers, radii, thr, kind): up to 200 ball or box grains in a square of side 8 or
-    1e4 with dyadic or arbitrary coordinates, and up to about 1,700 probes
+    """(xs, centers, radii, thr): up to 200 ball grains in a square of side 8
+    or 1e4 with dyadic or arbitrary coordinates, and up to about 1,700 probes
     (grid or uniform) plus probes planted at exactly ``thr + r`` from a
     centre, on the edges of the sweep's x-strips, duplicated and far outside."""
     span = draw(st.sampled_from([8.0, 1e4]))
@@ -434,24 +417,24 @@ def grain_index_cases(draw):
                 edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
         ys = xs[rng.integers(0, len(xs), len(edges)), 1]
         xs = np.vstack([xs, np.column_stack([edges, ys])])
-    return xs, centers, radii, thr, draw(st.sampled_from(["ball", "box"]))
+    return xs, centers, radii, thr
 
 
 @settings(max_examples=300, deadline=None)
 @given(grain_index_cases())
 def test_grain_index_near_matches_dense_norm(case):
-    xs, centers, radii, thr, kind = case
+    xs, centers, radii, thr = case
     event("sweep" if len(xs) * len(radii) > _DENSE_MAX else "dense")
-    got = _near(xs, centers, radii, thr, kind)
+    got = _near(xs, centers, radii, thr)
     assert got.shape == (len(xs),) and got.dtype == bool
-    assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind))
+    assert np.array_equal(got, dense_near(xs, centers, radii, thr))
 
 
 def test_grain_index_near_on_a_wide_window():
     """A 1e4 window of unit-scale grains puts the sweep's sort keys near 1e8,
     where one rounding (about 1.5e-8) is far above a relative 1e-9 of the
     reach; probes planted at thr + r from every centre, along both axes,
-    must still be found, for ball and box grains."""
+    must still be found."""
     rng = np.random.default_rng(41)
     for thr in rng.uniform(0.0, 2.0, 12):
         centers = rng.uniform(0.0, 1e4, (200, 2))
@@ -463,6 +446,5 @@ def test_grain_index_near_on_a_wide_window():
                 x[:, axis] += sign * (thr + radii)
                 planted.append(x)
         xs = np.vstack([rng.uniform(0.0, 1e4, (1600, 2)), *planted])
-        for kind in ("ball", "box"):
-            got = _near(xs, centers, radii, thr, kind)
-            assert np.array_equal(got, dense_near(xs, centers, radii, thr, kind)), thr
+        got = _near(xs, centers, radii, thr)
+        assert np.array_equal(got, dense_near(xs, centers, radii, thr)), thr

@@ -33,7 +33,7 @@ from poissonlab.percolation import (
     truncate_radii,
     truncation_flips,
 )
-from poissonlab.process import BoxWindow, PointConfig
+from poissonlab.process import BoxWindow, PointConfig, _at_most, _bernoulli_se
 from poissonlab.rng import replicate, stream
 
 DISK1 = GrainSpec("ball", FixedRadius(1.0))
@@ -260,6 +260,11 @@ def test_boolean_model_rejects_a_gamma_not_finite_and_nonnegative(gamma):
         BooleanModel(gamma, GrainSpec("ball", FixedRadius(1.0)))
 
 
+def test_boolean_model_rejects_box_grains():
+    with pytest.raises(ValueError, match="Boolean grains are balls, got kind 'box'"):
+        BooleanModel(0.5, GrainSpec("box", FixedRadius(1.0)))
+
+
 def test_arm_event_validation_and_convention():
     model = BooleanModel(0.3, DISK1, k=1)
     rect = BoxWindow((-5.0, -5.0), (5.0, 5.0))
@@ -357,6 +362,15 @@ def test_estimate_critical_needs_a_positive_finite_tolerance(tolerance):
         estimate_critical(no_draw, 0.2, 0.6, tolerance)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.6, 0.2), (0.4, 0.4), (math.nan, 0.6)])
+def test_estimate_critical_needs_a_finite_increasing_bracket(lo, hi):
+    def no_draw(p, samples, ridx):
+        raise AssertionError("an estimate was made before the bracket check")
+
+    with pytest.raises(ValueError, match="the bracket must be finite with lo < hi"):
+        estimate_critical(no_draw, lo, hi, 0.05)
+
+
 # -- k >= 2 raster events ---------------------------------------------------------------
 
 SIDE = 3.0  # k = 2 worlds live on [-SIDE, SIDE]^2
@@ -364,20 +378,19 @@ SIDE = 3.0  # k = 2 worlds live on [-SIDE, SIDE]^2
 
 @st.composite
 def k2_worlds(draw):
-    """k = 2 worlds on [-SIDE, SIDE]^2: ball or box grains of fixed or
-    uniform radii in pairs, the second near the first one's centre, so that
+    """k = 2 worlds on [-SIDE, SIDE]^2: ball grains of fixed or uniform
+    radii in pairs, the second near the first one's centre, so that
     doubly covered patches appear.  Optionally every grain covering the
     origin cell's centre is dropped (an empty origin cell), or every grain
     within one raster cell of the rect's boundary (faces that touch only
     background)."""
-    kind = draw(st.sampled_from(["ball", "box"]))
     if draw(st.booleans()):
         law = FixedRadius(draw(st.sampled_from([0.5, 0.75, 1.0])))
         h = law.r / 8.0
     else:
         law = UniformRadius(draw(st.sampled_from([0.5, 0.75])), 1.5)
         h = law.lo / 8.0
-    model = BooleanModel(1.0, GrainSpec(kind, law), k=2)
+    model = BooleanModel(1.0, GrainSpec("ball", law), k=2)
     rect = BoxWindow((-SIDE, -SIDE), (SIDE, SIDE))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.one_of(st.just(0), st.integers(30, 100)))
@@ -388,7 +401,7 @@ def k2_worlds(draw):
         # the origin cell's centre, as the one-arm event finds it
         xs = -SIDE + (np.arange(round(2 * SIDE / h)) + 0.5) * h
         d = np.abs(pts - xs[np.argmin(np.abs(xs))])
-        far = d.max(axis=1) if kind == "box" else np.hypot(d[:, 0], d[:, 1])
+        far = np.hypot(d[:, 0], d[:, 1])
         pts, radii = pts[far > radii], radii[far > radii]
     if draw(st.booleans()):
         inside = np.abs(pts).max(axis=1) + radii < SIDE - h
@@ -451,6 +464,36 @@ def test_confetti_duality_holds_on_samples():
         for i in range(60):
             w = sample_confetti_world(m, rect, 0.125, stream(417, j, i))
             assert confetti_duality_check(w)
+
+
+UNIT_BOX = GrainSpec("box", FixedRadius(1.0))
+
+
+def _crosses_with_probability_half(model):
+    """Whether the crossing frequency of 2,000 confetti worlds on the 10 x 10
+    square (h = 0.1) passes the two-sided 1/2 check of criterion 7, and the
+    number of duality XOR violations."""
+    samples = 2_000
+    rect = BoxWindow((0.0, 0.0), (10.0, 10.0))
+    hits, violations = confetti_duality_counts(model, rect, 0.1, samples, (99, 8))
+    p_hat = hits / samples
+    return _at_most(abs(p_hat - 0.5), 0.0, _bernoulli_se(p_hat, samples)), violations
+
+
+def test_confetti_unit_boxes_cross_with_probability_half():
+    """The paper's confetti claim holds for any bounded grain invariant under
+    pi/2 rotation and reflection, such as Hirsch's boxes: at p = 1/2 black
+    crosses with probability 1/2 (1,013 of these 2,000 worlds)."""
+    assert _crosses_with_probability_half(ConfettiModel(0.5, UNIT_BOX, UNIT_BOX)) == (
+        True, 0)
+
+
+def test_confetti_boxes_against_balls_fail_the_half_check():
+    """Black unit boxes against white unit balls are not exchangeable: black
+    covers more per grain and crosses far more often than 1/2 (1,499 of
+    these 2,000 worlds), so the check of the test above can fail."""
+    assert _crosses_with_probability_half(ConfettiModel(0.5, UNIT_BOX, DISK1)) == (
+        False, 0)
 
 
 def test_confetti_black_increasing():
