@@ -1,6 +1,6 @@
 """The three percolation models at desk scale.
 
-Boolean disks (exact connectivity from csgraph connected components),
+Boolean disks (exact connectivity from a csgraph breadth-first reach),
 confetti coloring (raster, self-dual at p = 1/2), and the planar model
 with Pareto radii where big grains are sampled exactly and then truncated
 with a computable error bound.

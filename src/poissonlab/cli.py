@@ -5,8 +5,8 @@ All randomness funnels through --seed; outputs are deterministic given
 (arguments, seed) and carry a header with the resolved parameters and
 package version.  Each command takes only fixtures of its own kind
 (sample, stopping, chaos, dynamics or perc).  Bad input, such as a fixture
-of another kind or a size too large to allocate, ends with one
-"error: ..." line and exit status 2.
+of another kind, an argument that argparse rejects or a size too large to
+allocate, ends with one "error: ..." line and exit status 2.
 Environment: POISSONLAB_OUTDIR prefixes relative output paths,
 POISSONLAB_WORKERS sets the acceptance worker count.
 """
@@ -325,8 +325,16 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors, so that ``main`` ends them, as every other
+    bad input, with one ``error:`` line; its subparsers are of this class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="poissonlab", description=__doc__)
+    parser = _Parser(prog="poissonlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -421,9 +429,8 @@ _FINITE = ("n", "lo", "hi", "p")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for name in _POSITIVE:
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
@@ -434,7 +441,8 @@ def main(argv=None) -> int:
         if getattr(args, "n", 1.0) <= 0:
             raise ValueError(f"--n must be positive, got {args.n}")
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError, MemoryError) as exc:
+    except (argparse.ArgumentError, ValueError, FileNotFoundError, RuntimeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,14 +5,15 @@ Connectivity conventions
 ------------------------
 * Boolean grains are balls (the paper's Boolean-model results are for
   balls with random radii; boxes are confetti grains only).
-* k = 1: exact via the grain intersection graph (``scipy.sparse.csgraph``
-  connected components).  For convex grains, connectivity of the occupied
-  union equals connectivity of the intersection graph.  ``_overlaps`` is
+* k = 1: exact via the grain intersection graph (one ``scipy.sparse.csgraph``
+  breadth-first reach from the seed grains).  For convex grains,
+  connectivity of the occupied union equals connectivity of the
+  intersection graph.  ``_overlaps`` is
   the one strict overlap test (balls meet when |d|^2 < (r_i + r_j)^2): up
   to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
   one n x n block, above it on the candidate pairs of one integer cell
   table plus dense rows for the grains above the reference reach.  Both
-  give the same CSR matrix.
+  give the same CSR arrays.
   Crossing events inside a rectangle use the grains meeting the
   rectangle; chains may overlap slightly outside it (within one grain
   diameter).  Sphere-reaching events (one-arm) are exact.  A raster layer
@@ -28,9 +29,11 @@ Connectivity conventions
   crossings by several percent at raster scale h = r/10.)
   Plain k >= 2 occupancy rasters use 8-adjacency; no duality is claimed
   for them.
-* Every event asks whether two seed sets share a component; one label
-  table (``_label_table``) answers it, sized by the graph's component
-  count or, with background label 0 cleared, by a raster's label count.
+* Every event asks whether two seed sets share a component.  On the grain
+  graph one breadth-first reach from the first set answers it
+  (``BooleanWorld.component_mask``); on a raster one label table
+  (``_label_table``) over ``ndimage.label``'s labels, with background
+  label 0 cleared.
 * Confetti: one first-arrival painter (``_confetti_paint``) folds each
   batch of grains into a per-cell (time, color) table.  The first time
   chunk, or a repaint from a record, is tested on each grain's stencil; a
@@ -52,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .process import (
     BoxWindow,
@@ -390,7 +393,10 @@ def _cell_pairs(pts: np.ndarray, replica: Optional[np.ndarray], rect: BoxWindow,
     u /= side
     np.minimum(u, np.subtract(shape, 2), out=u)
     np.maximum(u, 0.0, out=u)
-    key = u.astype(np.intp) @ strides
+    # the last axis plus each other axis times its stride (a matmul with
+    # ``strides`` costs more on so few columns)
+    cell = u.astype(np.intp)
+    key = sum((cell[:, a] * strides[a] for a in range(dim - 1)), cell[:, -1])
     if replica is not None:
         key += replica * cells
         cells *= reps
@@ -405,7 +411,8 @@ def _cell_pairs(pts: np.ndarray, replica: Optional[np.ndarray], rect: BoxWindow,
                               + key.take(order)[:, None])
     first[:, 0] = np.arange(1, m + 1)
     count -= first
-    per_row = count.sum(axis=1)
+    # column by column: ``count.sum(axis=1)`` is slow on so few columns
+    per_row = sum(count.T[1:], count[:, 0])
     first, count = first.ravel(), count.ravel()
     # position k of range r is first[r] + k - (pairs before range r)
     end = np.cumsum(count)
@@ -432,9 +439,13 @@ class BooleanWorld:
       unbounded laws have such grains) is tested against every grain in
       one dense row block.
 
-    ``adjacency`` stores both directions of every pair as a symmetric CSR
-    matrix. k=1 components are its connected components (``labels``); both
-    are cached for the world's lifetime.
+    The CSR arrays list both directions of every pair, so the graph is
+    symmetric, and are cached for the world's lifetime. Each k=1 question
+    asks which grains share a component with a seed set, and
+    :meth:`component_mask` answers it with one breadth-first reach: the
+    graph gains a virtual node n whose row lists the seeds, and the
+    directed search from n visits exactly the seeds' components (no
+    component labels are computed).
 
     The block form (:meth:`block`) is one world over the grains of many
     configurations of the same model and rect. Grain i carries the index
@@ -464,9 +475,7 @@ class BooleanWorld:
         self.replica = None if replica is None else replica.compress(keep)
         # per-axis gap of every kept grain to the rect, for the face tests
         self._gap = gap.compress(keep, axis=0)
-        self._adjacency: Optional[csr_matrix] = None
-        self._labels: Optional[np.ndarray] = None
-        self._components = 0
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def block(cls, configs: Sequence[PointConfig], model: BooleanModel,
@@ -528,7 +537,12 @@ class BooleanWorld:
             i, j = small.take(i), small.take(j)
         else:
             i, j = _cell_pairs(pts, replica, self.rect, r_ref)
-        keep = _overlaps(pts.take(i, 0), radii.take(i), pts.take(j, 0), radii.take(j))
+        # one scalar radius when all are equal, with the same bits
+        if np.count_nonzero(radii != radii[0]):
+            r_i, r_j = radii.take(i), radii.take(j)
+        else:
+            r_i = r_j = radii[0]
+        keep = _overlaps(pts.take(i, 0), r_i, pts.take(j, 0), r_j)
         i, j = i.compress(keep), j.compress(keep)
         if len(big):
             block = _overlaps(pts.take(big, 0)[:, None], radii.take(big)[:, None],
@@ -552,33 +566,35 @@ class BooleanWorld:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cols.take(order).astype(np.int32), indptr
 
-    @property
-    def adjacency(self) -> csr_matrix:
-        """Symmetric CSR adjacency of the grain intersection graph."""
-        if self._adjacency is None:
+    def _graph(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cached CSR column indices and index pointer of the
+        intersection graph, from the path that ``_DENSE_MAX`` selects."""
+        if self._csr is None:
             dense = self.n * self.n <= _DENSE_MAX
-            indices, indptr = self._dense_csr() if dense else self._tree_csr()
-            self._adjacency = csr_matrix(
-                (np.ones(len(indices)), indices, indptr), shape=(self.n, self.n)
-            )
-        return self._adjacency
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Connected-component label of every grain."""
-        if self._labels is None:
-            # The adjacency is symmetric, so its strong components are its
-            # connected components; directed=False would add the transpose
-            # on every call (about 100 us against 11-15 us at 22 grains).
-            self._components, self._labels = connected_components(
-                self.adjacency, directed=True, connection="strong"
-            )
-        return self._labels
+            self._csr = self._dense_csr() if dense else self._tree_csr()
+        return self._csr
 
     def component_mask(self, idx: np.ndarray) -> np.ndarray:
-        """Boolean mask of the grains in the components of the grains ``idx``."""
-        labels = self.labels
-        return _label_table(labels, idx, self._components)[labels]
+        """Boolean mask of the grains in the components of the grains ``idx``.
+
+        One directed breadth-first search on the (n+1) x (n+1) graph whose
+        extra last row lists ``idx``; the other rows are symmetric, so the
+        nodes it reaches from n are exactly the components of ``idx``.
+        Searching only the seeded components is several times cheaper than
+        labelling them all."""
+        n = self.n
+        mask = np.zeros(n + 1, dtype=bool)
+        if len(idx):
+            indices, indptr = self._graph()
+            graph = csr_matrix(
+                (np.ones(len(indices) + len(idx)),
+                 np.concatenate([indices, np.asarray(idx, dtype=np.int32)]),
+                 np.append(indptr, indptr[-1] + len(idx))),
+                shape=(n + 1, n + 1),
+            )
+            mask[breadth_first_order(graph, n, directed=True,
+                                     return_predecessors=False)] = True
+        return mask[:n]
 
     # -- point queries -------------------------------------------------------
 
@@ -633,11 +649,9 @@ class BooleanWorld:
         return np.flatnonzero(reach >= half)
 
     def connected(self, idx_a: np.ndarray, idx_b: np.ndarray) -> bool:
-        if len(idx_a) == 0 or len(idx_b) == 0:
-            return False
-        labels = self.labels
-        table = _label_table(labels, idx_a, self._components)
-        return bool(table[labels[idx_b]].any())
+        """Whether a grain of ``idx_a`` and one of ``idx_b`` share a
+        component."""
+        return bool(self.component_mask(idx_a)[idx_b].any())
 
     # -- raster layer --------------------------------------------------------
 

@@ -285,6 +285,10 @@ BAD_INPUT = [
     ("perc", "duality", "--seed", "-1"),
     ("sample", "--seed", str(2**128)),
     ("perc", "critical", "--lo", "0.6", "--hi", "0.2"),
+    # argparse's own errors: a value of the wrong type, and a bare -inf,
+    # which argparse reads as an option, so --n misses its value
+    ("perc", "scan", "--samples", "x"),
+    ("perc", "scan", "--n", "-inf"),
 ]
 # numeric flags that cli.main checks before any command runs, each with its
 # invalid values, given as --flag=value (argparse reads a bare -1 as an
@@ -309,6 +313,15 @@ def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     if value in BAD_NUMBERS.get(flag, ()):
         assert err.startswith(f"error: {flag} must be ")
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("perc", "scan", "--help")])
+def test_help_and_version_exit_zero(tmp_path, capsys, argv):
+    """argparse's own exits other than errors are left as they are."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, env, name", [

@@ -6,13 +6,15 @@ over the resulting matrix. The grain graph's two builds, the dense n x n test
 and the candidate pairs of the integer cell table, are each checked
 against the dense reference on both sides of the grain count that selects
 between them; the cell table also on its own, on rects offset far from the
-origin, on wide sparse rects and in block worlds."""
+origin, on wide sparse rects and in block worlds. The seeded reach behind
+``component_mask`` and ``connected`` is checked on the worlds of both
+builds, including block worlds, worlds of no grain or one, and empty,
+repeated and all-grain seed sets."""
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from poissonlab.percolation import (
     _DENSE_MAX,
@@ -28,6 +30,8 @@ from poissonlab.percolation import (
 )
 from poissonlab.process import BoxWindow, PointConfig
 from poissonlab.stopping import LineSeed, SphereSeed
+
+from grain_graph import csr_labels, grain_labels
 
 SPAN = 8.0
 RECT = BoxWindow((1.0, 1.0), (SPAN - 1.0, SPAN - 1.0))
@@ -104,12 +108,26 @@ def subset(draw, n):
     )
 
 
+def assert_reach_matches(world, adj, a, b):
+    """``component_mask`` and ``connected`` against the plain breadth-first
+    search on ``adj``, from the seed sets ``a``, ``b``, ``a`` twice over,
+    every grain and none, towards ``b``, every grain and none."""
+    every, none = np.arange(world.n), np.array([], dtype=int)
+    for src in (a, b, np.concatenate([a, a]), every, none):
+        reach = reference_depths(adj, src) >= 0
+        mask = world.component_mask(src)
+        assert mask.shape == (world.n,) and mask.dtype == bool
+        assert np.array_equal(mask, reach)
+        for dst in (b, every, none):
+            assert world.connected(src, dst) == bool(reach[dst].any())
+
+
 @settings(max_examples=300, deadline=None)
 @given(worlds(), st.data())
 def test_connectivity_matches_dense_references(case, data):
     world, seed = case
     adj = dense_adjacency(world)
-    labels = world.labels
+    labels = grain_labels(world)
     assert labels.shape == (world.n,)
     comp = reference_partition(adj)
     assert np.array_equal(labels[:, None] == labels, comp[:, None] == comp)
@@ -117,13 +135,24 @@ def test_connectivity_matches_dense_references(case, data):
     seeds = seed.touching(world)
     a = subset(data.draw, world.n)
     b = subset(data.draw, world.n)
-    reach = reference_depths(adj, a) >= 0
-    assert np.array_equal(world.component_mask(a), reach)
+    assert_reach_matches(world, adj, a, b)
     assert np.array_equal(
         world.component_mask(seeds), reference_depths(adj, seeds) >= 0
     )
-    assert world.connected(a, b) == bool(reach[b].any())
     assert world.connected(a, b) == bool(np.intersect1d(comp[a], comp[b]).size)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_reach_on_worlds_of_no_grain_and_one(n):
+    window = BoxWindow((0.0, 0.0), (SPAN, SPAN))
+    points = np.full((n, 2), SPAN / 2.0)
+    model = BooleanModel(1.0, GrainSpec("ball", FixedRadius(1.0)), k=1)
+    world = BooleanWorld(PointConfig(window, points, {"radius": np.ones(n)}), model, RECT)
+    assert world.n == n
+    one = np.zeros(n, dtype=int)
+    assert_reach_matches(world, dense_adjacency(world), one, one)
+    assert world.component_mask(np.zeros(2 * n, dtype=int)).tolist() == [True] * n
+    assert world.connected(one, one) == (n == 1)
 
 
 def csr_entries(n, indices, indptr):
@@ -235,12 +264,9 @@ def test_dense_and_tree_graphs_match_dense_reference(world):
     comp = reference_partition(adj)
     for indices, indptr in (world._dense_csr(), world._tree_csr()):
         assert np.array_equal(csr_entries(n, indices, indptr), adj)
-        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        _, labels = connected_components(graph, directed=True, connection="strong")
-        assert same_partition(labels, comp)
-    used = world.adjacency
-    assert np.array_equal(csr_entries(n, used.indices, used.indptr), adj)
-    assert same_partition(world.labels, comp)
+        assert same_partition(csr_labels(n, indices, indptr), comp)
+    assert np.array_equal(csr_entries(n, *world._graph()), adj)
+    assert same_partition(grain_labels(world), comp)
 
 
 @st.composite
@@ -343,11 +369,12 @@ def cell_table_worlds(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cell_table_worlds())
-def test_cell_table_graph_matches_dense_reference(world):
+@given(cell_table_worlds(), st.data())
+def test_cell_table_graph_matches_dense_reference(world, data):
     """``_tree_csr`` on any number of grains (the dense path's cap does not
     apply here) against the dense reference restricted to pairs of one
-    configuration."""
+    configuration; and the seeded reach on the graph the world uses, which
+    is ``_tree_csr``'s above the dense path's cap."""
     n, radii = world.n, world.radii
     if world.replica is not None:
         event("block world")
@@ -355,11 +382,13 @@ def test_cell_table_graph_matches_dense_reference(world):
         radii > np.quantile(radii, 0.99)
     ):
         event("big grains")
+    event("reach on the tree path" if n * n > _DENSE_MAX else "reach on the dense path")
     adj = dense_adjacency(world)
     if world.replica is not None:
         adj &= world.replica[:, None] == world.replica
     indices, indptr = world._tree_csr()
     assert np.array_equal(csr_entries(n, indices, indptr), adj)
+    assert_reach_matches(world, adj, subset(data.draw, n), subset(data.draw, n))
 
 
 def test_cell_table_keeps_pairs_on_cell_edges():

@@ -48,6 +48,8 @@ from poissonlab.stopping import (
     component_exploration,
 )
 
+from grain_graph import grain_labels
+
 SPAN = 8.0
 RECT = BoxWindow((1.0, 1.0), (SPAN - 1.0, SPAN - 1.0))
 WINDOW = BoxWindow((0.0, 0.0), (SPAN, SPAN))
@@ -277,13 +279,14 @@ def test_contains_block_matches_one_configuration_at_a_time(case):
         assert world.replica is None
         return
     bounds = np.searchsorted(world.replica, np.arange(len(configs) + 1))
+    labels, own_labels = grain_labels(world), [grain_labels(w) for w in own]
     for b, w in enumerate(own):
         part = slice(bounds[b], bounds[b + 1])
         assert np.array_equal(world.points[part], w.points)
         assert np.array_equal(world.radii[part], w.radii)
-        assert np.array_equal(partition(world.labels[part]), partition(w.labels))
+        assert np.array_equal(partition(labels[part]), partition(own_labels[b]))
     # no component holds grains of two configurations
-    assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
+    assert len(np.unique(labels)) == sum(len(np.unique(lab)) for lab in own_labels)
 
 
 @st.composite
@@ -332,11 +335,11 @@ def test_block_world_keeps_coincident_configurations_apart(case):
     world = BooleanWorld.block(configs, oracle.model, oracle.rect)
     event("tree path" if world.n * world.n > _DENSE_MAX else "dense path")
     bounds = np.searchsorted(world.replica, np.arange(len(configs) + 1))
-    own = [BooleanWorld(cfg, oracle.model, oracle.rect) for cfg in configs]
-    for b, w in enumerate(own):
-        assert np.array_equal(partition(world.labels[bounds[b]:bounds[b + 1]]),
-                              partition(w.labels))
-    assert len(np.unique(world.labels)) == sum(len(np.unique(w.labels)) for w in own)
+    own = [grain_labels(BooleanWorld(cfg, oracle.model, oracle.rect)) for cfg in configs]
+    labels = grain_labels(world)
+    for b, lab in enumerate(own):
+        assert np.array_equal(partition(labels[bounds[b]:bounds[b + 1]]), partition(lab))
+    assert len(np.unique(labels)) == sum(len(np.unique(lab)) for lab in own)
 
 
 def dense_near(xs, centers, radii, thr):

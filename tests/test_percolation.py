@@ -36,6 +36,8 @@ from poissonlab.percolation import (
 from poissonlab.process import BoxWindow, PointConfig, _at_most, _bernoulli_se
 from poissonlab.rng import replicate, stream
 
+from grain_graph import grain_labels
+
 DISK1 = GrainSpec("ball", FixedRadius(1.0))
 
 
@@ -65,7 +67,7 @@ def test_component_labels_basics():
     # pairs (0, 1) and (3, 4) overlap; grain 2 touches neither
     pts = [[1.0, 1.0], [2.5, 1.0], [9.0, 1.0], [12.0, 1.0], [13.5, 1.0]]
     w = world_from(pts, [1.0] * 5, model, rect)
-    lab = w.labels
+    lab = grain_labels(w)
     assert lab[0] == lab[1] and lab[3] == lab[4]
     assert len({lab[0], lab[2], lab[3]}) == 3
     assert w.component_mask(np.array([1])).tolist() == [1, 1, 0, 0, 0]
@@ -86,9 +88,11 @@ def test_two_overlapping_balls_one_component():
     model = BooleanModel(1.0, DISK1, k=1)
     rect = BoxWindow((0.0, 0.0), (3.0, 1.0))
     w = world_from([[0.5, 0.5], [2.0, 0.5]], [1.0, 1.0], model, rect)
-    assert w.labels[0] == w.labels[1]
+    lab = grain_labels(w)
+    assert lab[0] == lab[1]
     far = world_from([[0.0, 0.5], [2.5, 0.5]], [1.0, 1.0], model, rect)
-    assert far.labels[0] != far.labels[1]
+    lab = grain_labels(far)
+    assert lab[0] != lab[1]
 
 
 def test_k2_lens_raster_single_component():
@@ -180,12 +184,13 @@ def _matched_routes(world, model, pad_rect, h):
 
     w = BooleanWorld(world.config, model, pad_rect)
     xs, ys = _cell_centers(world.rect, h)
+    lab = grain_labels(w)
     la, lb = set(), set()
     for y in ys:
         for g in w.grains_covering(np.array([xs[0], y])):
-            la.add(w.labels[g])
+            la.add(lab[g])
         for g in w.grains_covering(np.array([xs[-1], y])):
-            lb.add(w.labels[g])
+            lb.add(lab[g])
     exact = len(la & lb) > 0
     occ = w.occupancy_raster(h)
     labels, _ = ndimage.label(occ, structure=np.ones((3, 3)))
@@ -214,11 +219,12 @@ def test_k1_graph_matches_fine_raster_on_500_worlds():
     assert len(mismatched) <= 10  # >= 98% agreement
     still = 0
     for i, w in mismatched:
+        lab = grain_labels(w)
         gaps = [
             np.linalg.norm(w.points[a] - w.points[b]) - w.radii[a] - w.radii[b]
             for a in range(w.n)
             for b in range(a + 1, w.n)
-            if w.labels[a] != w.labels[b]
+            if lab[a] != lab[b]
         ]
         assert min(gaps) < 1.5 * h  # attributable to raster resolution
         world = sample_boolean_world(model, rect, stream(402, i))
