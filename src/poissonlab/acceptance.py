@@ -13,9 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from typing import Callable
@@ -571,33 +571,27 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200):
     return ok, details
 
 
-def check_workers(workers, name: str = "workers") -> int:
-    """``workers`` if it is an integer from 1 to the usable cores, else a
-    ``ValueError`` naming ``name``: a process pool forks every worker at its
-    first task, so the count is checked before any pool exists."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    if not isinstance(workers, numbers.Integral) or not 1 <= workers <= cores:
-        raise ValueError(
-            f"{name} must be an integer from 1 to {cores} (the usable cores), "
-            f"got {workers!r}"
-        )
-    return int(workers)
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the system
+    reports one (``taskset``, cgroup cpusets), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def run(names=None, workers: int = 1) -> list[CriterionResult]:
-    workers = check_workers(workers)
+def run(names=None) -> list[CriterionResult]:
+    """The named criteria's results (all by default) in the order asked: one
+    worker process per criterion, at most one per usable core, and in this
+    process when that is one."""
     names = list(names or ALL_CRITERIA)
     unknown = [n for n in names if n not in ALL_CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(_run_one, n) for n in names}
-            return [futures[n].result() for n in names]
-    return [_run_one(n) for n in names]
+    workers = min(len(names), _usable_cores())
+    if workers == 1:
+        return [_run_one(n) for n in names]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, names))
 
 
 def _run_one(name: str) -> CriterionResult:

@@ -7,8 +7,7 @@ package version.  Each command takes only fixtures of its own kind
 (sample, stopping, chaos, dynamics or perc).  Bad input, such as a fixture
 of another kind, an argument that argparse rejects or a size too large to
 allocate, ends with one "error: ..." line and exit status 2.
-Environment: POISSONLAB_OUTDIR prefixes relative output paths,
-POISSONLAB_WORKERS sets the acceptance worker count.
+Environment: POISSONLAB_OUTDIR prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -264,24 +263,9 @@ def cmd_perc_duality(args) -> int:
     return 0 if bad == 0 else 1
 
 
-def _worker_count(args) -> int:
-    """The acceptance worker count: ``--workers``, else POISSONLAB_WORKERS,
-    else 1, checked by ``acceptance.check_workers`` under the name it came
-    from."""
-    if args.workers is not None:
-        name, text = "--workers", args.workers
-    else:
-        name, text = "POISSONLAB_WORKERS", os.environ.get("POISSONLAB_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = text
-    return acceptance.check_workers(workers, name)
-
-
 def cmd_acceptance(args) -> int:
     names = None if args.which == "all" else [args.which]
-    results = acceptance.run(names, workers=_worker_count(args))
+    results = acceptance.run(names)
     for res in results:
         print(res.line())
     summary = {
@@ -325,9 +309,28 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _FloatToken:
+    """argparse's test for a negative number, widened from ``-1`` and ``-.5``
+    to every token that ``float`` reads, such as ``-inf``, ``-nan`` and
+    ``-1e3``: argparse takes a matching token as a value, not an option."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises argparse's errors, so that ``main`` ends them, as every other
-    bad input, with one ``error:`` line; its subparsers are of this class."""
+    bad input, with one ``error:`` line; its subparsers are of this class.
+    ``--n -inf`` passes -inf to ``main``'s checks, as ``--n=-inf`` does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
@@ -409,10 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", "-o", default="duality.json")
     pa.set_defaults(func=cmd_perc_duality)
 
-    p = sub.add_parser("acceptance", help="run the acceptance suite")
+    p = sub.add_parser("acceptance", help="run the acceptance suite, one worker "
+                       "process per usable core")
     p.add_argument("which", nargs="?", default="all")
-    p.add_argument("--workers", default=None,
-                   help="worker processes, 1 to the usable cores")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_acceptance)
 

@@ -13,7 +13,7 @@ Connectivity conventions
   to ``_DENSE_MAX`` ordered pairs (n * n, about 100 grains) on
   one n x n block, above it on the candidate pairs of one integer cell
   table plus dense rows for the grains above the reference reach.  Both
-  give the same CSR arrays.
+  give the same graph.
   Crossing events inside a rectangle use the grains meeting the
   rectangle; chains may overlap slightly outside it (within one grain
   diameter).  Sphere-reaching events (one-arm) are exact.  A raster layer
@@ -31,9 +31,9 @@ Connectivity conventions
   for them.
 * Every event asks whether two seed sets share a component.  On the grain
   graph one breadth-first reach from the first set answers it
-  (``BooleanWorld.component_mask``); on a raster one label table
-  (``_label_table``) over ``ndimage.label``'s labels, with background
-  label 0 cleared.
+  (``BooleanWorld.component_mask``); on a raster one label table over
+  ``ndimage.label``'s labels, with background label 0 cleared
+  (``_raster_linked``).
 * Confetti: one first-arrival painter (``_confetti_paint``) folds each
   batch of grains into a per-cell (time, color) table.  The first time
   chunk, or a repaint from a record, is tested on each grain's stencil; a
@@ -428,7 +428,8 @@ class BooleanWorld:
 
     Construction only keeps the grains meeting ``rect``. The grain
     intersection graph is built on first use, by one of two paths that
-    apply ``_overlaps`` and give the same CSR matrix:
+    apply ``_overlaps`` and give the same graph (the column order within a
+    row may differ):
 
     * up to ``_DENSE_MAX`` ordered pairs (n * n, so about 100 grains) every
       pair is tested at once in an n x n mask; its row-major nonzeros are
@@ -512,15 +513,17 @@ class BooleanWorld:
         return flat % np.int32(n), indptr.astype(np.int32)
 
     def _tree_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_dense_csr`` from cell-table candidate pairs.  Grains of radius
-        up to r_ref (the law's bound, else the radii's 0.99 quantile) overlap
-        only where every axis gap is below 2*r_ref, so :func:`_cell_pairs`
-        finds their pairs among the grains of neighbouring cells.  Each grain above r_ref is tested
-        against every grain in one dense row, a pair of two such grains in
-        the row of its lower index, and the pairs (i, j) merge by one sort
-        of their ``i*n + j`` keys.  In a block world the table's leading key
-        is the configuration index, so every candidate pair lies in one
-        configuration; the dense rows keep only such pairs."""
+        """``_dense_csr``'s graph from cell-table candidate pairs.  Grains of
+        radius up to r_ref (the law's bound, else the radii's 0.99 quantile)
+        overlap only where every axis gap is below 2*r_ref, so
+        :func:`_cell_pairs` finds their pairs among the grains of
+        neighbouring cells.  Each grain above r_ref is tested against every
+        grain in one dense row, a pair of two such grains in the row of its
+        lower index, and these pairs follow the cell table's: the search
+        reads a set, so their order within a row is free.  In a block world
+        the table's leading key is the configuration index, so every
+        candidate pair lies in one configuration; the dense rows keep only
+        such pairs."""
         n = self.n
         if n < 2:
             return np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
@@ -551,11 +554,8 @@ class BooleanWorld:
             if replica is not None:
                 block &= replica.take(big)[:, None] == replica
             row, col = np.nonzero(block)
-            row = big.take(row)
-            lo, hi = np.minimum(row, col), np.maximum(row, col)
-            keys = np.concatenate([i * n + j, lo * n + hi])
-            keys.sort()
-            i, j = np.divmod(keys, n)
+            i = np.concatenate([i, big.take(row)])
+            j = np.concatenate([j, col])
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
         # Row keys in the smallest unsigned type holding n: numpy sorts
@@ -685,14 +685,6 @@ def _radius_marks(config: PointConfig) -> np.ndarray:
             raise ValueError("config lacks radius marks")
         radii = np.empty(0)
     return radii
-
-
-def _label_table(labels: np.ndarray, idx, size: int) -> np.ndarray:
-    """Per label below ``size``: whether one of the entries ``labels[idx]``
-    carries it."""
-    table = np.zeros(size, dtype=bool)
-    table[labels[idx]] = True
-    return table
 
 
 def _gap(points: np.ndarray, lo, hi) -> np.ndarray:
@@ -963,12 +955,14 @@ def sample_confetti_world(
 ) -> ConfettiWorld:
     """Sample a confetti raster by first-arrival painting.
 
-    Grains arrive in chunks of time, each drawn on the window padded by the
-    largest grain with ``ConfettiMarks``; every chunk goes through the one
-    painter, which ranks the chunk by birth time (among exactly equal times
-    the lower index wins) and keeps the first arrival per cell.  Later
-    chunks have strictly later times, so colored cells keep their color and
-    the painter tests a later chunk only against the cells still open.
+    Grains arrive in chunks of time, each one unit-rate Poisson draw of
+    ``ConfettiMarks`` over the chunk's duration on the window padded by the
+    largest grain, its birth times shifted to the chunk's start.  Every
+    chunk goes through the one painter, which ranks the chunk by birth time
+    (among exactly equal times the lower index wins) and keeps the first
+    arrival per cell.  Later chunks have strictly later times, so colored
+    cells keep their color and the painter tests a later chunk only against
+    the cells still open.
     Painting stops once every cell is colored, or fails with the required
     horizon if the declared horizon is exhausted first.  The record of all
     chunks, their ``PointConfig.join``, repaints to the same raster with
@@ -993,16 +987,15 @@ def sample_confetti_world(
     chunks: list[PointConfig] = []
     while t_lo < horizon:
         t_hi = min(horizon, t_lo + (t_chunk if chunks else t_first))
-        n = rng.poisson(padded.volume * (t_hi - t_lo))
-        pts = padded.sample_uniform(rng, n)
-        marks = ConfettiMarks(
-            model.p, t_hi - t_lo, model.black.law, model.white.law
-        ).sample(rng, n)
-        marks["birth_time"] += t_lo
-        chunks.append(PointConfig(padded, pts, marks))
+        marks = ConfettiMarks(model.p, t_hi - t_lo, model.black.law, model.white.law)
+        chunk = sample_poisson(HomogeneousIntensity(1.0, marks), padded, rng)
+        chunk = PointConfig(padded, chunk.points, {
+            **chunk.marks, "birth_time": chunk.marks["birth_time"] + t_lo
+        })
+        chunks.append(chunk)
         _confetti_paint(
-            best_time, best_black, pts, marks["birth_time"], marks["color"],
-            marks["radius"], rect, resolution, kinds,
+            best_time, best_black, chunk.points, chunk.marks["birth_time"],
+            chunk.marks["color"], chunk.marks["radius"], rect, resolution, kinds,
         )
         t_lo = t_hi
         if not np.any(np.isinf(best_time)):
@@ -1036,7 +1029,8 @@ def _raster_linked(labels: np.ndarray, a, b) -> bool:
     """Whether one component of a labeled raster (``ndimage.label``, so
     the background is label 0) holds a cell of ``a`` and a cell of ``b``;
     each is an index or a boolean mask of the raster."""
-    table = _label_table(labels, a, labels.max(initial=0) + 1)
+    table = np.zeros(labels.max(initial=0) + 1, dtype=bool)
+    table[labels[a]] = True
     table[0] = False
     return bool(table[labels[b]].any())
 

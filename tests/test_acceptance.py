@@ -11,7 +11,7 @@ move the random draws regenerates the record.
 """
 
 import json
-import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -64,20 +64,22 @@ def test_criterion(name):
     assert result.passed, json.dumps(result.details, indent=2, default=str)
 
 
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-    os.cpu_count() or 1)
+def test_run_pools_the_criteria_and_keeps_the_order_asked(monkeypatch):
+    """Two usable cores, whatever the machine has, so a pool of two workers
+    runs; each result equals its record, in the order asked."""
+    pools = []
 
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
 
-@pytest.mark.parametrize("workers", [0, -1, CORES + 1, 1.5, "2"])
-def test_run_rejects_bad_worker_counts_before_any_process(monkeypatch, workers):
-    """A library caller's count is checked before a pool or a criterion
-    runs: the pool would fork every worker at its first task."""
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker count was used before it was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(acceptance, "_run_one", refuse)
-    with pytest.raises(ValueError, match=f"^workers must be an integer from 1 to {CORES} "):
-        acceptance.run(["3"], workers=workers)
+    monkeypatch.setattr(acceptance, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", Pool)
+    names = ["3", "6", "11"]
+    results = acceptance.run(names)
+    assert pools == [2]
+    assert [r.name.split()[0] for r in results] == names
+    for name, result in zip(names, results):
+        assert json.dumps(result.record(), sort_keys=True) == json.dumps(
+            ENTRIES[name], sort_keys=True)

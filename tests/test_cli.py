@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -285,15 +286,14 @@ BAD_INPUT = [
     ("perc", "duality", "--seed", "-1"),
     ("sample", "--seed", str(2**128)),
     ("perc", "critical", "--lo", "0.6", "--hi", "0.2"),
-    # argparse's own errors: a value of the wrong type, and a bare -inf,
-    # which argparse reads as an option, so --n misses its value
+    # argparse's own error for a value of the wrong type; a bare -inf is a
+    # value like any other that float reads, and main's check names --n
     ("perc", "scan", "--samples", "x"),
     ("perc", "scan", "--n", "-inf"),
 ]
 # numeric flags that cli.main checks before any command runs, each with its
-# invalid values, given as --flag=value (argparse reads a bare -1 as an
-# option); the error names the flag.  Model ranges, such as gamma >= 0 or p
-# in [0, 1], keep the model's own messages.
+# invalid values, given as --flag=value; the error names the flag.  Model
+# ranges, such as gamma >= 0 or p in [0, 1], keep the model's own messages.
 BAD_NUMBERS = {"--n": ("nan", "inf", "-inf", "-1", "0"),
                "--lo": ("nan", "inf", "-inf"), "--hi": ("nan", "inf", "-inf"),
                "--p": ("nan", "inf", "-inf")}
@@ -301,6 +301,20 @@ COMMAND_NUMBERS = {("perc", "scan"): ("--n",), ("perc", "critical"): ("--n", "--
                    ("perc", "duality"): ("--n", "--p")}
 BAD_INPUT += [(*command, f"{flag}={value}") for command, flags in COMMAND_NUMBERS.items()
               for flag in flags for value in BAD_NUMBERS[flag]]
+# the same checks with a space before a value that starts with "-": argparse
+# reads every token that float reads (not only -1 and -.5) as a value
+BAD_INPUT += [("perc", "critical", "--n", "-inf"), ("perc", "critical", "--lo", "-nan"),
+              ("perc", "critical", "--hi", "-inf"), ("perc", "duality", "--p", "-inf"),
+              ("perc", "scan", "--n", "-1e3")]
+
+
+def rejected_by_main(flag, value):
+    """Whether cli.main's numeric checks refuse ``value`` for ``flag``: each
+    flag of BAD_NUMBERS must be finite, and --n positive."""
+    if flag not in BAD_NUMBERS:
+        return False
+    x = float(value)
+    return not math.isfinite(x) or (flag == "--n" and x <= 0)
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT)
@@ -309,8 +323,8 @@ def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err[len("error: ")] not in "'\""
-    flag, _, value = argv[-1].partition("=")
-    if value in BAD_NUMBERS.get(flag, ()):
+    flag, value = argv[-1].split("=") if "=" in argv[-1] else argv[-2:]
+    if rejected_by_main(flag, value):
         assert err.startswith(f"error: {flag} must be ")
     assert not (tmp_path / "out.txt").exists()
 
@@ -322,46 +336,6 @@ def test_help_and_version_exit_zero(tmp_path, capsys, argv):
         run(tmp_path, *argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
-
-
-@pytest.mark.parametrize("flag, env, name", [
-    ("-1", None, "--workers"),
-    ("0", None, "--workers"),
-    ("1.5", None, "--workers"),
-    ("two", None, "--workers"),
-    ("100000", None, "--workers"),
-    (None, "-3", "POISSONLAB_WORKERS"),
-    (None, "2.0", "POISSONLAB_WORKERS"),
-    (None, "100000", "POISSONLAB_WORKERS"),
-])
-def test_acceptance_rejects_bad_worker_counts_before_any_process(
-        tmp_path, capsys, monkeypatch, flag, env, name):
-    import concurrent.futures
-
-    from poissonlab import acceptance
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker count was used before it was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(acceptance, "_run_one", refuse)
-    if env is None:
-        monkeypatch.delenv("POISSONLAB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("POISSONLAB_WORKERS", env)
-    argv = ("acceptance", "3") + (("--workers", flag) if flag is not None else ())
-    assert run(tmp_path, *argv, "-o", "acc.json") == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be an integer from 1 to ")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "acc.json").exists()
-
-
-def test_acceptance_flag_overrides_worker_variable(tmp_path, monkeypatch):
-    """``--workers 1`` runs serially even where POISSONLAB_WORKERS names a
-    count that would be refused."""
-    monkeypatch.setenv("POISSONLAB_WORKERS", "100000")
-    assert run(tmp_path, "acceptance", "3", "--workers", "1", "-o", "acc.json") == 0
 
 
 # the smallest counts at which each command runs every fixture of its kind
