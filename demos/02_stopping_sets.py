@@ -35,10 +35,10 @@ empty = PointConfig.empty(window)
 t = entry_time(ctdt, np.array([0.4, 0.0]), empty, resolution=1e-6, t_max=2.0)
 print(f"entry time of x at distance 0.4 under an empty configuration: {t:.6f}")
 
-# The axiom holds for the terminal set, and fails for a deliberately broken
-# oracle (the OPEN ball to the nearest point, which excludes its witness).
-ok = verify_stopping_axiom(ctdt.terminal(), spec, trials=2000, probes=100,
-                           rng=stream(1))
+# The tree is the oracle of its terminal set B(0, tau).  The axiom holds for
+# it, and fails for a deliberately broken oracle (the OPEN ball to the
+# nearest point, which excludes its witness).
+ok = verify_stopping_axiom(ctdt, spec, trials=2000, probes=100, rng=stream(1))
 bad = verify_stopping_axiom(BrokenNearestPointOracle(), spec, trials=200,
                             probes=100, rng=stream(2))
 print(f"ball-growth axiom: passed={ok.passed}; broken oracle failures:"
@@ -46,18 +46,17 @@ print(f"ball-growth axiom: passed={ok.passed}; broken oracle failures:"
 
 # Revealment: the grid maximum of P(x in Z(eta)).
 grid = probe_grid(window, 0.1)
-rev = revealment(ctdt.terminal(), spec, grid, samples=2000, rng=stream(3),
-                 grid_spacing=0.1)
+rev = revealment(ctdt, spec, grid, samples=2000, rng=stream(3), grid_spacing=0.1)
 print(f"revealment delta = {rev.delta:.3f} +- {rev.delta_se:.3f}")
 
 # Expected revealed points: E[eta(Z)] = E[lambda(Z)].
-res = expected_revealed_points(ctdt.terminal(), spec, 2000, stream(4), grid)
+res = expected_revealed_points(ctdt, spec, 2000, stream(4), grid)
 print(f"E[eta(Z)] = {res['e_eta']:.3f} vs E[lambda(Z)] = {res['e_lam']:.3f}")
 
 # Markov property: outside the stopping set, the process can be resampled.
 fns = [("count", lambda c: float(c.size)),
        ("count_disk", lambda c: float(c.count_in(region)))]
-ks = markov_property_check(ctdt.terminal(), spec, fns, 2000, stream(5))
+ks = markov_property_check(ctdt, spec, fns, 2000, stream(5))
 print(f"Markov KS p-values: {[round(p, 3) for p in ks.p_values]}")
 
 # The 3-cell fixture that no continuous decision tree attains.

@@ -20,7 +20,6 @@ from poissonlab.chaos import (
 from poissonlab.fixtures import empty_space_setup
 from poissonlab.process import CellIntensity, DiscreteWindow, ProcessSpec
 from poissonlab.rng import stream
-from poissonlab.stopping import ball_growth_ctdt
 
 # Exact route: single cell of mass 1, f = 1{count = 0}:
 # W_k = e^-2 / k! exactly.
@@ -42,12 +41,11 @@ print("Mehler weights    :", np.round(mc.weights, 4), "+-", np.round(mc.ses, 4))
 
 # Audits on the planar empty-space functional (disk of area pi):
 # Poincare gives pi e^-pi, the OSSS route is sharp.
-_, process, region, f = empty_space_setup(math.pi)
+_, process, f, ctdt = empty_space_setup(math.pi)
 poin = poincare_audit(f, process, samples=30_000, rng=stream(8))
 print(f"variance {poin.lhs:.5f} <= Poincare rhs {poin.rhs:.5f} "
       f"(exact variance {math.exp(-math.pi) * (1 - math.exp(-math.pi)):.5f})")
 
-ctdt = ball_growth_ctdt(region, (0.0, 0.0))
 osss = osss_audit(f, ctdt, process, samples=30_000, rng=stream(9), binary=True)
 print(f"OSSS lhs {osss.lhs:.5f} ~ rhs {osss.rhs:.5f} (sharp: gap "
       f"{abs(osss.rhs - osss.lhs) / osss.lhs:.1%})")

@@ -53,7 +53,6 @@ from .rng import stream
 from .stopping import (
     ConstantRegionSet,
     SphereSeed,
-    ball_growth_ctdt,
     component_exploration,
     markov_property_check,
     nonattainable_fixture,
@@ -127,10 +126,9 @@ def criterion_1_empty_space_sharpness(samples: int = 100_000):
     integral both equal exp(-pi)(1 - exp(-pi)); the bound is sharp."""
     t0 = time.perf_counter()
     target = math.exp(-math.pi) * (1.0 - math.exp(-math.pi))
-    window, process, region, f = empty_space_setup(math.pi)
-    ctdt = ball_growth_ctdt(region, (0.0, 0.0))
+    _, process, f, tree = empty_space_setup(math.pi)
     rep = chaos.osss_audit(
-        f, ctdt, process, samples, stream(SEED, 1), binary=True,
+        f, tree, process, samples, stream(SEED, 1), binary=True,
         determination_checks=100,
     )
     var_hat = rep.lhs / 2.0
@@ -159,13 +157,12 @@ def criterion_1_empty_space_sharpness(samples: int = 100_000):
 def criterion_2_poincare_suboptimal(samples: int = 60_000):
     """lambda(W) = 4: Poincare right side 4 exp(-4), exact variance
     exp(-4)(1-exp(-4)); the OSSS integral is significantly smaller."""
-    window, process, region, f = empty_space_setup(4.0)
+    _, process, f, tree = empty_space_setup(4.0)
     var_target = math.exp(-4.0) * (1.0 - math.exp(-4.0))
     rhs_target = 4.0 * math.exp(-4.0)
     poin = chaos.poincare_audit(f, process, samples, stream(SEED, 2))
-    ctdt = ball_growth_ctdt(region, (0.0, 0.0))
     osss = chaos.osss_audit(
-        f, ctdt, process, samples, stream(SEED, 3), binary=True,
+        f, tree, process, samples, stream(SEED, 3), binary=True,
         determination_checks=100,
     )
     half_rhs = osss.rhs / 2.0
@@ -373,10 +370,9 @@ def _markov_functionals(region):
 def criterion_8_markov_property(samples: int = 2_500):
     """KS two-sample tests (Bonferroni over 5 functionals) for the
     ball-growth terminal set and the line-exploration set."""
-    window, process, region, _ = empty_space_setup(1.0)
-    ball = ball_growth_ctdt(region, (0.0, 0.0)).terminal()
+    _, process, _, ball = empty_space_setup(1.0)
     rep_ball = markov_property_check(
-        ball, process, _markov_functionals(region), samples, stream(SEED, 9)
+        ball, process, _markov_functionals(ball.region), samples, stream(SEED, 9)
     )
 
     n = 6
@@ -505,9 +501,8 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200):
     details: dict = {}
     ok = True
 
-    window, process, region, _ = empty_space_setup(1.0)
+    _, process, _, ball = empty_space_setup(1.0)
     const = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] > 0.0)
-    ball = ball_growth_ctdt(region, (0.0, 0.0)).terminal()
     for sub, (name, oracle, proc) in enumerate(
         (
             ("constant", const, process),

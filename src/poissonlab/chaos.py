@@ -360,7 +360,7 @@ def _check_determination(f, terminal: StoppingSetOracle, process, rng, n=200):
 
 def osss_audit(
     f: Callable[[PointConfig], float],
-    ctdt,
+    terminal: StoppingSetOracle,
     process: ProcessSpec,
     samples: int,
     rng: np.random.Generator,
@@ -369,11 +369,12 @@ def osss_audit(
 ) -> AuditReport:
     """E|f(eta) - f(eta')| <= 2 integral P(x in Z) E|D_x f| lambda(dx).
 
+    ``terminal`` is the stopping set Z that determines f, such as a CTDT,
+    which is the oracle of its terminal set.
     The right side couples an independent membership sample with an
     independent add-one-cost sample at a common lambda-distributed x.
     ``binary=True`` computes the left side analytically as 2 p (1-p).
     """
-    terminal = ctdt.terminal() if hasattr(ctdt, "terminal") else ctdt
     if determination_checks:
         _check_determination(f, terminal, process, rng, determination_checks)
     mass = process.mass

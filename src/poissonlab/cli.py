@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .process import config_to_csv
 from .rng import stream
 from .stopping import (
     BrokenNearestPointOracle,
-    ball_growth_ctdt,
     nonattainable_fixture,
     probe_grid,
     revealment,
@@ -75,24 +75,19 @@ def _write(path: str, text: str, header: dict | None = None) -> None:
 
 
 def cmd_sample(args) -> int:
-    fx = fixtures.get(args.fixture, "sample")
-    process = fixtures.sample_process(fx)
+    process = fixtures.sample_process(fixtures.REGISTRY[args.fixture])
     config = process.sample(stream(args.seed))
     _write(args.output, config_to_csv(config), {"fixture": args.fixture, "seed": args.seed})
     return 0
 
 
 def cmd_stopping_audit(args) -> int:
-    fx = fixtures.get(args.fixture, "stopping")
+    fx = fixtures.REGISTRY[args.fixture]
     seed = args.seed
     report: dict = {"fixture": args.fixture, "seed": seed, "provenance": _provenance()}
     if args.fixture in ("ball-growth", "broken-nearest"):
-        window, process, region, _ = fixtures.empty_space_setup(fx["area"])
-        oracle = (
-            ball_growth_ctdt(region, (0.0, 0.0)).terminal()
-            if args.fixture == "ball-growth"
-            else BrokenNearestPointOracle()
-        )
+        window, process, _, tree = fixtures.empty_space_setup(fx["area"])
+        oracle = tree if args.fixture == "ball-growth" else BrokenNearestPointOracle()
         grid = probe_grid(window, 0.1)
         axiom = verify_stopping_axiom(
             oracle, process, args.trials, args.probes, stream(seed, 0)
@@ -121,21 +116,20 @@ def cmd_stopping_audit(args) -> int:
 
 
 def cmd_chaos_audit(args) -> int:
-    fx = fixtures.get(args.fixture, "chaos")
+    fx = fixtures.REGISTRY[args.fixture]
     seed = args.seed
     name = args.fixture
     if name in ("poincare-empty-space", "osss-empty-space", "sqrt-osss-empty-space"):
-        window, process, region, f = fixtures.empty_space_setup(fx["area"])
-        ctdt = ball_growth_ctdt(region, (0.0, 0.0))
+        window, process, f, tree = fixtures.empty_space_setup(fx["area"])
         if name == "poincare-empty-space":
             rep = chaos.poincare_audit(f, process, args.samples, stream(seed, 0))
         elif name == "osss-empty-space":
             rep = chaos.osss_audit(
-                f, ctdt, process, args.samples, stream(seed, 0), binary=True
+                f, tree, process, args.samples, stream(seed, 0), binary=True
             )
         else:
             rev = revealment(
-                ctdt.terminal(), process, probe_grid(window, 0.1),
+                tree, process, probe_grid(window, 0.1),
                 max(200, args.samples // 10), stream(seed, 1), 0.1,
             )
             rep = chaos.sqrt_osss_audit(
@@ -166,21 +160,21 @@ def cmd_chaos_audit(args) -> int:
 
 
 def cmd_dynamics_run(args) -> int:
-    fx = fixtures.get(args.fixture, "dynamics")
-    process, _ = fixtures.dynamics_setup(fx)
-    path = dynamics.simulate_path(process, fx["horizon"], stream(args.seed))
+    process, _ = fixtures.dynamics_setup(args.fixture)
+    horizon = fixtures.REGISTRY[args.fixture]["horizon"]
+    path = dynamics.simulate_path(process, horizon, stream(args.seed))
     _write(args.output, path.to_csv(), {"fixture": args.fixture, "seed": args.seed})
     return 0
 
 
 def cmd_dynamics_exceptional(args) -> int:
-    fx = fixtures.get(args.fixture, "dynamics")
-    process, f = fixtures.dynamics_setup(fx)
-    path = dynamics.simulate_path(process, fx["horizon"], stream(args.seed))
+    process, f = fixtures.dynamics_setup(args.fixture)
+    horizon = fixtures.REGISTRY[args.fixture]["horizon"]
+    path = dynamics.simulate_path(process, horizon, stream(args.seed))
     times = dynamics.exceptional_times(path, f)
     text = "time\n" + "".join(f"{t:.17g}\n" for t in times)
     _write(args.output, text, {"fixture": args.fixture, "seed": args.seed})
-    print(f"{len(times)} exceptional times on [0, {fx['horizon']}]")
+    print(f"{len(times)} exceptional times on [0, {horizon}]")
     return 0
 
 
@@ -208,7 +202,7 @@ def _perc_model(fx: dict):
 
 
 def cmd_perc_scan(args) -> int:
-    build, resolution, _ = _perc_model(fixtures.get(args.model, "perc"))
+    build, resolution, _ = _perc_model(fixtures.REGISTRY[args.model])
     grid = _parse_grid(args.grid)
     scan = threshold_scan(
         build, grid, args.n, args.samples, args.seed,
@@ -223,7 +217,7 @@ def cmd_perc_scan(args) -> int:
 
 
 def cmd_perc_critical(args) -> int:
-    build, resolution, bracket = _perc_model(fixtures.get(args.model, "perc"))
+    build, resolution, bracket = _perc_model(fixtures.REGISTRY[args.model])
     lo = bracket[0] if args.lo is None else args.lo
     hi = bracket[1] if args.hi is None else args.hi
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
@@ -246,9 +240,7 @@ def cmd_perc_critical(args) -> int:
 
 
 def cmd_perc_duality(args) -> int:
-    fx = fixtures.get(args.model, "perc")
-    if fx["model"] != "confetti":
-        raise ValueError("duality check applies to confetti fixtures")
+    fx = fixtures.REGISTRY[args.model]
     model = fixtures.confetti_model(fx, args.p)
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
     h = fx.get("radius", 1.0) / 10.0
@@ -309,18 +301,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _FloatToken:
-    """argparse's test for a negative number, widened from ``-1`` and ``-.5``
-    to every token that ``float`` reads, such as ``-inf``, ``-nan`` and
-    ``-1e3``: argparse takes a matching token as a value, not an option."""
-
-    @staticmethod
-    def match(token: str) -> bool:
-        try:
-            float(token)
-        except ValueError:
-            return False
-        return True
+# argparse's test for a negative number (``-1``, ``-.5``), widened to every
+# token whose second character is a digit or ``.``, such as ``-1e3`` and the
+# grid ``-0.2:0.6:3`` (no option of ours starts so), and to the other tokens
+# that ``float`` reads, ``-inf``, ``-infinity`` and ``-nan`` in any case:
+# argparse takes a matching token as a value, not an option.
+_VALUE_TOKEN = re.compile(r"-([\d.]|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,10 +316,16 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _FloatToken
+        self._negative_number_matcher = _VALUE_TOKEN
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+
+def _names(kind: str, model: str | None = None) -> list[str]:
+    """The registry's fixtures of ``kind`` (and, if given, of ``model``)."""
+    return [name for name, fx in fixtures.REGISTRY.items()
+            if fx["kind"] == kind and model in (None, fx.get("model"))]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a configuration, write CSV")
-    p.add_argument("--fixture", default="poisson-square")
+    p.add_argument("--fixture", default="poisson-square", choices=_names("sample"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default="sample.csv")
     p.set_defaults(func=cmd_sample)
@@ -350,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stopping", help="stopping-set audits")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     pa = ssub.add_parser("audit")
-    pa.add_argument("--fixture", default="ball-growth")
+    pa.add_argument("--fixture", default="ball-growth", choices=_names("stopping"))
     pa.add_argument("--trials", type=int, default=2000)
     pa.add_argument("--probes", type=int, default=100)
     pa.add_argument("--samples", type=int, default=500)
@@ -361,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="inequality and spectrum audits")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pa = csub.add_parser("audit")
-    pa.add_argument("--fixture", default="osss-empty-space")
+    pa.add_argument("--fixture", default="osss-empty-space", choices=_names("chaos"))
     pa.add_argument("--samples", type=int, default=20000)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--output", "-o", default="chaos_audit.json")
@@ -370,12 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="birth-death paths")
     dsub = p.add_subparsers(dest="subcommand", required=True)
     pa = dsub.add_parser("run")
-    pa.add_argument("--fixture", default="birth-death-small")
+    pa.add_argument("--fixture", default="birth-death-small",
+                    choices=_names("dynamics"))
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--output", "-o", default="path.csv")
     pa.set_defaults(func=cmd_dynamics_run)
     pa = dsub.add_parser("exceptional")
-    pa.add_argument("--fixture", default="crossing-exceptional")
+    pa.add_argument("--fixture", default="crossing-exceptional",
+                    choices=_names("dynamics"))
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--output", "-o", default="exceptional.csv")
     pa.set_defaults(func=cmd_dynamics_exceptional)
@@ -383,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perc", help="percolation experiments")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pa = psub.add_parser("scan")
-    pa.add_argument("--model", default="boolean-k1")
+    pa.add_argument("--model", default="boolean-k1", choices=_names("perc"))
     pa.add_argument("--grid", default="0.2:0.6:9", help="lo:hi:num")
     pa.add_argument("--n", type=float, default=10.0)
     pa.add_argument("--event", default="cross", choices=["cross", "one_arm"])
@@ -392,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", "-o", default="scan.csv")
     pa.set_defaults(func=cmd_perc_scan)
     pa = psub.add_parser("critical")
-    pa.add_argument("--model", default="boolean-k1")
+    pa.add_argument("--model", default="boolean-k1", choices=_names("perc"))
     pa.add_argument("--n", type=float, default=10.0)
     pa.add_argument("--lo", type=float, default=None,
                     help="bracket start (default: 0.2 Boolean gamma, 0.3 confetti p)")
@@ -404,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--output", "-o", default="critical.json")
     pa.set_defaults(func=cmd_perc_critical)
     pa = psub.add_parser("duality")
-    pa.add_argument("--model", default="confetti-symmetric")
+    pa.add_argument("--model", default="confetti-symmetric",
+                    choices=_names("perc", "confetti"))
     pa.add_argument("--p", type=float, default=0.5)
     pa.add_argument("--n", type=float, default=10.0)
     pa.add_argument("--samples", type=int, default=200)

@@ -8,8 +8,8 @@ the confetti model.
 
 A fixture is a flat dict of JSON-able parameters plus a builder; the CLI
 resolves names through :data:`REGISTRY`.  Each entry has a kind (``sample``,
-``stopping``, ``chaos``, ``dynamics`` or ``perc``), and each command accepts
-only fixtures of its own kind: :func:`get` refuses the others.
+``stopping``, ``chaos``, ``dynamics`` or ``perc``), and each command takes
+only the names of its own kind.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .process import (
 )
 from .stopping import (
     LineSeed,
+    ball_growth_ctdt,
     component_exploration,
     nonattainable_fixture,
     probe_grid,
@@ -97,19 +98,6 @@ REGISTRY: dict[str, dict] = {
 }
 
 
-def get(name: str, kind: str) -> dict:
-    """The entry ``name`` with its name added; a ValueError if there is no
-    such entry or it is not of ``kind``."""
-    if name not in REGISTRY:
-        known = sorted(k for k, fx in REGISTRY.items() if fx["kind"] == kind)
-        raise ValueError(f"unknown fixture {name!r}; known: {', '.join(known)}")
-    if REGISTRY[name]["kind"] != kind:
-        raise ValueError(
-            f"fixture {name!r} is a {REGISTRY[name]['kind']} fixture, not {kind}"
-        )
-    return dict(REGISTRY[name], name=name)
-
-
 def boolean_model(fx: dict, gamma: float) -> BooleanModel:
     law = FixedRadius(fx.get("radius", 1.0))
     return BooleanModel(gamma, GrainSpec("ball", law), k=fx.get("k", 1))
@@ -134,7 +122,9 @@ def sample_process(fx: dict) -> ProcessSpec:
 
 
 def empty_space_setup(area: float):
-    """Window, process, region, indicator functional for lambda(W)=area."""
+    """Window, process, indicator functional of the disk W of lambda(W) =
+    area, and the ball-growth tree from the origin that determines it (its
+    ``region`` is W)."""
     r_w = math.sqrt(area / math.pi)
     half = r_w + 0.15
     window = BoxWindow((-half, -half), (half, half))
@@ -146,7 +136,7 @@ def empty_space_setup(area: float):
     def f(cfg):
         return 1.0 if cfg.count_in(region) == 0 else 0.0
 
-    return window, process, region, f
+    return window, process, f, ball_growth_ctdt(region, (0.0, 0.0))
 
 
 def counting_setup(mass: float):
@@ -193,13 +183,14 @@ def crossing_setup(n: float, gamma: float):
     return model, rect, process, f
 
 
-def dynamics_setup(fx: dict):
-    """The process a dynamics fixture's birth-death path runs on, and the
-    functional whose flips along it are its exceptional times: the crossing
-    setup's radius-padded, radius-marked process and its crossing indicator
-    for ``crossing-exceptional``, the plain process of ``window`` and the
-    parity of the count otherwise."""
-    if fx["name"] == "crossing-exceptional":
+def dynamics_setup(name: str):
+    """The process the birth-death path of the dynamics fixture ``name`` runs
+    on, and the functional whose flips along it are its exceptional times:
+    the crossing setup's radius-padded, radius-marked process and its
+    crossing indicator for ``crossing-exceptional``, the plain process of
+    ``window`` and the parity of the count otherwise."""
+    fx = REGISTRY[name]
+    if name == "crossing-exceptional":
         _, _, process, f = crossing_setup(fx["n"], fx["gamma"])
         return process, f
     return sample_process(fx), lambda cfg: float(cfg.size % 2)

@@ -602,16 +602,13 @@ class BooleanWorld:
         x = np.asarray(x, dtype=float)
         return np.flatnonzero(_reaches(_gap(self.points, x, x), self.radii))
 
-    def grains_meeting_face(self, axis: int, coord) -> np.ndarray:
-        """Grains intersecting the closed boundary face {x_axis = coord},
-        clipped to the rect's extent in the other axes; ``coord`` may hold
-        one coordinate per grain (a block world's per-configuration seeds)."""
-        return self.grains_meeting_faces(axis, (coord,))[0]
-
     def grains_meeting_faces(
         self, axis: int, coords: Sequence[float]
     ) -> list[np.ndarray]:
-        """``grains_meeting_face(axis, c)`` for every ``c`` in ``coords``.
+        """The grains intersecting each closed face {x_axis = c}, c in
+        ``coords``, clipped to the rect's extent in the other axes; a ``c``
+        may hold one coordinate per grain (a block world's per-configuration
+        seeds).
 
         The faces reuse the clipped gap kept at construction, with their
         own axis zeroed; each face then adds only its own axis, and closed
@@ -627,7 +624,7 @@ class BooleanWorld:
 
     def grains_meeting_sphere(self, s) -> np.ndarray:
         """Grains intersecting the sphere of radius s around the origin; ``s``
-        may hold one radius per grain, as ``grains_meeting_face``'s coord."""
+        may hold one radius per grain, as a face of ``grains_meeting_faces``."""
         if self.n == 0:
             return np.empty(0, dtype=int)
         dist = np.linalg.norm(self.points, axis=1)
@@ -701,7 +698,10 @@ def _reaches(gap: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _cell_shape(rect: BoxWindow, h: float) -> tuple[int, int]:
-    """(nx, ny): the raster of cells of side ``h`` over ``rect``."""
+    """(nx, ny): the raster of cells of side ``h`` over ``rect``.  Rasters
+    read two coordinates, so a rect that is not planar is refused."""
+    if rect.dim != 2:
+        raise ValueError(f"rasters need a planar rect, got dimension {rect.dim}")
     lo, hi = rect.lo, rect.hi
     nx = max(1, int(round((hi[0] - lo[0]) / h)))
     ny = max(1, int(round((hi[1] - lo[1]) / h)))

@@ -20,8 +20,8 @@ inputs from the shared generator in the order of a per-trial loop, then
 evaluate the block, which draws nothing, so their results are those of
 that loop bit for bit.
 
-CTDTs expose ``membership_at(t, x, mu)`` for an increasing family Z_t;
-terminal sets double as stopping-set oracles.
+CTDTs expose ``membership_at(t, x, mu)`` for an increasing family Z_t; a
+CTDT is the stopping-set oracle of its terminal set.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ class BrokenNearestPointOracle(StoppingSetOracle):
 # Ball-growth CTDT (empty-space functional)
 
 
-class BallGrowthCTDT:
+class BallGrowthCTDT(StoppingSetOracle):
     """Z_t(mu) = closed ball B(x0, tau(mu) ^ t) where tau is the distance
-    from x0 to the nearest configuration point inside the target region W."""
+    from x0 to the nearest configuration point inside the target region W;
+    ``contains`` answers for the terminal set B(x0, tau(mu))."""
 
     def __init__(self, region: Callable[[np.ndarray], np.ndarray], x0: np.ndarray):
         self.region = region
@@ -141,17 +142,8 @@ class BallGrowthCTDT:
         radius = min(self.tau(config), t)
         return np.linalg.norm(xs - self.x0, axis=1) <= radius
 
-    def terminal(self) -> "BallGrowthTerminalSet":
-        return BallGrowthTerminalSet(self)
-
-
-class BallGrowthTerminalSet(StoppingSetOracle):
-    def __init__(self, ctdt: BallGrowthCTDT):
-        self.ctdt = ctdt
-
     def contains(self, xs, config):
-        xs = np.atleast_2d(xs)
-        return np.linalg.norm(xs - self.ctdt.x0, axis=1) <= self.ctdt.tau(config)
+        return np.linalg.norm(np.atleast_2d(xs) - self.x0, axis=1) <= self.tau(config)
 
 
 def ball_growth_ctdt(region: Callable[[np.ndarray], np.ndarray], x0) -> BallGrowthCTDT:
@@ -179,7 +171,7 @@ class LineSeed:
         axis, one per configuration)."""
         coord = self.coord if world.replica is None else np.array(
             [seed.coord for seed in seeds]).take(world.replica)
-        return world.grains_meeting_face(self.axis, coord)
+        return world.grains_meeting_faces(self.axis, (coord,))[0]
 
 
 @dataclass(frozen=True)
@@ -277,7 +269,8 @@ class ExplorationOracle(StoppingSetOracle):
     (``BooleanWorld.block``): each grain is tested against its own
     configuration's seed, and each configuration's probes against its own
     seed and revealed grains (``near``).  ``dilation`` must be finite and
-    >= 0; it defaults to the radius law's bound.  Members of a randomized
+    >= 0; it defaults to the radius law's bound.  ``_near`` reads two
+    coordinates, so ``rect`` must be planar.  Members of a randomized
     family that share the model, rect, dilation and kind of seed (line
     axis) form one block with one seed each.
     """
@@ -289,6 +282,8 @@ class ExplorationOracle(StoppingSetOracle):
         seed: Seed,
         dilation: Optional[float] = None,
     ):
+        if rect.dim != 2:
+            raise ValueError(f"explorations need a planar rect, got dimension {rect.dim}")
         self.model = model
         self.rect = rect
         self.seed = seed

@@ -212,7 +212,7 @@ def test_schramm_steif_empty_space_terminal_set():
     space = DiscreteOracleSpace((1.0,))
     f_counts = lambda c: (np.atleast_2d(c)[:, 0] == 0).astype(float)
     spec = chaos_weights_exact(f_counts, space, 4)
-    term = ball_growth_ctdt(disk_region, (0.0, 0.0)).terminal()
+    term = ball_growth_ctdt(disk_region, (0.0, 0.0))
     grid = probe_grid(WINDOW, 0.1)
     rev = revealment(term, SPEC, grid, 2000, stream(222), grid_spacing=0.1)
     ef2 = math.exp(-1.0)
@@ -228,7 +228,7 @@ def test_sqrt_osss_audit():
     assert rep.passed
     assert abs(rep.rhs - 3 * math.exp(-1)) <= 3 * rep.rhs_se
     # with the true terminal-set revealment it still holds
-    term = ball_growth_ctdt(disk_region, (0.0, 0.0)).terminal()
+    term = ball_growth_ctdt(disk_region, (0.0, 0.0))
     rev = revealment(term, SPEC, probe_grid(WINDOW, 0.1), 1500, stream(224), 0.1)
     rep2 = sqrt_osss_audit(
         empty_indicator, rev.delta, rev.delta_se, SPEC, 20_000, stream(225)

@@ -137,7 +137,7 @@ def test_perc_critical_honours_an_explicit_confetti_bracket(tmp_path):
 def test_dynamics_run_and_exceptional_share_the_crossing_path(tmp_path):
     """``dynamics run`` writes the path whose crossing flips ``dynamics
     exceptional`` counts: the radius-padded window, with radius marks."""
-    fx = fixtures.get("crossing-exceptional", "dynamics")
+    fx = fixtures.REGISTRY["crossing-exceptional"]
     _, _, process, f = fixtures.crossing_setup(fx["n"], fx["gamma"])
     for seed in ("3", "11"):
         assert run(tmp_path, "dynamics", "run", "--fixture", "crossing-exceptional",
@@ -327,6 +327,17 @@ def test_bad_input_ends_with_one_error_line(tmp_path, capsys, argv):
     if rejected_by_main(flag, value):
         assert err.startswith(f"error: {flag} must be ")
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_bare_negative_grid_is_a_value(tmp_path, capsys):
+    """``--grid -0.2:0.6:3`` reaches the model, as ``--grid=-0.2:0.6:3``
+    does, which names the negative gamma; a token such as ``-x`` is still
+    an option string."""
+    assert run(tmp_path, "perc", "scan", "--grid", "-0.2:0.6:3", "-o", "out.csv") == 2
+    assert capsys.readouterr().err == "error: gamma must be finite and >= 0, got -0.2\n"
+    assert run(tmp_path, "perc", "scan", "-x", "-o", "out.csv") == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: -x\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("perc", "scan", "--help")])

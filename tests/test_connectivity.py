@@ -499,7 +499,7 @@ def test_crossing_matches_dense_reference(world):
         got = world.grains_meeting_faces(axis, (RECT.lo[axis], RECT.hi[axis]))
         for g, want, c in zip(got, faces, (RECT.lo[axis], RECT.hi[axis])):
             assert np.array_equal(g, want)
-            assert np.array_equal(world.grains_meeting_face(axis, c), want)
+            assert np.array_equal(world.grains_meeting_faces(axis, (c,))[0], want)
         reached = reference_depths(adj, faces[0]) >= 0
         assert crossing(world, axis) == bool(reached[faces[1]].any())
 

@@ -27,6 +27,7 @@ configurations meet in one grain-graph cell table.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -451,3 +452,13 @@ def test_grain_index_near_on_a_wide_window():
         xs = np.vstack([rng.uniform(0.0, 1e4, (1600, 2)), *planted])
         got = _near(xs, centers, radii, thr)
         assert np.array_equal(got, dense_near(xs, centers, radii, thr)), thr
+
+
+def test_exploration_refuses_a_rect_that_is_not_planar():
+    """Membership reads two coordinates: a line exploration through x = 2
+    of a 4 x 4 x 4 rect would put the probe (2, 2, 100) inside."""
+    rect = BoxWindow((0.0, 0.0, 0.0), (4.0, 4.0, 4.0))
+    model = BooleanModel(1.0, GrainSpec("ball", FixedRadius(1.0)))
+    for seed in (LineSeed(0, 2.0), SphereSeed(1.0)):
+        with pytest.raises(ValueError, match="planar rect, got dimension 3"):
+            component_exploration(model, rect, seed)

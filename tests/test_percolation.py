@@ -107,6 +107,20 @@ def test_k2_lens_raster_single_component():
     assert num == 1
 
 
+def test_rasters_refuse_a_rect_that_is_not_planar():
+    """Rasters read two coordinates: in a 4 x 4 x 4 rect, two unit balls at
+    heights 0.5 and 3.5 do not meet, yet a planar raster would cover the
+    cells above both twice.  Occupancy and confetti rasters refuse the rect."""
+    rect = BoxWindow((0.0, 0.0, 0.0), (4.0, 4.0, 4.0))
+    world = world_from([[2.0, 2.0, 0.5], [2.0, 2.0, 3.5]], [1.0, 1.0],
+                       BooleanModel(1.0, DISK1, k=2), rect)
+    with pytest.raises(ValueError, match="planar rect, got dimension 3"):
+        world.occupancy_raster(0.25)
+    confetti = ConfettiModel(0.5, DISK1, DISK1)
+    with pytest.raises(ValueError, match="planar rect, got dimension 3"):
+        sample_confetti_world(confetti, rect, 0.25, stream(402))
+
+
 def test_is_k_covered():
     model = BooleanModel(1.0, DISK1, k=2)
     rect = BoxWindow((0.0, 0.0), (3.0, 1.0))

@@ -109,7 +109,7 @@ def test_entry_time_detects_non_monotone():
 def test_axiom_constant_and_ball_growth():
     const = ConstantRegionSet(lambda p: np.atleast_2d(p)[:, 0] > 0)
     assert verify_stopping_axiom(const, SPEC, 300, 50, stream(103)).passed
-    term = make_ctdt().terminal()
+    term = make_ctdt()
     assert verify_stopping_axiom(term, SPEC, 1000, 100, stream(104)).passed
 
 
@@ -129,7 +129,7 @@ def test_axiom_nonattainable_fixture():
 
 
 def test_ball_growth_determines_empty_indicator():
-    term = make_ctdt().terminal()
+    term = make_ctdt()
     f = lambda cfg: 1.0 if cfg.count_in(disk_region) == 0 else 0.0
     for i in range(2000):
         cfg = SPEC.sample(stream(107, i))
@@ -137,7 +137,7 @@ def test_ball_growth_determines_empty_indicator():
 
 
 def test_ball_growth_terminal_membership_formula():
-    term = make_ctdt().terminal()
+    term = make_ctdt()
     rng = stream(108)
     for i in range(200):
         cfg = SPEC.sample(stream(109, i))
@@ -189,7 +189,7 @@ def test_expected_revealed_points():
     res = expected_revealed_points(half, SPEC, 3000, stream(313), grid)
     assert res["passed"]
     assert abs(res["e_eta"] - 2.0) <= 3 * res["e_eta_se"]
-    term = make_ctdt().terminal()
+    term = make_ctdt()
     res2 = expected_revealed_points(term, SPEC, 2500, stream(114), grid)
     assert res2["passed"]
     none = ConstantRegionSet(lambda p: np.zeros(len(np.atleast_2d(p)), bool))
