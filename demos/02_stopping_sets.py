@@ -6,15 +6,13 @@ everything outside by an arbitrary configuration and the set (and any
 functional it determines) cannot change.
 """
 
-import math
-
 import numpy as np
 
+from poissonlab.fixtures import empty_space_setup
 from poissonlab.process import BoxWindow, HomogeneousIntensity, PointConfig, ProcessSpec
 from poissonlab.rng import stream
 from poissonlab.stopping import (
     BrokenNearestPointOracle,
-    ball_growth_ctdt,
     entry_time,
     expected_revealed_points,
     markov_property_check,
@@ -26,11 +24,11 @@ from poissonlab.stopping import (
 
 window = BoxWindow((-1.0, -1.0), (1.0, 1.0))
 spec = ProcessSpec(HomogeneousIntensity(1.0), window)
-r_w = 1.0 / math.sqrt(math.pi)  # disk of area 1
-region = lambda p: np.linalg.norm(np.atleast_2d(p), axis=1) <= r_w
 
-# Grown ball: Z_t = B(0, tau ^ t) where tau is the first hit of the disk.
-ctdt = ball_growth_ctdt(region, (0.0, 0.0))
+# Grown ball: Z_t = B(0, tau ^ t) where tau is the first hit of the disk of
+# area 1; the tree and its disk come from the empty-space fixture.
+_, _, _, ctdt = empty_space_setup(1.0)
+region = ctdt.region
 empty = PointConfig.empty(window)
 t = entry_time(ctdt, np.array([0.4, 0.0]), empty, resolution=1e-6, t_max=2.0)
 print(f"entry time of x at distance 0.4 under an empty configuration: {t:.6f}")

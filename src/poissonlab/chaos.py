@@ -36,6 +36,7 @@ from .process import (
     _cov_se,
     _mean_se,
     _need_two,
+    _points,
     _var_se,
     restrict,
 )
@@ -59,12 +60,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _as_points(config: PointConfig, x) -> np.ndarray:
-    if config.is_discrete:
-        return np.atleast_1d(np.asarray(x, dtype=np.int64))
-    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def binary_l1_distance(p_hat: float, n: int) -> tuple[float, float]:
@@ -315,29 +310,23 @@ def chaos_weights_mehler(
 # Audits
 
 
-def _lambda_draw(process: ProcessSpec, rng) -> tuple[np.ndarray, Optional[dict]]:
-    """One point x drawn from the normalized intensity, then its marks."""
-    intensity = process.intensity
-    x = intensity.sample_locations(rng, process.window, 1)
-    marks = intensity.marks
-    return x, (marks.sample(rng, 1) if marks is not None else None)
-
-
 def poincare_audit(
     f: Callable[[PointConfig], float],
     process: ProcessSpec,
     samples: int,
     rng: np.random.Generator,
 ) -> AuditReport:
-    """Var f(eta) <= integral of E[(D_x f)^2] lambda(dx)."""
+    """Var f(eta) <= integral of E[(D_x f)^2] lambda(dx), with D_x f =
+    f(eta + delta_x) - f(eta) and delta_x one point of the normalized
+    intensity, marks included, joined to eta."""
     mass = process.mass
     f_vals = np.empty(samples)
     d_vals = np.empty(samples)
     for i in range(samples):
         f_vals[i] = f(process.sample(rng))
-        x, marks = _lambda_draw(process, rng)
+        x = _points(process.intensity, process.window, 1, rng)
         eta = process.sample(rng)
-        d_vals[i] = mass * (f(eta.add_points(x, marks)) - f(eta)) ** 2
+        d_vals[i] = mass * (f(PointConfig.join((eta, x))) - f(eta)) ** 2
     var, var_se = _var_se(f_vals)
     rhs, rhs_se = _mean_se(d_vals)
     return AuditReport(
@@ -385,11 +374,11 @@ def osss_audit(
         eta1 = process.sample(rng)
         f_vals[i] = f(eta1)
         pair_vals[i] = abs(f_vals[i] - f(process.sample(rng)))
-        x, marks = _lambda_draw(process, rng)
-        member = bool(terminal.contains(_as_points(eta1, x), eta1)[0])
+        x = _points(process.intensity, process.window, 1, rng)
+        member = bool(terminal.contains(x.points, eta1)[0])
         if member:
             eta2 = process.sample(rng)
-            d = abs(f(eta2.add_points(x, marks)) - f(eta2))
+            d = abs(f(PointConfig.join((eta2, x))) - f(eta2))
             rhs_vals[i] = 2.0 * mass * d
         else:
             rhs_vals[i] = 0.0

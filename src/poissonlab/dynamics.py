@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import (
-    HomogeneousIntensity,
-    PointConfig,
-    ProcessSpec,
-    _cov_se,
-    _draw,
-    thin,
-)
+from .process import PointConfig, ProcessSpec, _cov_se, _draw, _points, thin
 
 __all__ = [
     "resample",
@@ -51,11 +44,11 @@ def resample(
 ) -> PointConfig:
     """One Ornstein-Uhlenbeck step of size t.
 
-    The draws are those of ``superpose(thin(config, e^-t, rng),
-    process.scaled(1 - e^-t).sample(rng))``: the thinning mask, then the
-    newcomers' count, locations and marks.  On a homogeneous intensity the
-    scaled process is not built; its mass is the same product in the same
-    order.  ``config`` is taken to lie in ``process.window``.
+    The draws are the thinning mask of ``thin(config, e^-t, rng)``, then
+    the newcomers' count, of mean ``intensity.total_mass(window, 1 - e^-t)``,
+    then their locations (normalised from the unscaled intensity) and marks;
+    the newcomers are joined after the survivors.  ``config`` is taken to
+    lie in ``process.window``.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -64,11 +57,7 @@ def resample(
     keep = math.exp(-t)
     survivors = thin(config, keep, rng)
     intensity, window = process.intensity, process.window
-    if isinstance(intensity, HomogeneousIntensity):
-        mass = intensity.total_mass(window, 1.0 - keep)
-        newcomers = _draw(intensity, window, mass, rng)
-    else:
-        newcomers = process.scaled(1.0 - keep).sample(rng)
+    newcomers = _draw(intensity, window, intensity.total_mass(window, 1.0 - keep), rng)
     return PointConfig.join((survivors, newcomers))
 
 
@@ -155,12 +144,7 @@ def simulate_path(
     initial = process.sample(rng)
     n_births = rng.poisson(mass * horizon)
     birth_times = np.sort(rng.uniform(0.0, horizon, size=n_births))
-    born = PointConfig._fresh(
-        process.window,
-        process.sample_locations(rng, n_births),
-        process.intensity.marks.sample(rng, n_births)
-        if process.intensity.marks is not None else {},
-    )
+    born = _points(process.intensity, process.window, n_births, rng)
     birth = np.concatenate([np.full(initial.size, -np.inf), birth_times])
     death = np.concatenate([rng.exponential(1.0, size=initial.size),
                             birth_times + rng.exponential(1.0, size=n_births)])

@@ -426,10 +426,10 @@ def _cell_pairs(pts: np.ndarray, replica: Optional[np.ndarray], rect: BoxWindow,
 class BooleanWorld:
     """Occupancy structure for one Boolean-model realization.
 
-    Construction only keeps the grains meeting ``rect``. The grain
-    intersection graph is built on first use, by one of two paths that
-    apply ``_overlaps`` and give the same graph (the column order within a
-    row may differ):
+    Construction only keeps the grains meeting ``rect``. Each question
+    builds the grain intersection graph, by one of two paths that apply
+    ``_overlaps`` and give the same graph (the column order within a row
+    may differ):
 
     * up to ``_DENSE_MAX`` ordered pairs (n * n, so about 100 grains) every
       pair is tested at once in an n x n mask; its row-major nonzeros are
@@ -441,12 +441,11 @@ class BooleanWorld:
       one dense row block.
 
     The CSR arrays list both directions of every pair, so the graph is
-    symmetric, and are cached for the world's lifetime. Each k=1 question
-    asks which grains share a component with a seed set, and
-    :meth:`component_mask` answers it with one breadth-first reach: the
-    graph gains a virtual node n whose row lists the seeds, and the
-    directed search from n visits exactly the seeds' components (no
-    component labels are computed).
+    symmetric. Each k=1 question asks which grains share a component with
+    a seed set, and :meth:`component_mask` answers it with one
+    breadth-first reach: the graph gains a virtual node n whose row lists
+    the seeds, and the directed search from n visits exactly the seeds'
+    components (no component labels are computed).
 
     The block form (:meth:`block`) is one world over the grains of many
     configurations of the same model and rect. Grain i carries the index
@@ -476,7 +475,6 @@ class BooleanWorld:
         self.replica = None if replica is None else replica.compress(keep)
         # per-axis gap of every kept grain to the rect, for the face tests
         self._gap = gap.compress(keep, axis=0)
-        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def block(cls, configs: Sequence[PointConfig], model: BooleanModel,
@@ -567,12 +565,11 @@ class BooleanWorld:
         return cols.take(order).astype(np.int32), indptr
 
     def _graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cached CSR column indices and index pointer of the
-        intersection graph, from the path that ``_DENSE_MAX`` selects."""
-        if self._csr is None:
-            dense = self.n * self.n <= _DENSE_MAX
-            self._csr = self._dense_csr() if dense else self._tree_csr()
-        return self._csr
+        """The CSR column indices and index pointer of the intersection
+        graph, from the path that ``_DENSE_MAX`` selects."""
+        if self.n * self.n <= _DENSE_MAX:
+            return self._dense_csr()
+        return self._tree_csr()
 
     def component_mask(self, idx: np.ndarray) -> np.ndarray:
         """Boolean mask of the grains in the components of the grains ``idx``.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -117,6 +117,10 @@ Window = BoxWindow | DiscreteWindow
 class FixedRadius:
     r: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"a fixed radius must be finite and positive, got {self.r}")
+
     @property
     def bound(self) -> Optional[float]:
         return self.r
@@ -132,6 +136,13 @@ class FixedRadius:
 class UniformRadius:
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and 0 <= self.lo < self.hi):
+            raise ValueError(
+                f"a uniform radius law needs finite 0 <= lo < hi, got {self.lo}, {self.hi}"
+            )
 
     @property
     def bound(self) -> Optional[float]:
@@ -158,8 +169,11 @@ class ParetoRadius:
     shape: float
 
     def __post_init__(self):
-        if self.x_min <= 0 or self.shape <= 0:
-            raise ValueError("x_min and shape must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.x_min, self.shape)):
+            raise ValueError(
+                "x_min and shape must be finite and positive, got"
+                f" {self.x_min}, {self.shape}"
+            )
 
     @property
     def bound(self) -> Optional[float]:
@@ -275,12 +289,14 @@ class CellIntensity:
         if any(m < 0 for m in self.masses):
             raise ValueError("cell masses must be nonnegative")
 
-    def total_mass(self, window: Window) -> float:
+    def total_mass(self, window: Window, factor: float = 1.0) -> float:
+        """Sum of the masses, each multiplied by ``factor`` first (factor 1
+        changes no bit)."""
         if not isinstance(window, DiscreteWindow):
             raise TypeError("cell intensity needs a discrete window")
         if len(self.masses) != window.num_cells:
             raise ValueError("mass vector does not match window cell count")
-        return float(sum(self.masses))
+        return float(sum(m * factor for m in self.masses))
 
     def sample_locations(
         self, rng: np.random.Generator, window: DiscreteWindow, n: int
@@ -383,27 +399,6 @@ class PointConfig:
             {k: np.concatenate([c.marks[k] for c in configs]) for k in first.marks},
         )
 
-    def add_points(
-        self, pts: np.ndarray, marks: Optional[dict[str, np.ndarray]] = None
-    ) -> "PointConfig":
-        """New config with extra points appended: eta + delta_x in the Mecke
-        check and the chaos audits.  It appends on its own, not through
-        :meth:`join`, because ``pts`` and ``marks`` are the caller's arrays,
-        checked and converted here."""
-        pts = np.atleast_2d(pts) if not self.is_discrete else np.atleast_1d(pts)
-        marks = marks or {}
-        if marks.keys() != self.marks.keys() and self.size > 0:
-            raise ValueError("mark columns must match to append points")
-        new_marks = {}
-        for k, col in self.marks.items():
-            extra = np.asarray(marks[k])
-            if len(extra) != len(pts):
-                raise ValueError(f"mark column {k!r} has wrong length")
-            new_marks[k] = np.concatenate([col, extra])
-        return PointConfig._fresh(
-            self.window, np.concatenate([self.points, pts]), new_marks
-        )
-
     @staticmethod
     def empty(window: Window, mark_names: tuple[str, ...] = ()) -> "PointConfig":
         if isinstance(window, DiscreteWindow):
@@ -431,19 +426,6 @@ class ProcessSpec:
     def sample(self, rng: np.random.Generator) -> "PointConfig":
         return sample_poisson(self.intensity, self.window, rng)
 
-    def sample_locations(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.intensity.sample_locations(rng, self.window, n)
-
-    def scaled(self, factor: float) -> "ProcessSpec":
-        if isinstance(self.intensity, HomogeneousIntensity):
-            new = replace(self.intensity, gamma=self.intensity.gamma * factor)
-        else:
-            new = replace(
-                self.intensity,
-                masses=tuple(m * factor for m in self.intensity.masses),
-            )
-        return ProcessSpec(new, self.window)
-
 
 def sample_poisson(
     intensity: IntensityModel, window: Window, rng: np.random.Generator
@@ -456,10 +438,19 @@ def _draw(
     intensity: IntensityModel, window: Window, mass: float, rng: np.random.Generator
 ) -> PointConfig:
     """Poisson(mass) points of ``intensity`` on ``window``: the count, then
-    the locations, then the marks."""
+    :func:`_points`.  ``mass`` sets the count alone; on cells the locations
+    are normalised from the intensity's own masses."""
     if not math.isfinite(mass):
         raise ValueError("intensity mass over the window is not finite")
-    n = int(rng.poisson(mass))
+    return _points(intensity, window, int(rng.poisson(mass)), rng)
+
+
+def _points(
+    intensity: IntensityModel, window: Window, n: int, rng: np.random.Generator
+) -> PointConfig:
+    """n points drawn from ``intensity`` normalised to a probability on
+    ``window`` (on cells, from its unscaled masses): the locations, then the
+    marks.  One point is the delta_x of the Poincare and OSSS audits."""
     pts = intensity.sample_locations(rng, window, n)
     marks = intensity.marks.sample(rng, n) if intensity.marks is not None else {}
     return PointConfig._fresh(window, pts, marks)
@@ -610,10 +601,9 @@ def mecke_check(
 
         x = intensity.sample_locations(rng, window, 1)
         eta2 = sample_poisson(intensity, window, rng)
-        marks = (
-            intensity.marks.sample(rng, 1) if intensity.marks is not None else None
-        )
-        rhs_vals[i] = mass * f(x[0], eta2.add_points(x, marks))
+        marks = intensity.marks.sample(rng, 1) if intensity.marks is not None else {}
+        grown = PointConfig.join((eta2, PointConfig._fresh(window, x, marks)))
+        rhs_vals[i] = mass * f(x[0], grown)
         if abs(lhs_vals[i]) > _OVERFLOW_GUARD or abs(rhs_vals[i]) > _OVERFLOW_GUARD:
             raise OverflowError("functional looks unbounded; Mecke check aborted")
     lhs, lhs_se = _mean_se(lhs_vals)

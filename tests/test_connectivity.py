@@ -87,7 +87,7 @@ def worlds(draw):
         radii = np.full(n, law.r)
     else:
         lo = draw(st.floats(0.1, 1.0))
-        hi = lo * draw(st.floats(1.0, 5.0))
+        hi = draw(st.floats(lo, 5.0 * lo, exclude_min=True))
         law = UniformRadius(lo, hi) if law_kind == "uniform" else ParetoRadius(lo, 3.5)
         radii = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
     model = BooleanModel(1.0, GrainSpec("ball", law), k=1)
@@ -186,7 +186,7 @@ def graph_worlds(draw):
     the 0.99 radius quantile, so both are tested by dense rows."""
     law_kind = draw(st.sampled_from(["fixed", "uniform", "pareto"]))
     a = draw(st.integers(1, 6))
-    b = a + draw(st.integers(0, 6))
+    b = a + draw(st.integers(1 if law_kind == "uniform" else 0, 6))
     if law_kind == "fixed":
         law, b = FixedRadius(a * FIFTH), a
     elif law_kind == "uniform":
@@ -456,7 +456,7 @@ def crossing_worlds(draw):
         radius = st.just(law.r)
     else:
         lo = draw(st.floats(0.1, 1.0))
-        hi = lo * draw(st.floats(1.0, 5.0))
+        hi = draw(st.floats(lo, 5.0 * lo, exclude_min=True))
         law = UniformRadius(lo, hi) if law_kind == "uniform" else ParetoRadius(lo, 3.5)
         radius = st.floats(lo, hi)
     pts, radii = [], []

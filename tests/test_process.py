@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from poissonlab.process import (
     BoxWindow,
     CellIntensity,
     DiscreteWindow,
+    FixedRadius,
     HomogeneousIntensity,
+    ParetoRadius,
     PointConfig,
     ProcessSpec,
     RadiusMarks,
@@ -84,6 +87,29 @@ def test_box_window_rejects_non_finite_bounds(bad):
     for lo, hi in (((0.0, 0.0), (bad, 1.0)), ((bad, 0.0), (1.0, 1.0))):
         with pytest.raises(ValueError, match="bounds must be finite.*" + str(bad)):
             BoxWindow(lo, hi)
+
+
+@pytest.mark.parametrize("law, args, bad", [
+    (FixedRadius, (-0.5,), "-0.5"),
+    (FixedRadius, (0.0,), "0.0"),
+    (FixedRadius, (math.inf,), "inf"),
+    (FixedRadius, (math.nan,), "nan"),
+    (UniformRadius, (-1.0, 1.0), "-1.0"),
+    (UniformRadius, (1.0, 1.0), "1.0, 1.0"),
+    (UniformRadius, (2.0, 1.0), "2.0, 1.0"),
+    (UniformRadius, (0.5, math.inf), "inf"),
+    (UniformRadius, (math.nan, 1.0), "nan"),
+    (ParetoRadius, (math.inf, math.nan), "inf, nan"),
+    (ParetoRadius, (0.5, math.inf), "inf"),
+    (ParetoRadius, (-0.5, 3.5), "-0.5"),
+    (ParetoRadius, (0.5, 0.0), "0.0"),
+])
+def test_radius_laws_reject_non_positive_or_non_finite_radii(law, args, bad):
+    """A negative radius would shrink the padded window, and the grain
+    filter (r^2) and the overlap test (r_i + r_j) would read its sign
+    differently."""
+    with pytest.raises(ValueError, match="got .*" + re.escape(bad)):
+        law(*args)
 
 
 # -- restrict / superpose algebra ---------------------------------------------

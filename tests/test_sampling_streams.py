@@ -1,18 +1,22 @@
 """Stream identity of the lean samplers.
 
-``ProcessSpec.sample``, ``dynamics.resample``, ``chaos._lambda_draw`` and
-``PointConfig.add_points`` skip numpy's broadcasting ``uniform``, the scaled
-process and the public constructor.  Each must draw exactly what the plain
-formulation below draws, bit for bit and in the same order, and leave the
-generator in the same state: the next draw after it is compared too, and
-so is the mean of every Poisson count.  The
-plain formulation is the one every pinned result was produced with:
+``ProcessSpec.sample``, ``dynamics.resample``, ``process._points`` (the
+delta_x of the audits, joined to eta) and ``process.mecke_check`` skip
+numpy's broadcasting ``uniform`` and the public constructor.  Each must
+draw exactly what the plain formulation below draws, bit for bit and in the
+same order, and leave the generator in the same state: the next draw after
+it is compared too, and so is the mean of every Poisson count.  The plain
+formulation is the one every pinned result was produced with:
 
 * locations ``rng.uniform(lo, hi, size=(n, d))`` on boxes and
-  ``rng.choice(cells, p=masses / sum)`` on cells;
+  ``rng.choice(cells, p=masses / sum)`` on cells, always from the
+  intensity's own (unscaled) masses (``resample`` once normalised the
+  scaled masses, equal up to rounding; no pinned record moved);
 * ``resample``: the thinning mask (no draw when nothing is kept back),
-  then a fresh sample of the process with its intensity scaled by
-  ``1 - e^-t``, appended after the survivors.
+  then a fresh count at the intensity scaled by ``1 - e^-t``, its
+  locations and its marks, appended after the survivors;
+* ``mecke_check``: per sample eta, then x's location, then eta', then x's
+  marks, with x appended after eta'.
 
 The identity rests on numpy computing ``uniform`` as ``lo + (hi - lo) *
 next_double`` without a fused multiply-add; this test, not that reasoning,
@@ -26,7 +30,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonlab.chaos import _lambda_draw
 from poissonlab.dynamics import resample
 from poissonlab.process import (
     BoxWindow,
@@ -40,6 +43,8 @@ from poissonlab.process import (
     ProcessSpec,
     RadiusMarks,
     UniformRadius,
+    _points,
+    mecke_check,
 )
 from poissonlab.rng import stream
 
@@ -64,12 +69,16 @@ def plain_mass(intensity, window):
     return float(sum(intensity.masses))
 
 
-def plain_sample(intensity, window, rng):
-    """(points, marks) of one Poisson draw: count, locations, marks."""
-    n = int(rng.poisson(plain_mass(intensity, window)))
+def plain_sample(intensity, window, rng, factor=1.0):
+    """(points, marks) of one Poisson draw: the count at the intensity
+    scaled by ``factor``, then the locations and marks of the unscaled one."""
+    n = int(rng.poisson(plain_mass(plain_scaled(intensity, factor), window)))
     pts = plain_locations(intensity, window, rng, n)
-    marks = intensity.marks.sample(rng, n) if intensity.marks is not None else {}
-    return pts, marks
+    return pts, plain_marks(intensity, rng, n)
+
+
+def plain_marks(intensity, rng, n):
+    return intensity.marks.sample(rng, n) if intensity.marks is not None else {}
 
 
 def plain_scaled(intensity, factor):
@@ -84,8 +93,8 @@ def plain_resample(config, t, process, rng):
     if keep != 1.0 and config.size:
         mask = rng.random(config.size) < keep
         pts, marks = pts[mask], {k: v[mask] for k, v in marks.items()}
-    new_pts, new_marks = plain_sample(plain_scaled(process.intensity, 1.0 - keep),
-                                      process.window, rng)
+    new_pts, new_marks = plain_sample(process.intensity, process.window, rng,
+                                      1.0 - keep)
     return (np.concatenate([pts, new_pts]),
             {k: np.concatenate([v, new_marks[k]]) for k, v in marks.items()})
 
@@ -192,17 +201,12 @@ def test_sample_and_lambda_draw_match_plain_draws(process, seed):
     assert same_config(config, pts, marks) and frozen(config)
     assert config.window == process.window
 
-    x, x_marks = _lambda_draw(process, got_rng)
+    x = _points(process.intensity, process.window, 1, got_rng)
     want_x = plain_locations(process.intensity, process.window, want_rng, 1)
-    assert same(x, want_x)
-    if process.intensity.marks is None:
-        assert x_marks is None
-    else:
-        want = process.intensity.marks.sample(want_rng, 1)
-        assert x_marks.keys() == want.keys()
-        assert all(same(x_marks[k], want[k]) for k in want)
+    x_marks = plain_marks(process.intensity, want_rng, 1)
+    assert same_config(x, want_x, x_marks) and frozen(x)
 
-    grown = config.add_points(x, x_marks)
+    grown = PointConfig.join((config, x))
     assert same(grown.points, np.concatenate([pts, want_x]))
     for k in marks:
         assert same(grown.marks[k], np.concatenate([marks[k], x_marks[k]]))
@@ -221,6 +225,49 @@ def test_resample_matches_thin_then_scaled_sample(process, t, seed):
     pts, marks = plain_resample(base, t, process, want_rng)
     assert same_config(got, pts, marks) and frozen(got)
     assert got.window == process.window
+    assert got_rng.means == want_rng.means
+    assert got_rng.random() == want_rng.random()
+
+
+def weighted_sum(x, eta):
+    """A Mecke functional that reads x and every point and mark of eta in
+    order, so a point or mark out of place changes its bits."""
+    w = np.arange(1.0, eta.size + 1)
+    total = float(np.sum(x))
+    if eta.size:
+        total += float(w @ eta.points.reshape(eta.size, -1).sum(axis=1))
+    for k in sorted(eta.marks):
+        total += float(w @ eta.marks[k])
+    return total
+
+
+def plain_mecke(f, intensity, window, samples, rng):
+    """Both sides of ``mecke_check`` drawn as eta, x's location, eta', x's
+    marks; x joins eta' as a one-point configuration."""
+    mass = plain_mass(intensity, window)
+    lhs, rhs = np.empty(samples), np.empty(samples)
+    for i in range(samples):
+        eta = PointConfig(window, *plain_sample(intensity, window, rng))
+        total = 0.0
+        for j in range(eta.size):
+            total += f(eta.points[j], eta)
+        lhs[i] = total
+        x = plain_locations(intensity, window, rng, 1)
+        eta2 = PointConfig(window, *plain_sample(intensity, window, rng))
+        delta = PointConfig(window, x, plain_marks(intensity, rng, 1))
+        rhs[i] = mass * f(x[0], PointConfig.join((eta2, delta)))
+    return [(v.mean(), v.std(ddof=1) / np.sqrt(samples)) for v in (lhs, rhs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(processes, st.integers(0, 2**32 - 1))
+def test_mecke_check_draws_x_location_then_eta_then_x_marks(process, seed):
+    got_rng, want_rng = streams(seed)
+    got = mecke_check(weighted_sum, process.intensity, process.window, 3, got_rng)
+    (lhs, lhs_se), (rhs, rhs_se) = plain_mecke(
+        weighted_sum, process.intensity, process.window, 3, want_rng)
+    bits = lambda *vals: [float(v).hex() for v in vals]
+    assert bits(got.lhs, got.lhs_se, got.rhs, got.rhs_se) == bits(lhs, lhs_se, rhs, rhs_se)
     assert got_rng.means == want_rng.means
     assert got_rng.random() == want_rng.random()
 
