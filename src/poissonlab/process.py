@@ -450,7 +450,8 @@ def _points(
 ) -> PointConfig:
     """n points drawn from ``intensity`` normalised to a probability on
     ``window`` (on cells, from its unscaled masses): the locations, then the
-    marks.  One point is the delta_x of the Poincare and OSSS audits."""
+    marks.  One point is the delta_x of the Poincare and OSSS audits and of
+    :func:`mecke_check`."""
     pts = intensity.sample_locations(rng, window, n)
     marks = intensity.marks.sample(rng, n) if intensity.marks is not None else {}
     return PointConfig._fresh(window, pts, marks)
@@ -599,11 +600,9 @@ def mecke_check(
             total += f(eta.points[j], eta)
         lhs_vals[i] = total
 
-        x = intensity.sample_locations(rng, window, 1)
+        x = _points(intensity, window, 1, rng)
         eta2 = sample_poisson(intensity, window, rng)
-        marks = intensity.marks.sample(rng, 1) if intensity.marks is not None else {}
-        grown = PointConfig.join((eta2, PointConfig._fresh(window, x, marks)))
-        rhs_vals[i] = mass * f(x[0], grown)
+        rhs_vals[i] = mass * f(x.points[0], PointConfig.join((eta2, x)))
         if abs(lhs_vals[i]) > _OVERFLOW_GUARD or abs(rhs_vals[i]) > _OVERFLOW_GUARD:
             raise OverflowError("functional looks unbounded; Mecke check aborted")
     lhs, lhs_se = _mean_se(lhs_vals)

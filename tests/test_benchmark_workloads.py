@@ -7,14 +7,27 @@ timed block and its reference checks, and asserts that none fails, so a
 removed or renamed name that a workload uses fails here too.
 """
 
+import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+_BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
-import workloads  # noqa: E402
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# workloads.py imports its sibling ``reference`` by bare name; that name is
+# bound only while workloads.py loads, and sys.path is left as it was
+with mock.patch.dict(sys.modules, {"reference": _load("reference")}):
+    workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))

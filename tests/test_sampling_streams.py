@@ -9,14 +9,15 @@ it is compared too, and so is the mean of every Poisson count.  The plain
 formulation is the one every pinned result was produced with:
 
 * locations ``rng.uniform(lo, hi, size=(n, d))`` on boxes and
-  ``rng.choice(cells, p=masses / sum)`` on cells, always from the
-  intensity's own (unscaled) masses (``resample`` once normalised the
-  scaled masses, equal up to rounding; no pinned record moved);
+  ``rng.choice(cells, p=masses / sum)`` on cells;
 * ``resample``: the thinning mask (no draw when nothing is kept back),
-  then a fresh count at the intensity scaled by ``1 - e^-t``, its
-  locations and its marks, appended after the survivors;
-* ``mecke_check``: per sample eta, then x's location, then eta', then x's
-  marks, with x appended after eta'.
+  then a fresh sample of the process with its intensity scaled by
+  ``1 - e^-t``, appended after the survivors (``resample`` takes the
+  locations of cells from the unscaled masses, equal to the scaled ones up
+  to rounding; the reference keeps the scaled ones, so the test shows that
+  the rounding moves no draw);
+* ``mecke_check``: per sample eta, then x (its location, then its marks),
+  then eta', with x appended after eta'.
 
 The identity rests on numpy computing ``uniform`` as ``lo + (hi - lo) *
 next_double`` without a fused multiply-add; this test, not that reasoning,
@@ -69,10 +70,9 @@ def plain_mass(intensity, window):
     return float(sum(intensity.masses))
 
 
-def plain_sample(intensity, window, rng, factor=1.0):
-    """(points, marks) of one Poisson draw: the count at the intensity
-    scaled by ``factor``, then the locations and marks of the unscaled one."""
-    n = int(rng.poisson(plain_mass(plain_scaled(intensity, factor), window)))
+def plain_sample(intensity, window, rng):
+    """(points, marks) of one Poisson draw: count, locations, marks."""
+    n = int(rng.poisson(plain_mass(intensity, window)))
     pts = plain_locations(intensity, window, rng, n)
     return pts, plain_marks(intensity, rng, n)
 
@@ -93,8 +93,8 @@ def plain_resample(config, t, process, rng):
     if keep != 1.0 and config.size:
         mask = rng.random(config.size) < keep
         pts, marks = pts[mask], {k: v[mask] for k, v in marks.items()}
-    new_pts, new_marks = plain_sample(process.intensity, process.window, rng,
-                                      1.0 - keep)
+    new_pts, new_marks = plain_sample(plain_scaled(process.intensity, 1.0 - keep),
+                                      process.window, rng)
     return (np.concatenate([pts, new_pts]),
             {k: np.concatenate([v, new_marks[k]]) for k, v in marks.items()})
 
@@ -242,8 +242,8 @@ def weighted_sum(x, eta):
 
 
 def plain_mecke(f, intensity, window, samples, rng):
-    """Both sides of ``mecke_check`` drawn as eta, x's location, eta', x's
-    marks; x joins eta' as a one-point configuration."""
+    """Both sides of ``mecke_check`` drawn as eta, x's location, x's marks,
+    eta'; x joins eta' as a one-point configuration."""
     mass = plain_mass(intensity, window)
     lhs, rhs = np.empty(samples), np.empty(samples)
     for i in range(samples):
@@ -253,15 +253,15 @@ def plain_mecke(f, intensity, window, samples, rng):
             total += f(eta.points[j], eta)
         lhs[i] = total
         x = plain_locations(intensity, window, rng, 1)
-        eta2 = PointConfig(window, *plain_sample(intensity, window, rng))
         delta = PointConfig(window, x, plain_marks(intensity, rng, 1))
+        eta2 = PointConfig(window, *plain_sample(intensity, window, rng))
         rhs[i] = mass * f(x[0], PointConfig.join((eta2, delta)))
     return [(v.mean(), v.std(ddof=1) / np.sqrt(samples)) for v in (lhs, rhs)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(processes, st.integers(0, 2**32 - 1))
-def test_mecke_check_draws_x_location_then_eta_then_x_marks(process, seed):
+def test_mecke_check_draws_x_then_eta2(process, seed):
     got_rng, want_rng = streams(seed)
     got = mecke_check(weighted_sum, process.intensity, process.window, 3, got_rng)
     (lhs, lhs_se), (rhs, rhs_se) = plain_mecke(
