@@ -48,7 +48,7 @@ from .percolation import (
     one_arm_decay_fit,
     truncation_flips,
 )
-from .process import BoxWindow, ProcessSpec, _at_most, _bernoulli_se, _cov_se
+from .process import BoxWindow, ProcessSpec, _at_most, _bernoulli_se, _cov_se, _plain
 from .rng import stream
 from .stopping import (
     ConstantRegionSet,
@@ -87,16 +87,6 @@ class CriterionResult:
             "details": json.loads(text),
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
 
 
 ALL_CRITERIA: dict[str, Callable[[], CriterionResult]] = {}
@@ -276,9 +266,7 @@ def criterion_5_schramm_steif(
         rev = line_revealment(n, gamma, delta_samples[idx], stream(SEED, 7, idx))
         ef2 = spec.mean  # {0,1}-valued: E f^2 = E f
         ef2_se = spec.extras["mean_se"]
-        audit = chaos.schramm_steif_audit(
-            rev.delta, rev.delta_se, spec, ef2, ef2_se, k_max=4
-        )
+        audit = chaos.schramm_steif_audit(rev.delta, rev.delta_se, spec, ef2, ef2_se)
         ok &= audit.passed
         deltas.append((rev.delta, rev.delta_se))
         details["per_n"].append(

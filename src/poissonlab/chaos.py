@@ -36,6 +36,7 @@ from .process import (
     _cov_se,
     _mean_se,
     _need_two,
+    _plain,
     _points,
     _var_se,
     restrict,
@@ -165,17 +166,8 @@ class ChaosSpectrum:
         return self.mean**2 + float(np.sum(self.weights))
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "weights": self.weights.tolist(),
-            "ses": None if self.ses is None else self.ses.tolist(),
-            "exact": self.exact,
-            "truncation_error": self.truncation_error,
-            **{
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.extras.items()
-            },
-        }
+        fields = {k: v for k, v in vars(self).items() if k != "extras"}
+        return _plain({**fields, **self.extras})
 
 
 def chaos_weights_exact(
@@ -406,17 +398,16 @@ def schramm_steif_audit(
     spectrum: ChaosSpectrum,
     ef2: float,
     ef2_se: float,
-    k_max: Optional[int] = None,
 ) -> AuditReport:
-    """W_k <= k * delta * E[f^2] for each k, from precomputed ingredients.
+    """W_k <= k * delta * E[f^2] for each k of the spectrum, from precomputed
+    ingredients.
 
     ``delta`` should come from a revealment estimate of a stopping set
     determining f; ``spectrum`` from either weight route.
     """
-    k_max = k_max or spectrum.k_max
     rows = []
     ok = True
-    for k in range(1, k_max + 1):
+    for k in range(1, spectrum.k_max + 1):
         w = float(spectrum.weights[k - 1])
         w_se = float(spectrum.ses[k - 1]) if spectrum.ses is not None else 0.0
         bound = k * delta * ef2

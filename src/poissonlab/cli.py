@@ -31,7 +31,7 @@ from .percolation import (
     estimate_critical,
     threshold_scan,
 )
-from .process import config_to_csv
+from .process import _csv, _plain, config_to_csv
 from .rng import stream
 from .stopping import (
     BrokenNearestPointOracle,
@@ -64,10 +64,16 @@ def _header(args: dict) -> str:
     return f"# poissonlab {__version__} {payload}\n"
 
 
-def _write(path: str, text: str, header: dict | None = None) -> None:
+def _write(path: str, result: str | dict, fields: dict | None = None) -> None:
+    """Write CSV text under the header of its ``fields``, or a dict as JSON
+    in the normal form of ``process._plain`` with the provenance stamp."""
+    if isinstance(result, dict):
+        stamped = _plain({**result, "provenance": _provenance()})
+        text = json.dumps(stamped, indent=2, sort_keys=True)
+    else:
+        text = _header(fields) + result
     target = _outpath(path)
-    body = (_header(header) if header is not None else "") + text
-    target.write_text(body)
+    target.write_text(text)
     print(f"wrote {target}")
 
 
@@ -84,7 +90,7 @@ def cmd_sample(args) -> int:
 def cmd_stopping_audit(args) -> int:
     fx = fixtures.REGISTRY[args.fixture]
     seed = args.seed
-    report: dict = {"fixture": args.fixture, "seed": seed, "provenance": _provenance()}
+    report: dict = {"fixture": args.fixture, "seed": seed}
     if args.fixture in ("ball-growth", "broken-nearest"):
         window, process, _, tree = fixtures.empty_space_setup(fx["area"])
         oracle = tree if args.fixture == "ball-growth" else BrokenNearestPointOracle()
@@ -111,7 +117,7 @@ def cmd_stopping_audit(args) -> int:
             oracle, process, args.trials, 3, stream(seed, 0)
         )
         report["axiom"] = axiom.to_dict()
-    _write(args.output, json.dumps(report, indent=2, sort_keys=True), None)
+    _write(args.output, report)
     return 0 if report["axiom"]["passed"] == (args.fixture != "broken-nearest") else 1
 
 
@@ -148,12 +154,7 @@ def cmd_chaos_audit(args) -> int:
     else:  # cond-moment-nonattainable
         space, oracle, u1 = fixtures.cond_moment_setup(fx["masses"])
         payload = chaos.cond_moment_audit(u1, 1, oracle.cells_mask, space)
-    payload = {**payload, "provenance": _provenance()}
-    _write(
-        args.output,
-        json.dumps(payload, indent=2, sort_keys=True, default=float),
-        None,
-    )
+    _write(args.output, payload)
     passed = payload.get("passed", True)
     print(f"{name}: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
@@ -172,7 +173,7 @@ def cmd_dynamics_exceptional(args) -> int:
     horizon = fixtures.REGISTRY[args.fixture]["horizon"]
     path = dynamics.simulate_path(process, horizon, stream(args.seed))
     times = dynamics.exceptional_times(path, f)
-    text = "time\n" + "".join(f"{t:.17g}\n" for t in times)
+    text = _csv(["time"], ([t] for t in times))
     _write(args.output, text, {"fixture": args.fixture, "seed": args.seed})
     print(f"{len(times)} exceptional times on [0, {horizon}]")
     return 0
@@ -230,11 +231,10 @@ def cmd_perc_critical(args) -> int:
     est, ci = estimate_critical(
         prob_at, lo, hi, tolerance=args.tolerance, base_samples=args.samples
     )
-    payload = {
+    _write(args.output, {
         "model": args.model, "n": args.n, "estimate": est, "ci": ci,
-        "bracket": [lo, hi], "seed": args.seed, "provenance": _provenance(),
-    }
-    _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
+        "bracket": [lo, hi], "seed": args.seed,
+    })
     print(f"critical estimate {est:.4f} +- {ci:.4f}")
     return 0
 
@@ -245,12 +245,10 @@ def cmd_perc_duality(args) -> int:
     rect = BoxWindow((0.0, 0.0), (float(args.n), float(args.n)))
     h = fx.get("radius", 1.0) / 10.0
     hits, bad = confetti_duality_counts(model, rect, h, args.samples, (args.seed,))
-    payload = {
+    _write(args.output, {
         "model": args.model, "p": args.p, "n": args.n, "samples": args.samples,
-        "crossing_rate": hits / args.samples, "xor_violations": bad,
-        "seed": args.seed, "provenance": _provenance(),
-    }
-    _write(args.output, json.dumps(payload, indent=2, sort_keys=True), None)
+        "crossing_rate": hits / args.samples, "xor_violations": bad, "seed": args.seed,
+    })
     print(f"duality XOR violations: {bad}/{args.samples}")
     return 0 if bad == 0 else 1
 
@@ -263,11 +261,10 @@ def cmd_acceptance(args) -> int:
     summary = {
         "version": __version__,
         "passed": all(r.passed for r in results),
-        "provenance": _provenance(),
         "criteria": [r.record() for r in results],
     }
     if args.output:
-        _write(args.output, json.dumps(summary, indent=2, sort_keys=True), None)
+        _write(args.output, summary)
     return 0 if summary["passed"] else 1
 
 

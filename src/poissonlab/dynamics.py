@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import PointConfig, ProcessSpec, _cov_se, _draw, _points, thin
+from .process import PointConfig, ProcessSpec, _cov_se, _csv, _draw, _points, thin
 
 __all__ = [
     "resample",
@@ -50,8 +50,8 @@ def resample(
     the newcomers are joined after the survivors.  ``config`` is taken to
     lie in ``process.window``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return config
     keep = math.exp(-t)
@@ -113,17 +113,13 @@ class BirthDeathPath:
         pts, marks = self.config.points, self.config.marks
         dim = 1 if pts.ndim == 1 else pts.shape[1]
         mark_names = sorted(marks)
-        cols = ["time", "kind", "point_id"]
-        cols += [f"x{i}" for i in range(dim)]
-        cols += mark_names
-        lines = [",".join(cols)]
-        for time, kind, pid in self.events:
-            loc = np.atleast_1d(pts[pid])
-            row = [f"{time:.17g}", "birth" if kind > 0 else "death", str(pid)]
-            row += [f"{v:.17g}" for v in loc]
-            row += [f"{float(marks[k][pid]):.17g}" for k in mark_names]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        cols = ["time", "kind", "point_id", *(f"x{i}" for i in range(dim)), *mark_names]
+        rows = (
+            [time, "birth" if kind > 0 else "death", pid, *np.atleast_1d(pts[pid]),
+             *(marks[k][pid] for k in mark_names)]
+            for time, kind, pid in self.events
+        )
+        return _csv(cols, rows)
 
 
 def simulate_path(

@@ -68,6 +68,7 @@ from .process import (
     RadiusMarks,
     UniformRadius,
     _bernoulli_se,
+    _csv,
     sample_poisson,
 )
 from .rng import replicate
@@ -1183,12 +1184,11 @@ class ThresholdScan:
     seed: int
 
     def to_csv(self) -> str:
-        lines = ["param,n,estimate,se,samples,seed"]
-        for p, e, s in zip(self.params, self.estimates, self.ses):
-            lines.append(
-                f"{p:.17g},{self.n:.17g},{e:.17g},{s:.17g},{self.samples},{self.seed}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(
+            ["param", "n", "estimate", "se", "samples", "seed"],
+            ((p, self.n, e, s, self.samples, self.seed)
+             for p, e, s in zip(self.params, self.estimates, self.ses)),
+        )
 
 
 def threshold_scan(

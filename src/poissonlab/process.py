@@ -8,7 +8,6 @@ all sampling routines are pure functions of ``(inputs, rng)``.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -232,8 +231,8 @@ class ConfettiMarks:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
 
     def sample(self, rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
         t = rng.uniform(0.0, self.horizon, size=n)
@@ -259,8 +258,8 @@ class HomogeneousIntensity:
     marks: Optional[MarkLaw] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
     def total_mass(self, window: Window, factor: float = 1.0) -> float:
         """Mass over ``window`` at the rate gamma * factor (the rate is
@@ -286,8 +285,9 @@ class CellIntensity:
     marks: Optional[MarkLaw] = None
 
     def __post_init__(self):
-        if any(m < 0 for m in self.masses):
-            raise ValueError("cell masses must be nonnegative")
+        for m in self.masses:
+            if not (math.isfinite(m) and m >= 0):
+                raise ValueError(f"cell masses must be finite and >= 0, got {m}")
 
     def total_mass(self, window: Window, factor: float = 1.0) -> float:
         """Sum of the masses, each multiplied by ``factor`` first (factor 1
@@ -510,19 +510,8 @@ class AuditReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "lhs_se": self.lhs_se,
-            "rhs": self.rhs,
-            "rhs_se": self.rhs_se,
-            "samples": self.samples,
-            "passed": bool(self.passed),
-            **{
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.extras.items()
-            },
-        }
+        fields = {k: v for k, v in vars(self).items() if k != "extras"}
+        return _plain({**fields, **self.extras})
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -614,11 +603,10 @@ def mecke_check(
 
 
 # ---------------------------------------------------------------------------
-# Flat CSV serialization (one point per row)
+# Result serialization: one CSV number format and one JSON normal form
 
 
 def config_to_csv(config: PointConfig) -> str:
-    out = io.StringIO()
     mark_names = sorted(config.marks)
     if config.is_discrete:
         coord_names = ["cell"]
@@ -626,15 +614,34 @@ def config_to_csv(config: PointConfig) -> str:
     else:
         coord_names = [f"x{i}" for i in range(config.window.dim)]
         coords = config.points
-    out.write(",".join(coord_names + mark_names) + "\n")
-    for i in range(config.size):
-        row = [_fmt(v) for v in np.atleast_1d(coords[i])]
-        row += [_fmt(config.marks[k][i]) for k in mark_names]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    columns = [*coords.T, *(config.marks[k] for k in mark_names)]
+    return _csv(coord_names + mark_names, zip(*columns))
+
+
+def _csv(columns: Sequence[str], rows) -> str:
+    """The header line, then one line per row: strings as they are, numbers
+    through :func:`_fmt`."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:
-    if float(v).is_integer() and abs(float(v)) < 1e15:
+    """An integer exactly; a float by ``.17g``, which reads back to the same
+    bits, with -0.0 written as ``0``."""
+    if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return format(float(v), ".17g")
+    return format(float(v) + 0.0, ".17g")
+
+
+def _plain(value):
+    """The JSON normal form of a result: dict keys as strings, tuples and
+    arrays as lists, numpy scalars as Python scalars."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value

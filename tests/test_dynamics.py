@@ -53,6 +53,17 @@ def test_resample_identity_and_fresh():
         resample(cfg, -1.0, SPEC3, stream(302))
 
 
+def test_resample_names_a_nan_step():
+    """A NaN step is refused by ``resample`` itself, not by the thinning
+    probability it would become; an infinite step keeps no point and draws a
+    fresh sample."""
+    cfg = SPEC3.sample(stream(301))
+    with pytest.raises(ValueError, match="t must be >= 0, got nan"):
+        resample(cfg, math.nan, SPEC3, stream(302))
+    fresh = resample(cfg, math.inf, SPEC3, stream(302))
+    assert not np.isin(fresh.points, cfg.points).any()
+
+
 def test_resample_preserves_poisson_law():
     for t, seed in ((0.1, 303), (1.0, 304)):
         counts = []

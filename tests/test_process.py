@@ -11,6 +11,7 @@ from scipy.stats import chisquare, pearsonr, poisson
 from poissonlab.process import (
     BoxWindow,
     CellIntensity,
+    ConfettiMarks,
     DiscreteWindow,
     FixedRadius,
     HomogeneousIntensity,
@@ -22,7 +23,9 @@ from poissonlab.process import (
     _at_most,
     _bernoulli_se,
     _cov_se,
+    _csv,
     _mean_se,
+    _plain,
     _var_se,
     mecke_check,
     restrict,
@@ -80,6 +83,24 @@ def test_disjoint_regions_independent():
 def test_infinite_mass_rejected():
     with pytest.raises(ValueError):
         sample_poisson(HomogeneousIntensity(math.inf), UNIT_SQ, stream(5))
+
+
+BUILD_BY_FIELD = {
+    "gamma": HomogeneousIntensity,
+    "cell masses": lambda m: CellIntensity((1.0, m)),
+    "horizon": lambda h: ConfettiMarks(0.5, h, FixedRadius(1.0), FixedRadius(1.0)),
+}
+
+
+@pytest.mark.parametrize("field", BUILD_BY_FIELD)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_intensities_reject_a_rate_not_finite_or_negative(field, bad):
+    """A NaN or infinite gamma, cell mass or confetti horizon is refused when
+    it is constructed, by a message that names the value, not at the first
+    draw."""
+    message = f"{field} must be finite and >=? 0, got {bad}"
+    with pytest.raises(ValueError, match=message):
+        BUILD_BY_FIELD[field](bad)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -364,3 +385,34 @@ def test_box_window_cached_bounds_keep_every_stream():
     assert padded.volume == float(np.prod(np.asarray(padded.hi) - np.asarray(padded.lo)))
     assert padded.volume != window.volume
     assert np.array_equal(padded.lo_array, np.asarray(window.lo) - 0.5)
+
+
+def test_one_csv_number_format_and_one_json_normal_form():
+    """Every kind of value a result holds, through the CSV writer and the
+    JSON normal form: integers exactly, floats by ``.17g`` (which reads back
+    to the same bits) with -0.0 as ``0``, strings as they are."""
+    values = [3, 2.0, 0.1, 1e15, 2**53, math.nan, math.inf, -math.inf, -0.0,
+              np.int64(-7), np.uint8(1), np.float64(1 / 3), np.float32(0.5),
+              np.True_, 1e-300, "birth"]
+    tokens = ["3", "2", "0.10000000000000001", "1000000000000000",
+              "9007199254740992", "nan", "inf", "-inf", "0", "-7", "1",
+              "0.33333333333333331", "0.5", "1", "1e-300", "birth"]
+    text = _csv(["value"], ([v] for v in values))
+    assert text == "value\n" + "\n".join(tokens) + "\n"
+    assert _csv(["a", "b"], [(0.5, "x"), (1, 2.5)]) == "a,b\n0.5,x\n1,2.5\n"
+    assert _csv(["time"], []) == "time\n"
+    for value, token in zip(values, tokens):
+        if isinstance(value, float) and math.isfinite(value) and value != 0.0:
+            assert float(token) == value
+
+    plain = _plain({1: (np.int64(2), np.float64(0.5)),
+                    "arr": np.arange(4).reshape(2, 2),
+                    "flag": np.bool_(True),
+                    "nested": [np.zeros(2), {"x": np.float32(0.25)}],
+                    "none": None, "text": "ok", "neg": -0.0})
+    assert plain == {"1": [2, 0.5], "arr": [[0, 1], [2, 3]], "flag": True,
+                     "nested": [[0.0, 0.0], {"x": 0.25}], "none": None, "text": "ok",
+                     "neg": -0.0}
+    leaves = [plain["1"][0], plain["1"][1], plain["arr"][0][0], plain["flag"],
+              plain["nested"][0][0], plain["nested"][1]["x"]]
+    assert [type(v) for v in leaves] == [int, float, int, bool, float, float]

@@ -1,10 +1,10 @@
-"""List the functions of ``src/poissonlab`` that no entry point of the lab reaches.
+"""List the code of ``src/poissonlab`` that no entry point of the lab runs.
 
-    python3 tools/reach.py            # functions never called
-    python3 tools/reach.py --lines    # statements never executed
+    python3 tools/reach.py
 
-Run from the root of a source checkout. ``sys.setprofile`` records every
-Python function called while these entry points run, in this one process:
+Run from the root of a source checkout. ``sys.settrace`` records every
+function of ``src/poissonlab`` called, and every line executed in it, while
+these entry points run in this one process:
 
 * the twelve acceptance criteria, at the reduced counts of ``CRITERIA``;
 * every registry fixture through the command of its kind (``KIND_ARGV``,
@@ -16,19 +16,17 @@ Python function called while these entry points run, in this one process:
   and the reference checks.
 
 Outputs are written under a temporary directory, removed at the end, and
-standard output of the entry points is discarded. The report lists each
-function defined in ``src/poissonlab`` that was never called, with its line
-count (decorators included); a function nested in an unreached one is
-counted with it, not listed. A function reached only by tests is listed:
-that is what the report is for.
+standard output of the entry points is discarded. Two reports follow.
 
-``--lines`` runs the same entry points under ``sys.settrace`` with line
-events in ``src/poissonlab`` only, and lists the statements inside called
-functions that never ran, one line per run of consecutive statements, with
-its function. Docstrings and ``raise`` statements are left out (an error
-path is meant to be rare), and so are compound statements' headers, whose
-bodies are listed instead. Functions never called are the default mode's
-report.
+The first lists each function defined in ``src/poissonlab`` that was never
+called, with its line count (decorators included); a function nested in an
+unreached one is counted with it, not listed. A function reached only by
+tests is listed: that is what the report is for.
+
+The second lists the statements inside called functions that never ran,
+one line per run of consecutive statements, with its function. Docstrings
+and ``raise`` statements are left out (an error path is meant to be rare),
+and so are compound statements' headers, whose bodies are listed instead.
 """
 
 import ast
@@ -157,22 +155,11 @@ def statements(path: Path):
     return out
 
 
-def traced(hook, tracer) -> None:
+def traced() -> tuple[set, set]:
     """Run the entry points in a temporary directory with stdout discarded,
-    under ``hook(tracer)`` (``sys.setprofile`` or ``sys.settrace``)."""
-    old = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null:
-        os.chdir(tmp)
-        hook(tracer)
-        try:
-            with contextlib.redirect_stdout(null):
-                run_entry_points()
-        finally:
-            hook(None)
-            os.chdir(old)
-
-
-def report_lines() -> int:
+    under ``sys.settrace`` with line events in ``src/poissonlab`` only; return
+    the (file, first line) of every function called there and the (file,
+    line) of every line executed."""
     src = {str(p) for p in SRC.glob("*.py")}
     codes, lines = set(), set()
 
@@ -187,7 +174,35 @@ def report_lines() -> int:
             return local
         return None
 
-    traced(sys.settrace, trace)
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null:
+        os.chdir(tmp)
+        sys.settrace(trace)
+        try:
+            with contextlib.redirect_stdout(null):
+                run_entry_points()
+        finally:
+            sys.settrace(None)
+            os.chdir(old)
+    return codes, lines
+
+
+def report_functions(codes: set) -> None:
+    total, unreached = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        defs = functions(path)
+        total += len(defs)
+        missed = {first for first, *_ in defs if (str(path), first) not in codes}
+        unreached += [(path.name, first, name, lines)
+                      for first, name, lines, outer in defs
+                      if first in missed and outer not in missed]
+    for fname, first, name, lines in unreached:
+        print(f"{fname}:{first}  {name}  {lines} lines")
+    print(f"{len(unreached)} of {total} functions unreached, "
+          f"{sum(u[3] for u in unreached)} lines")
+
+
+def report_lines(codes: set, lines: set) -> None:
     total, runs = 0, []
     for path in sorted(SRC.glob("*.py")):
         name = str(path)
@@ -209,35 +224,16 @@ def report_lines() -> int:
         print(f"{fname}:{span}  {func}  {count} statement{'s' * (count > 1)}")
     print(f"{sum(r[1][3] for r in runs)} of {total} statements in called functions "
           f"never ran, in {len(runs)} runs")
-    return 0
 
 
 def main() -> int:
-    if sys.argv[1:] == ["--lines"]:
-        return report_lines()
     if sys.argv[1:]:
-        print("usage: python3 tools/reach.py [--lines]", file=sys.stderr)
+        print("usage: python3 tools/reach.py", file=sys.stderr)
         return 2
-    codes = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
-
-    traced(sys.setprofile, profile)
-    reached = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
-    total, unreached = 0, []
-    for path in sorted(SRC.glob("*.py")):
-        defs = functions(path)
-        total += len(defs)
-        missed = {first for first, *_ in defs if (path, first) not in reached}
-        unreached += [(path.name, first, name, lines)
-                      for first, name, lines, outer in defs
-                      if first in missed and outer not in missed]
-    for fname, first, name, lines in unreached:
-        print(f"{fname}:{first}  {name}  {lines} lines")
-    print(f"{len(unreached)} of {total} functions unreached, "
-          f"{sum(u[3] for u in unreached)} lines")
+    codes, lines = traced()
+    report_functions(codes)
+    print()
+    report_lines(codes, lines)
     return 0
 
 
