@@ -46,6 +46,6 @@ poin = poincare_audit(f, process, samples=30_000, rng=stream(8))
 print(f"variance {poin.lhs:.5f} <= Poincare rhs {poin.rhs:.5f} "
       f"(exact variance {math.exp(-math.pi) * (1 - math.exp(-math.pi)):.5f})")
 
-osss = osss_audit(f, ctdt, process, samples=30_000, rng=stream(9), binary=True)
+osss = osss_audit(f, ctdt, process, samples=30_000, rng=stream(9))
 print(f"OSSS lhs {osss.lhs:.5f} ~ rhs {osss.rhs:.5f} (sharp: gap "
       f"{abs(osss.rhs - osss.lhs) / osss.lhs:.1%})")

@@ -118,8 +118,7 @@ def criterion_1_empty_space_sharpness(samples: int = 100_000):
     target = math.exp(-math.pi) * (1.0 - math.exp(-math.pi))
     _, process, f, tree = empty_space_setup(math.pi)
     rep = chaos.osss_audit(
-        f, tree, process, samples, stream(SEED, 1), binary=True,
-        determination_checks=100,
+        f, tree, process, samples, stream(SEED, 1), determination_checks=100
     )
     var_hat = rep.lhs / 2.0
     var_se = rep.lhs_se / 2.0
@@ -152,8 +151,7 @@ def criterion_2_poincare_suboptimal(samples: int = 60_000):
     rhs_target = 4.0 * math.exp(-4.0)
     poin = chaos.poincare_audit(f, process, samples, stream(SEED, 2))
     osss = chaos.osss_audit(
-        f, tree, process, samples, stream(SEED, 3), binary=True,
-        determination_checks=100,
+        f, tree, process, samples, stream(SEED, 3), determination_checks=100
     )
     half_rhs = osss.rhs / 2.0
     half_rhs_se = osss.rhs_se / 2.0
@@ -235,13 +233,14 @@ def _boolean_model(gamma: float) -> BooleanModel:
 
 
 @lru_cache(maxsize=None)
-def critical_gamma(seed: int = SEED, n: int = 12) -> tuple[float, float]:
-    """Bisection estimate of the crossing-probability-1/2 intensity."""
-    rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
+def critical_gamma() -> tuple[float, float]:
+    """Bisection estimate of the crossing-probability-1/2 intensity on the
+    12 x 12 square, round ``ridx`` on the path (SEED, 5, ridx)."""
+    rect = BoxWindow((0.0, 0.0), (12.0, 12.0))
 
     def prob_at(gamma, samples, ridx):
         model = _boolean_model(gamma)
-        return crossing_probability(model, rect, samples, (seed, 5, ridx))
+        return crossing_probability(model, rect, samples, (SEED, 5, ridx))
 
     return estimate_critical(prob_at, 0.2, 0.6, tolerance=0.02, base_samples=150)
 

@@ -345,7 +345,6 @@ def osss_audit(
     process: ProcessSpec,
     samples: int,
     rng: np.random.Generator,
-    binary: bool = False,
     determination_checks: int = 200,
 ) -> AuditReport:
     """E|f(eta) - f(eta')| <= 2 integral P(x in Z) E|D_x f| lambda(dx).
@@ -354,7 +353,8 @@ def osss_audit(
     which is the oracle of its terminal set.
     The right side couples an independent membership sample with an
     independent add-one-cost sample at a common lambda-distributed x.
-    ``binary=True`` computes the left side analytically as 2 p (1-p).
+    When every sampled f value is 0 or 1 the left side is 2 p (1-p) from
+    the estimated p; otherwise it is the mean of |f(eta) - f(eta')|.
     """
     if determination_checks:
         _check_determination(f, terminal, process, rng, determination_checks)
@@ -374,9 +374,9 @@ def osss_audit(
             rhs_vals[i] = 2.0 * mass * d
         else:
             rhs_vals[i] = 0.0
+    binary = bool(np.all((f_vals == 0.0) | (f_vals == 1.0)))
     if binary:
-        p_hat = float(f_vals.mean())
-        lhs, lhs_se = binary_l1_distance(p_hat, samples)
+        lhs, lhs_se = binary_l1_distance(float(f_vals.mean()), samples)
     else:
         lhs, lhs_se = _mean_se(pair_vals)
     rhs, rhs_se = _mean_se(rhs_vals)

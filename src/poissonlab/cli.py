@@ -130,9 +130,7 @@ def cmd_chaos_audit(args) -> int:
         if name == "poincare-empty-space":
             rep = chaos.poincare_audit(f, process, args.samples, stream(seed, 0))
         elif name == "osss-empty-space":
-            rep = chaos.osss_audit(
-                f, tree, process, args.samples, stream(seed, 0), binary=True
-            )
+            rep = chaos.osss_audit(f, tree, process, args.samples, stream(seed, 0))
         else:
             rev = revealment(
                 tree, process, probe_grid(window, 0.1),

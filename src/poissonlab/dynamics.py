@@ -131,8 +131,8 @@ def simulate_path(
     The draws come in this order: the initial configuration, the number of
     births, their sorted times, locations and marks, the initial points'
     lifetimes, then the newborns' lifetimes."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     mass = process.mass
     if not np.isfinite(mass):
         raise ValueError("path simulation needs finite intensity mass")

@@ -18,8 +18,9 @@ Connectivity conventions
   rectangle; chains may overlap slightly outside it (within one grain
   diameter).  Sphere-reaching events (one-arm) are exact.  A raster layer
   is available as an independent cross-check.
-* k >= 2 and confetti: rasterized occupancy at resolution ``h`` (reported
-  with every result).  Raster components are labeled with
+* k >= 2 and confetti: rasterized occupancy at resolution ``h`` (r0/8,
+  an eighth of the smallest grain radius, for k >= 2; the caller's for
+  confetti).  Raster components are labeled with
   ``scipy.ndimage.label``.  Confetti rasters use the self-matching
   triangular adjacency (4-neighbors plus one diagonal pair) for BOTH
   colors: the left-right/top-down crossing XOR is exact on every planar
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -144,8 +146,8 @@ class BooleanModel:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if self.grain.kind != "ball":
             raise ValueError(f"Boolean grains are balls, got kind {self.grain.kind!r}")
 
@@ -157,13 +159,10 @@ class ConfettiModel:
     p: float
     black: GrainSpec
     white: GrainSpec
-    horizon: Optional[float] = None  # None -> default rule at build time
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError("the horizon must be positive")
 
     def point_cover_rate(self) -> float:
         """Arrival rate of grains covering a fixed location (unit space-time
@@ -961,14 +960,12 @@ def sample_confetti_world(
     arrival per cell.  Later chunks have strictly later times, so colored
     cells keep their color and the painter tests a later chunk only against
     the cells still open.
-    Painting stops once every cell is colored, or fails with the required
-    horizon if the declared horizon is exhausted first.  The record of all
+    Painting stops once every cell is colored, or fails if cells are still
+    open at ``required_confetti_horizon``.  The record of all
     chunks, their ``PointConfig.join``, repaints to the same raster with
     ``confetti_world_from_config``.
     """
-    horizon = model.horizon
-    if horizon is None:
-        horizon = required_confetti_horizon(model, resolution)
+    horizon = required_confetti_horizon(model, resolution)
     bounds = [s.max_radius for s in (model.black, model.white)]
     if any(b is None for b in bounds):
         raise ValueError("confetti grains must be bounded")
@@ -1040,11 +1037,7 @@ def _labels_cross(labels: np.ndarray, axis: int) -> bool:
     return _raster_linked(labels, face + (0,), face + (-1,))
 
 
-def crossing(
-    world: PercWorld,
-    axis: int = 0,
-    resolution: Optional[float] = None,
-) -> bool:
+def crossing(world: PercWorld, axis: int = 0) -> bool:
     """Side-to-side crossing of the world's rectangle along ``axis``."""
     if isinstance(world, ConfettiWorld):
         return _labels_cross(world.labels, axis)
@@ -1052,12 +1045,13 @@ def crossing(
         rect = world.rect
         a, b = world.grains_meeting_faces(axis, (rect.lo[axis], rect.hi[axis]))
         return world.connected(a, b)
-    _, labels, _ = _occupied_labels(world, resolution)
+    _, labels, _ = _occupied_labels(world)
     return _labels_cross(labels, axis)
 
 
 def _default_resolution(model: BooleanModel) -> float:
-    """Default raster cell: an eighth of the smallest grain radius r0."""
+    """Raster cell of a k >= 2 world: an eighth of the smallest grain
+    radius r0."""
     law = model.grain.law
     if isinstance(law, FixedRadius):
         r0 = law.r
@@ -1066,18 +1060,15 @@ def _default_resolution(model: BooleanModel) -> float:
     elif isinstance(law, ParetoRadius):
         r0 = law.x_min
     else:  # pragma: no cover
-        raise ValueError("raster queries need an explicit resolution")
+        raise ValueError(f"no smallest grain radius for the raster cell of {law!r}")
     return r0 / 8.0
 
 
-def _occupied_labels(
-    world: BooleanWorld, h: Optional[float] = None
-) -> tuple[float, np.ndarray, tuple]:
-    """The raster cell h of a k >= 2 world (default: an eighth of the
-    smallest radius), the 8-adjacency labels of its occupied cells and the
-    cell centres (xs, ys)."""
-    if h is None:
-        h = _default_resolution(world.model)
+def _occupied_labels(world: BooleanWorld) -> tuple[float, np.ndarray, tuple]:
+    """The raster cell h of a k >= 2 world (an eighth of the smallest
+    radius), the 8-adjacency labels of its occupied cells and the cell
+    centres (xs, ys)."""
+    h = _default_resolution(world.model)
     labels, _ = ndimage.label(world.occupancy_raster(h), np.ones((3, 3), dtype=int))
     return h, labels, _cell_centers(world.rect, h)
 
@@ -1164,12 +1155,21 @@ def crossing_probability(
     path: tuple[int, ...],
     resolution: Optional[float] = None,
 ) -> tuple[float, float]:
+    """Crossing frequency along axis 0 over the replicas of ``path``.  A
+    confetti model needs the raster ``resolution``; a Boolean model takes
+    none (k = 1 is exact, k >= 2 rasters use cells of r0/8)."""
+    if isinstance(model, ConfettiModel) != (resolution is not None):
+        raise ValueError(
+            f"a resolution goes with a confetti model only, got {resolution!r} "
+            f"for {type(model).__name__}"
+        )
+
     def crossed(rng):
         if isinstance(model, ConfettiModel):
             world = sample_confetti_world(model, rect, resolution, rng)
         else:
             world = sample_boolean_world(model, rect, rng)
-        return crossing(world, resolution=resolution)
+        return crossing(world)
 
     return _frequency(path, samples, crossed)
 

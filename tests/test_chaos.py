@@ -172,7 +172,7 @@ def test_poincare_audit_cases():
 
 def test_osss_audit_sharp_empty_space():
     ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
-    rep = osss_audit(empty_indicator, ctdt, SPEC, 30_000, stream(215), binary=True)
+    rep = osss_audit(empty_indicator, ctdt, SPEC, 30_000, stream(215))
     assert rep.passed
     both = 2 * math.exp(-1) * (1 - math.exp(-1))
     assert abs(rep.lhs - both) <= 3 * rep.lhs_se
@@ -186,6 +186,20 @@ def test_osss_audit_constant():
     ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
     rep = osss_audit(lambda c: 1.0, ctdt, SPEC, 400, stream(216))
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
+
+
+def test_osss_audit_left_side_follows_from_the_values_of_f():
+    """A {0,1} functional gets 2 p (1-p) without being told; the count,
+    which takes other values, gets the mean of |f(eta) - f(eta')|."""
+    ctdt = ball_growth_ctdt(disk_region, (0.0, 0.0))
+    rep = osss_audit(empty_indicator, ctdt, SPEC, 400, stream(218))
+    assert rep.extras["binary_mode"] is True
+    hits = 400 * (1.0 - math.sqrt(1.0 - 2.0 * rep.lhs)) / 2.0  # lhs = 2 p (1-p)
+    assert rep.lhs == binary_l1_distance(round(hits) / 400, 400)[0]
+    count = lambda c: float(c.size)
+    rep = osss_audit(count, ctdt, SPEC, 400, stream(219), determination_checks=0)
+    assert rep.extras["binary_mode"] is False
+    assert rep.lhs == rep.extras["pair_lhs"] > 1.0
 
 
 def test_osss_audit_rejects_undetermined():

@@ -149,8 +149,11 @@ def test_path_functional_means_stationary_along_path():
 
 
 def test_path_horizon_validation():
-    with pytest.raises(ValueError):
-        simulate_path(SPEC3, 0.0, stream(311))
+    """A horizon that is not finite and positive is refused by name, before
+    numpy's Poisson draw would refuse the birth count it becomes."""
+    for horizon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"horizon must be finite and > 0, got {horizon}"):
+            simulate_path(SPEC3, horizon, stream(311))
 
 
 def test_path_csv_shape():

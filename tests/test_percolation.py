@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_is_k_covered():
 
 
 def test_confetti_first_arrival_rule():
-    model = ConfettiModel(0.5, DISK1, DISK1, horizon=50.0)
+    model = ConfettiModel(0.5, DISK1, DISK1)
     rect = BoxWindow((0.0, 0.0), (1.0, 1.0))
     cfg = PointConfig(
         rect.pad(1.0),
@@ -157,14 +158,19 @@ def test_confetti_first_arrival_rule():
 
 
 def test_confetti_uncovered_raises_with_required_horizon():
-    model = ConfettiModel(0.5, DISK1, DISK1, horizon=1e-6)
+    # one unit grain in the middle of a 4 x 4 raster leaves its corners open
+    model = ConfettiModel(0.5, DISK1, DISK1)
     rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
-    with pytest.raises(RuntimeError, match="horizon"):
-        sample_confetti_world(model, rect, 0.25, stream(401))
-    assert required_confetti_horizon(model, 0.25) > 0
-    for horizon in (0.0, -1.0):  # no time for a first chunk: rejected up front
-        with pytest.raises(ValueError, match="horizon must be positive"):
-            ConfettiModel(0.5, DISK1, DISK1, horizon=horizon)
+    needed = required_confetti_horizon(model, 0.25)
+    assert needed > 0
+    one_grain = PointConfig(rect.pad(1.0), np.array([[2.0, 2.0]]), {
+        "birth_time": np.array([0.5]),
+        "color": np.array([0], dtype=np.uint8),
+        "radius": np.array([1.0]),
+    })
+    with pytest.raises(RuntimeError, match=f"record left uncolored cells; need "
+                                           f"horizon >= {needed:.3g}"):
+        confetti_world_from_config(one_grain, model, rect, 0.25)
 
 
 # -- crossing ------------------------------------------------------------------------
@@ -215,6 +221,38 @@ def _matched_routes(world, model, pad_rect, h):
     return w, exact, raster
 
 
+def _bridging_gaps(w, rect, h):
+    """Gaps |c_a - c_b| - r_a - r_b of the grain pairs (a, b) of different
+    graph components that cover two 8-adjacent occupied cells of a raster
+    component crossing ``rect`` (``w`` is the world on the padded rect of
+    ``_matched_routes``)."""
+    from poissonlab.percolation import _cell_centers
+
+    labels, _ = ndimage.label(w.occupancy_raster(h), structure=np.ones((3, 3)))
+    off = int(round((rect.lo[0] - w.rect.lo[0]) / h))
+    first = labels[off, off:-off]
+    last = labels[-off - 1, off:-off]
+    on = np.isin(labels, np.intersect1d(first[first > 0], last[last > 0]))
+    xs, ys = _cell_centers(w.rect, h)
+    dx = xs[None, :, None] - w.points[:, 0, None, None]
+    dy = ys[None, None, :] - w.points[:, 1, None, None]
+    covers = (dx * dx + dy * dy <= (w.radii * w.radii)[:, None, None]) & on
+    lab = grain_labels(w)
+    nx, ny = on.shape
+    gaps = []
+    for a, b in itertools.permutations(range(w.n), 2):
+        if lab[a] == lab[b]:
+            continue
+        for sx, sy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            p = covers[a, max(0, -sx):nx - max(0, sx), max(0, -sy):ny - max(0, sy)]
+            q = covers[b, max(0, sx):nx + min(0, sx), max(0, sy):ny + min(0, sy)]
+            if np.any(p & q):
+                d = np.linalg.norm(w.points[a] - w.points[b])
+                gaps.append(d - w.radii[a] - w.radii[b])
+                break
+    return gaps
+
+
 def test_k1_graph_matches_fine_raster_on_500_worlds():
     # Components of the grain intersection graph vs fine-raster labeling
     # (h = r/20).  Residual disagreements must be raster-resolution
@@ -230,6 +268,13 @@ def test_k1_graph_matches_fine_raster_on_500_worlds():
         w, exact, raster = _matched_routes(world, model, pad_rect, h)
         if exact != raster:
             mismatched.append((i, w))
+            if raster:
+                # Certificate, on every world: a raster crossing that the
+                # graph lacks must step between two 8-adjacent cells that
+                # grains of different graph components cover; those two
+                # grains are then within the cells' distance h sqrt(2).
+                gaps = _bridging_gaps(w, rect, h)
+                assert gaps and max(gaps) <= h * math.sqrt(2) + 1e-12
     assert len(mismatched) <= 10  # >= 98% agreement
     still = 0
     for i, w in mismatched:
@@ -278,6 +323,21 @@ def test_scaling_covariance():
 def test_boolean_model_rejects_a_gamma_not_finite_and_nonnegative(gamma):
     with pytest.raises(ValueError, match=f"gamma must be finite and >= 0, got {gamma}"):
         BooleanModel(gamma, GrainSpec("ball", FixedRadius(1.0)))
+
+
+@pytest.mark.parametrize("k", [1.5, math.nan, 0, -1])
+def test_boolean_model_rejects_a_k_not_an_integer_at_least_one(k):
+    # a k of 1.5 would mean 2-coverage on the raster; NaN would never cover
+    with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+        BooleanModel(0.5, DISK1, k=k)
+
+
+def test_crossing_probability_takes_a_resolution_for_confetti_only():
+    rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
+    with pytest.raises(ValueError, match="confetti model only, got 0.25 for BooleanModel"):
+        crossing_probability(boolean(0.4), rect, 2, (450,), resolution=0.25)
+    with pytest.raises(ValueError, match="confetti model only, got None for ConfettiModel"):
+        crossing_probability(confetti(0.5), rect, 2, (451,))
 
 
 def test_boolean_model_rejects_box_grains():
