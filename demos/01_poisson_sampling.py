@@ -48,8 +48,7 @@ print(f"thinned at 1/2: {kept.size}")
 # intensity integral of f(x, eta + delta_x).
 report = mecke_check(
     lambda x, c: float(c.size == 1),
-    CellIntensity((1.0,)),
-    DiscreteWindow(1),
+    ProcessSpec(CellIntensity((1.0,)), DiscreteWindow(1)),
     samples=20_000,
     rng=stream(44),
 )

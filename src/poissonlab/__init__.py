@@ -17,7 +17,6 @@ from .process import (  # noqa: F401
     CellIntensity,
     PointConfig,
     ProcessSpec,
-    sample_poisson,
     restrict,
     superpose,
     thin,

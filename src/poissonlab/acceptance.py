@@ -48,7 +48,7 @@ from .percolation import (
     one_arm_decay_fit,
     truncation_flips,
 )
-from .process import BoxWindow, ProcessSpec, _at_most, _bernoulli_se, _cov_se, _plain
+from .process import BoxWindow, _at_most, _bernoulli_se, _cov_se, _plain
 from .rng import stream
 from .stopping import (
     ConstantRegionSet,
@@ -505,11 +505,10 @@ def criterion_12_stopping_suite(trials: int = 10_000, probes: int = 200):
     model, _, line_process, line = line_exploration_setup(6, 0.36)
     box = BoxWindow((-3.0, -3.0), (3.0, 3.0))
     sphere = component_exploration(model, box, SphereSeed(1.5))
-    sphere_process = ProcessSpec(line_process.intensity, box.pad(CROSSING_RADIUS))
     for sub, (name, expl, proc) in enumerate(
         (
             ("line_exploration", line, line_process),
-            ("sphere_exploration", sphere, sphere_process),
+            ("sphere_exploration", sphere, model.process(box)),
         )
     ):
         rep = verify_stopping_axiom(expl, proc, trials, probes, stream(SEED, 16, sub))

@@ -316,7 +316,7 @@ def poincare_audit(
     d_vals = np.empty(samples)
     for i in range(samples):
         f_vals[i] = f(process.sample(rng))
-        x = _points(process.intensity, process.window, 1, rng)
+        x = _points(process, 1, rng)
         eta = process.sample(rng)
         d_vals[i] = mass * (f(PointConfig.join((eta, x))) - f(eta)) ** 2
     var, var_se = _var_se(f_vals)
@@ -366,7 +366,7 @@ def osss_audit(
         eta1 = process.sample(rng)
         f_vals[i] = f(eta1)
         pair_vals[i] = abs(f_vals[i] - f(process.sample(rng)))
-        x = _points(process.intensity, process.window, 1, rng)
+        x = _points(process, 1, rng)
         member = bool(terminal.contains(x.points, eta1)[0])
         if member:
             eta2 = process.sample(rng)

@@ -56,9 +56,8 @@ def resample(
         return config
     keep = math.exp(-t)
     survivors = thin(config, keep, rng)
-    intensity, window = process.intensity, process.window
-    newcomers = _draw(intensity, window, intensity.total_mass(window, 1.0 - keep), rng)
-    return PointConfig.join((survivors, newcomers))
+    mass = process.intensity.total_mass(process.window, 1.0 - keep)
+    return PointConfig.join((survivors, _draw(process, mass, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def simulate_path(
     initial = process.sample(rng)
     n_births = rng.poisson(mass * horizon)
     birth_times = np.sort(rng.uniform(0.0, horizon, size=n_births))
-    born = _points(process.intensity, process.window, n_births, rng)
+    born = _points(process, n_births, rng)
     birth = np.concatenate([np.full(initial.size, -np.inf), birth_times])
     death = np.concatenate([rng.exponential(1.0, size=initial.size),
                             birth_times + rng.exponential(1.0, size=n_births)])

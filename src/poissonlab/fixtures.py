@@ -172,15 +172,11 @@ def crossing_setup(n: float, gamma: float):
     crossing indicator."""
     model = boolean_model({"radius": CROSSING_RADIUS}, gamma)
     rect = BoxWindow((0.0, 0.0), (float(n), float(n)))
-    process = ProcessSpec(
-        HomogeneousIntensity(gamma, RadiusMarks(FixedRadius(CROSSING_RADIUS))),
-        rect.pad(CROSSING_RADIUS),
-    )
 
     def f(cfg):
         return 1.0 if crossing(BooleanWorld(cfg, model, rect)) else 0.0
 
-    return model, rect, process, f
+    return model, rect, model.process(rect), f
 
 
 def dynamics_setup(name: str):

@@ -66,12 +66,12 @@ from .process import (
     HomogeneousIntensity,
     ParetoRadius,
     PointConfig,
+    ProcessSpec,
     RadiusLaw,
     RadiusMarks,
     UniformRadius,
     _bernoulli_se,
     _csv,
-    sample_poisson,
 )
 from .rng import replicate
 
@@ -151,6 +151,15 @@ class BooleanModel:
         if self.grain.kind != "ball":
             raise ValueError(f"Boolean grains are balls, got kind {self.grain.kind!r}")
 
+    def process(self, rect: BoxWindow) -> ProcessSpec:
+        """The radius-marked process of every grain that can meet ``rect``:
+        centres on ``rect`` padded by the largest radius."""
+        bound = self.grain.max_radius
+        if bound is None:
+            raise ValueError(f"an unbounded radius law pads no rect, got {self.grain.law!r}")
+        law = RadiusMarks(self.grain.law)
+        return ProcessSpec(HomogeneousIntensity(self.gamma, law), rect.pad(bound))
+
 
 @dataclass(frozen=True)
 class ConfettiModel:
@@ -221,13 +230,10 @@ def sample_boolean_config(
     window, plus the exact Poisson tail of larger grains touching the
     rectangle (size-biased radius, uniform center on the dilated rect).
     """
-    grain = model.grain
-    bound = grain.max_radius
-    if bound is not None:
-        return sample_poisson(HomogeneousIntensity(model.gamma, RadiusMarks(grain.law)),
-                              rect.pad(bound), rng)
+    if model.grain.max_radius is not None:
+        return model.process(rect).sample(rng)
 
-    law = grain.law
+    law = model.grain.law
     if not isinstance(law, ParetoRadius):
         raise TypeError("unbounded sampling implemented for Pareto radii")
     if rect.dim != 2:
@@ -699,6 +705,8 @@ def _cell_shape(rect: BoxWindow, h: float) -> tuple[int, int]:
     read two coordinates, so a rect that is not planar is refused."""
     if rect.dim != 2:
         raise ValueError(f"rasters need a planar rect, got dimension {rect.dim}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"the raster cell side must be finite and > 0, got {h}")
     lo, hi = rect.lo, rect.hi
     nx = max(1, int(round((hi[0] - lo[0]) / h)))
     ny = max(1, int(round((hi[1] - lo[1]) / h)))
@@ -965,12 +973,12 @@ def sample_confetti_world(
     chunks, their ``PointConfig.join``, repaints to the same raster with
     ``confetti_world_from_config``.
     """
+    best_time, best_black = _open_table(rect, resolution)
     horizon = required_confetti_horizon(model, resolution)
     bounds = [s.max_radius for s in (model.black, model.white)]
     if any(b is None for b in bounds):
         raise ValueError("confetti grains must be bounded")
     padded = rect.pad(max(bounds))
-    best_time, best_black = _open_table(rect, resolution)
     ncell = len(best_time)
     kinds = (model.black.kind, model.white.kind)
 
@@ -983,7 +991,7 @@ def sample_confetti_world(
     while t_lo < horizon:
         t_hi = min(horizon, t_lo + (t_chunk if chunks else t_first))
         marks = ConfettiMarks(model.p, t_hi - t_lo, model.black.law, model.white.law)
-        chunk = sample_poisson(HomogeneousIntensity(1.0, marks), padded, rng)
+        chunk = ProcessSpec(HomogeneousIntensity(1.0, marks), padded).sample(rng)
         chunk = PointConfig(padded, chunk.points, {
             **chunk.marks, "birth_time": chunk.marks["birth_time"] + t_lo
         })
@@ -1230,8 +1238,11 @@ def one_arm_decay_fit(
     """Fit log theta_s ~ a + b*s by reusing max-reach distances.
 
     Per replica the maximal sphere radius reached from the origin is
-    computed once; theta_s estimates for every s share the replicas.
+    computed once; theta_s estimates for every s share the replicas.  The
+    reach is that of a k = 1 cluster; a fit needs two positive theta_s.
     """
+    if model.k != 1:
+        raise ValueError(f"the one-arm decay fit needs k = 1, got k = {model.k}")
     s_values = np.asarray(s_values, dtype=float)
     rect = _centred_box(model, float(s_values.max()))
 
@@ -1248,6 +1259,8 @@ def one_arm_decay_fit(
     theta = np.array([(reach >= s).mean() for s in s_values])
     se = _bernoulli_se(theta, samples)
     ok = theta > 0
+    if np.count_nonzero(ok) < 2:
+        raise ValueError(f"a decay fit needs two positive theta_s, got {theta.tolist()}")
     y = np.log(theta[ok])
     x = s_values[ok]
     slope, intercept = np.polyfit(x, y, 1)

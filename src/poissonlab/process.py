@@ -9,6 +9,7 @@ all sampling routines are pure functions of ``(inputs, rng)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,6 @@ __all__ = [
     "CellIntensity",
     "ProcessSpec",
     "PointConfig",
-    "sample_poisson",
     "restrict",
     "superpose",
     "thin",
@@ -101,8 +101,8 @@ class DiscreteWindow:
     num_cells: int
 
     def __post_init__(self):
-        if self.num_cells <= 0:
-            raise ValueError("need at least one cell")
+        if not (isinstance(self.num_cells, numbers.Integral) and self.num_cells >= 1):
+            raise ValueError(f"num_cells must be an integer >= 1, got {self.num_cells!r}")
 
 
 Window = BoxWindow | DiscreteWindow
@@ -264,8 +264,6 @@ class HomogeneousIntensity:
     def total_mass(self, window: Window, factor: float = 1.0) -> float:
         """Mass over ``window`` at the rate gamma * factor (the rate is
         multiplied first, so factor 1 changes no bit)."""
-        if not isinstance(window, BoxWindow):
-            raise TypeError("homogeneous intensity needs a box window")
         mass = self.gamma * factor * window.volume
         if isinstance(self.marks, ConfettiMarks):
             mass *= self.marks.horizon
@@ -292,10 +290,6 @@ class CellIntensity:
     def total_mass(self, window: Window, factor: float = 1.0) -> float:
         """Sum of the masses, each multiplied by ``factor`` first (factor 1
         changes no bit)."""
-        if not isinstance(window, DiscreteWindow):
-            raise TypeError("cell intensity needs a discrete window")
-        if len(self.masses) != window.num_cells:
-            raise ValueError("mass vector does not match window cell count")
         return float(sum(m * factor for m in self.masses))
 
     def sample_locations(
@@ -414,44 +408,43 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Intensity plus window: everything needed to draw realizations."""
+    """The Poisson process eta: a homogeneous intensity on a box, or cell
+    masses on a discrete window of as many cells; other pairs are refused."""
 
     intensity: IntensityModel
     window: Window
+
+    def __post_init__(self):
+        space = DiscreteWindow if isinstance(self.intensity, CellIntensity) else BoxWindow
+        if not isinstance(self.window, space):
+            raise ValueError(f"{self.intensity} needs a {space.__name__}, got {self.window}")
+        if space is DiscreteWindow and len(self.intensity.masses) != self.window.num_cells:
+            raise ValueError(f"{len(self.intensity.masses)} cell masses for {self.window}")
 
     @property
     def mass(self) -> float:
         return self.intensity.total_mass(self.window)
 
     def sample(self, rng: np.random.Generator) -> "PointConfig":
-        return sample_poisson(self.intensity, self.window, rng)
+        """Draw one realization of the process."""
+        return _draw(self, self.mass, rng)
 
 
-def sample_poisson(
-    intensity: IntensityModel, window: Window, rng: np.random.Generator
-) -> PointConfig:
-    """Draw one realization of the Poisson process."""
-    return _draw(intensity, window, intensity.total_mass(window), rng)
-
-
-def _draw(
-    intensity: IntensityModel, window: Window, mass: float, rng: np.random.Generator
-) -> PointConfig:
-    """Poisson(mass) points of ``intensity`` on ``window``: the count, then
-    :func:`_points`.  ``mass`` sets the count alone; on cells the locations
-    are normalised from the intensity's own masses."""
+def _draw(process: ProcessSpec, mass: float, rng: np.random.Generator) -> PointConfig:
+    """Poisson(mass) points of ``process``: the count, then :func:`_points`.
+    ``mass`` sets the count alone; on cells the locations are normalised
+    from the intensity's own masses."""
     if not math.isfinite(mass):
         raise ValueError("intensity mass over the window is not finite")
-    return _points(intensity, window, int(rng.poisson(mass)), rng)
+    return _points(process, int(rng.poisson(mass)), rng)
 
 
-def _points(
-    intensity: IntensityModel, window: Window, n: int, rng: np.random.Generator
-) -> PointConfig:
-    """n points drawn from ``intensity`` normalised to a probability on
-    ``window`` (on cells, from its unscaled masses): the locations, then the
-    marks.  One point is the delta_x of the Poincare and OSSS audits and of
-    :func:`mecke_check`."""
+def _points(process: ProcessSpec, n: int, rng: np.random.Generator) -> PointConfig:
+    """n points drawn from the intensity of ``process`` normalised to a
+    probability on its window (on cells, from its unscaled masses): the
+    locations, then the marks.  One point is the delta_x of the Poincare and
+    OSSS audits and of :func:`mecke_check`."""
+    intensity, window = process.intensity, process.window
     pts = intensity.sample_locations(rng, window, n)
     marks = intensity.marks.sample(rng, n) if intensity.marks is not None else {}
     return PointConfig._fresh(window, pts, marks)
@@ -568,8 +561,7 @@ _OVERFLOW_GUARD = 1e12
 
 def mecke_check(
     f: Callable[[np.ndarray, PointConfig], float],
-    intensity: IntensityModel,
-    window: Window,
+    process: ProcessSpec,
     samples: int,
     rng: np.random.Generator,
 ) -> AuditReport:
@@ -579,18 +571,18 @@ def mecke_check(
     integral over x of E[f(x, eta + delta_x)] lambda(dx), estimated with x
     drawn from the normalized intensity and scaled by the total mass.
     """
-    mass = intensity.total_mass(window)
+    mass = process.mass
     lhs_vals = np.empty(samples)
     rhs_vals = np.empty(samples)
     for i in range(samples):
-        eta = sample_poisson(intensity, window, rng)
+        eta = process.sample(rng)
         total = 0.0
         for j in range(eta.size):
             total += f(eta.points[j], eta)
         lhs_vals[i] = total
 
-        x = _points(intensity, window, 1, rng)
-        eta2 = sample_poisson(intensity, window, rng)
+        x = _points(process, 1, rng)
+        eta2 = process.sample(rng)
         rhs_vals[i] = mass * f(x.points[0], PointConfig.join((eta2, x)))
         if abs(lhs_vals[i]) > _OVERFLOW_GUARD or abs(rhs_vals[i]) > _OVERFLOW_GUARD:
             raise OverflowError("functional looks unbounded; Mecke check aborted")

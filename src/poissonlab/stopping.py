@@ -420,13 +420,15 @@ def entry_time(
 ) -> float:
     """inf{t : x in Z_t(mu)} by bisection on [0, t_max]; inf -> math.inf.
 
-    Resolution defaults to 1e-6 * t_max.  A scan of ``_MONOTONE_SCAN``
-    evenly spaced times guards against non-monotone membership curves.
+    Resolution defaults to 1e-6 * t_max; both are finite and > 0.  A scan
+    of ``_MONOTONE_SCAN`` evenly spaced times guards against non-monotone
+    membership curves.
     """
     if resolution is None:
         resolution = 1e-6 * t_max
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    for name, value in (("t_max", t_max), ("resolution", resolution)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     x = np.atleast_2d(x)
 
     def member(t: float) -> bool:
@@ -560,6 +562,8 @@ class RevealmentReport:
 
 def probe_grid(box: BoxWindow, spacing: float) -> np.ndarray:
     """Regular grid of cell centers covering the box."""
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"the probe spacing must be finite and > 0, got {spacing}")
     axes = [
         lo + (np.arange(max(1, int(round((hi - lo) / spacing)))) + 0.5)
         * ((hi - lo) / max(1, int(round((hi - lo) / spacing))))
@@ -628,18 +632,15 @@ def expected_revealed_points(
         raise ValueError("box windows need a quadrature grid")
     if discrete:
         quad_grid = np.arange(process.window.num_cells)
+        masses = np.asarray(process.intensity.masses)
     else:
-        cell_mass = (
-            process.intensity.gamma * process.window.volume / len(quad_grid)
-        )
+        cell_mass = process.mass / len(quad_grid)
     for i in range(samples):
         eta = process.sample(rng)
         hit = oracle.contains(np.concatenate([eta.points, quad_grid]), eta)
         eta_counts[i] = float(np.count_nonzero(hit[: eta.size]))
         if discrete:
-            lam_vals[i] = float(
-                np.sum(np.asarray(process.intensity.masses) * hit[eta.size :])
-            )
+            lam_vals[i] = float(np.sum(masses * hit[eta.size :]))
         else:
             lam_vals[i] = float(np.count_nonzero(hit[eta.size :]) * cell_mass)
     e_eta, se_eta = _mean_se(eta_counts)

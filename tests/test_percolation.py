@@ -34,7 +34,15 @@ from poissonlab.percolation import (
     truncate_radii,
     truncation_flips,
 )
-from poissonlab.process import BoxWindow, PointConfig, _at_most, _bernoulli_se
+from poissonlab.process import (
+    BoxWindow,
+    HomogeneousIntensity,
+    PointConfig,
+    ProcessSpec,
+    RadiusMarks,
+    _at_most,
+    _bernoulli_se,
+)
 from poissonlab.rng import replicate, stream
 
 from grain_graph import grain_labels
@@ -120,6 +128,19 @@ def test_rasters_refuse_a_rect_that_is_not_planar():
     confetti = ConfettiModel(0.5, DISK1, DISK1)
     with pytest.raises(ValueError, match="planar rect, got dimension 3"):
         sample_confetti_world(confetti, rect, 0.25, stream(402))
+
+
+@pytest.mark.parametrize("h", [-0.25, -0.1, 0.0, math.nan, math.inf])
+def test_rasters_refuse_a_cell_side_not_finite_and_positive(h):
+    """Not a silent 1 x 1 raster, a division by zero or a longer horizon:
+    occupancy and confetti rasters name the cell side."""
+    rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
+    world = world_from([[2.0, 2.0]], [1.0], BooleanModel(1.0, DISK1, k=2), rect)
+    message = f"raster cell side must be finite and > 0, got {h}"
+    with pytest.raises(ValueError, match=message):
+        world.occupancy_raster(h)
+    with pytest.raises(ValueError, match=message):
+        sample_confetti_world(confetti(0.5), rect, h, stream(403))
 
 
 def test_is_k_covered():
@@ -340,6 +361,15 @@ def test_crossing_probability_takes_a_resolution_for_confetti_only():
         crossing_probability(confetti(0.5), rect, 2, (451,))
 
 
+def test_boolean_model_process_pads_the_rect_by_the_largest_radius():
+    rect = BoxWindow((0.0, 0.0), (4.0, 4.0))
+    law = UniformRadius(0.5, 1.5)
+    assert BooleanModel(0.3, GrainSpec("ball", law)).process(rect) == ProcessSpec(
+        HomogeneousIntensity(0.3, RadiusMarks(law)), rect.pad(1.5))
+    with pytest.raises(ValueError, match="unbounded radius law pads no rect"):
+        BooleanModel(0.3, GrainSpec("ball", ParetoRadius(0.5, 3.5))).process(rect)
+
+
 def test_boolean_model_rejects_box_grains():
     with pytest.raises(ValueError, match="Boolean grains are balls, got kind 'box'"):
         BooleanModel(0.5, GrainSpec("box", FixedRadius(1.0)))
@@ -409,6 +439,23 @@ def test_one_arm_decay_fit_quality():
     fit = one_arm_decay_fit(model, np.array([3, 5, 7, 9]), 6000, (415,))
     assert fit["slope"] < 0
     assert fit["r2"] > 0.9
+
+
+def test_one_arm_decay_fit_refuses_k_other_than_one_before_any_draw(monkeypatch):
+    """Its reach is that of a 1-covered cluster: on a k = 2 model it would
+    return the 1-coverage theta_s."""
+    def no_draw(*path):
+        raise AssertionError("a replica was drawn")
+
+    monkeypatch.setattr("poissonlab.rng.stream", no_draw)
+    with pytest.raises(ValueError, match="needs k = 1, got k = 2"):
+        one_arm_decay_fit(BooleanModel(1.2, DISK1, k=2), np.array([2.0, 3.0, 4.0]), 20,
+                          (417,))
+
+
+def test_one_arm_decay_fit_refuses_fewer_than_two_positive_thetas():
+    with pytest.raises(ValueError, match=r"needs two positive theta_s, got \[0.0, 0.0"):
+        one_arm_decay_fit(boolean(0.01), np.array([2.0, 3.0, 4.0]), 20, (418,))
 
 
 def test_estimate_critical_self_consistency():

@@ -29,7 +29,6 @@ from poissonlab.process import (
     _var_se,
     mecke_check,
     restrict,
-    sample_poisson,
     superpose,
     thin,
 )
@@ -62,7 +61,7 @@ def test_counts_chi_square_gof():
 
 
 def test_zero_mass_cell():
-    cfg = sample_poisson(CellIntensity((0.0, 5.0)), DiscreteWindow(2), stream(3))
+    cfg = ProcessSpec(CellIntensity((0.0, 5.0)), DiscreteWindow(2)).sample(stream(3))
     assert cfg.size > 0
     assert np.all(cfg.points == 1)
 
@@ -82,7 +81,7 @@ def test_disjoint_regions_independent():
 
 def test_infinite_mass_rejected():
     with pytest.raises(ValueError):
-        sample_poisson(HomogeneousIntensity(math.inf), UNIT_SQ, stream(5))
+        ProcessSpec(HomogeneousIntensity(math.inf), UNIT_SQ).sample(stream(5))
 
 
 BUILD_BY_FIELD = {
@@ -108,6 +107,27 @@ def test_box_window_rejects_non_finite_bounds(bad):
     for lo, hi in (((0.0, 0.0), (bad, 1.0)), ((bad, 0.0), (1.0, 1.0))):
         with pytest.raises(ValueError, match="bounds must be finite.*" + str(bad)):
             BoxWindow(lo, hi)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, 0, -1])
+def test_discrete_window_rejects_a_cell_count_not_an_integer_at_least_one(bad):
+    with pytest.raises(ValueError, match=f"num_cells must be an integer >= 1, got {bad!r}"):
+        DiscreteWindow(bad)
+
+
+@pytest.mark.parametrize("intensity, window, message", [
+    (HomogeneousIntensity(1.0), DiscreteWindow(3),
+     r"HomogeneousIntensity\(gamma=1.0, marks=None\) needs a BoxWindow, got Discrete"),
+    (CellIntensity((1.0, 2.0)), UNIT_SQ, "CellIntensity.* needs a DiscreteWindow, got Box"),
+    (CellIntensity((1.0, 2.0)), DiscreteWindow(3),
+     r"2 cell masses for DiscreteWindow\(num_cells=3\)"),
+])
+def test_process_refuses_an_intensity_that_does_not_fit_its_window(
+    intensity, window, message
+):
+    """Refused when the process is built, not at its first draw."""
+    with pytest.raises(ValueError, match=message):
+        ProcessSpec(intensity, window)
 
 
 @pytest.mark.parametrize("law, args, bad", [
@@ -262,7 +282,7 @@ def test_variance_estimates_need_two_values(estimate):
 
 def test_mecke_constant_functional():
     spec = ProcessSpec(HomogeneousIntensity(2.0), UNIT_SQ)
-    rep = mecke_check(lambda x, cfg: 1.0, spec.intensity, spec.window, 4000, stream(10))
+    rep = mecke_check(lambda x, cfg: 1.0, spec, 4000, stream(10))
     assert rep.passed and rep.name == "mecke" and rep.samples == 4000
     assert abs(rep.lhs - 2.0) <= 3 * rep.lhs_se
     assert abs(rep.rhs - 2.0) <= 3 * rep.rhs_se
@@ -280,8 +300,7 @@ def test_mecke_single_cell_indicator():
     assert abs(lhs_oracle - target) < 1e-12 and abs(rhs_oracle - target) < 1e-12
     rep = mecke_check(
         lambda x, cfg: float(cfg.size == 1),
-        CellIntensity((1.0,)),
-        DiscreteWindow(1),
+        ProcessSpec(CellIntensity((1.0,)), DiscreteWindow(1)),
         20_000,
         stream(11),
     )
@@ -297,8 +316,7 @@ def test_mecke_region_indicator():
     w_region = lambda p: np.atleast_2d(p)[:, 0] < 0.5
     rep = mecke_check(
         lambda x, cfg: float(x[0] < 0.5) * float(cfg.count_in(w_region) == 1),
-        HomogeneousIntensity(2.0),
-        UNIT_SQ,
+        ProcessSpec(HomogeneousIntensity(2.0), UNIT_SQ),
         20_000,
         stream(12),
     )
@@ -320,9 +338,7 @@ def test_mecke_random_bounded_functionals():
         def f(x, cfg, region=region, cap=cap):
             return min(cfg.count_in(region), cap) / (1.0 + np.sum(x))
 
-        rep = mecke_check(
-            f, spec.intensity, spec.window, 6000, stream(14, trial)
-        )
+        rep = mecke_check(f, spec, 6000, stream(14, trial))
         assert rep.passed, f"functional {trial} failed: {rep.to_dict()}"
 
 
@@ -330,8 +346,7 @@ def test_mecke_overflow_guard():
     with pytest.raises(OverflowError):
         mecke_check(
             lambda x, cfg: 1e13,
-            HomogeneousIntensity(2.0),
-            UNIT_SQ,
+            ProcessSpec(HomogeneousIntensity(2.0), UNIT_SQ),
             10,
             stream(15),
         )

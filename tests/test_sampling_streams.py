@@ -201,7 +201,7 @@ def test_sample_and_lambda_draw_match_plain_draws(process, seed):
     assert same_config(config, pts, marks) and frozen(config)
     assert config.window == process.window
 
-    x = _points(process.intensity, process.window, 1, got_rng)
+    x = _points(process, 1, got_rng)
     want_x = plain_locations(process.intensity, process.window, want_rng, 1)
     x_marks = plain_marks(process.intensity, want_rng, 1)
     assert same_config(x, want_x, x_marks) and frozen(x)
@@ -263,7 +263,7 @@ def plain_mecke(f, intensity, window, samples, rng):
 @given(processes, st.integers(0, 2**32 - 1))
 def test_mecke_check_draws_x_then_eta2(process, seed):
     got_rng, want_rng = streams(seed)
-    got = mecke_check(weighted_sum, process.intensity, process.window, 3, got_rng)
+    got = mecke_check(weighted_sum, process, 3, got_rng)
     (lhs, lhs_se), (rhs, rhs_se) = plain_mecke(
         weighted_sum, process.intensity, process.window, 3, want_rng)
     bits = lambda *vals: [float(v).hex() for v in vals]

@@ -103,6 +103,30 @@ def test_entry_time_detects_non_monotone():
         entry_time(Bad(), np.zeros(2), PointConfig.empty(WINDOW), 1e-3, 2.0)
 
 
+@pytest.mark.parametrize("t_max, resolution, message", [
+    (math.inf, None, "t_max must be finite and > 0, got inf"),
+    (math.nan, 1e-6, "t_max must be finite and > 0, got nan"),
+    (0.0, None, "t_max must be finite and > 0, got 0.0"),
+    (2.0, math.nan, "resolution must be finite and > 0, got nan"),
+    (2.0, math.inf, "resolution must be finite and > 0, got inf"),
+    (2.0, -1e-3, "resolution must be finite and > 0, got -0.001"),
+])
+def test_entry_time_refuses_a_horizon_or_resolution_not_finite_and_positive(
+    t_max, resolution, message
+):
+    """The true entry time here is 0.4; an infinite t_max read inf and a NaN
+    resolution read 2.0."""
+    with pytest.raises(ValueError, match=message):
+        entry_time(make_ctdt(), np.array([0.4, 0.0]), PointConfig.empty(WINDOW),
+                   resolution, t_max)
+
+
+@pytest.mark.parametrize("spacing", [-0.5, 0.0, math.nan, math.inf])
+def test_probe_grid_refuses_a_spacing_not_finite_and_positive(spacing):
+    with pytest.raises(ValueError, match=f"spacing must be finite and > 0, got {spacing}"):
+        probe_grid(WINDOW, spacing)
+
+
 # -- stopping axiom -------------------------------------------------------------
 
 
