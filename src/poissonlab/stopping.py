@@ -420,7 +420,7 @@ def entry_time(
 ) -> float:
     """inf{t : x in Z_t(mu)} by bisection on [0, t_max]; inf -> math.inf.
 
-    Resolution defaults to 1e-6 * t_max; both are finite and > 0.  A scan
+    Resolution defaults to 1e-6 * t_max; both must be finite and > 0.  A scan
     of ``_MONOTONE_SCAN`` evenly spaced times guards against non-monotone
     membership curves.
     """
